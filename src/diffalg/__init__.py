@@ -52,7 +52,6 @@ from .reduction import (
     autoreduced_check,
     coherence_check,
     full_reduce,
-    h_product,
     is_reduced,
     partial_reduce,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "eval_at_model_point",
     "eval_poly",
     "full_reduce",
-    "h_product",
     "ideal_member",
     "instance_validate",
     "is_reduced",

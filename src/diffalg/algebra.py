@@ -1,23 +1,22 @@
 """Commutative-algebra backend over the derivative variables actually occurring.
 
-Polynomials are frozen to exponent vectors over an ordered variable tuple;
-coefficients stay exact scalars. Buchberger runs the normal strategy with
-pairs selected by lcm order, the emitted basis is inter-reduced and
-normalized to denominator-free, integer-primitive elements with a positive
-leading coefficient, and every call re-checks that all S-polynomials of the
-output reduce to zero.
+Polynomials are frozen to exponent vectors over an ordered variable tuple,
+as sparse term dicts (see sparse.py); coefficients stay exact scalars.
+Buchberger runs the normal strategy with pairs selected by lcm order, the
+emitted basis is inter-reduced and normalized to denominator-free,
+integer-primitive elements with a positive leading coefficient, and every
+call re-checks that all S-polynomials of the output reduce to zero.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd as _int_gcd
+from dataclasses import dataclass
 
 from .poly import DiffPoly, mono_from
-from .scalars import Scalar, TPoly, tpoly_gcd
+from .scalars import Scalar, TPoly, _int_scale, tpoly_gcd
+from .sparse import acc, add, emul, exact_div, lead, mul, neg, sub, total_degree
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -39,97 +38,8 @@ def _ediv(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _emul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _elcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-class AlgPoly:
-    """Polynomial over an ordered variable tuple: exponent vector -> Scalar."""
-
-    __slots__ = ("nv", "nt", "terms")
-
-    def __init__(self, nv, nt, terms=None):
-        self.nv = nv
-        self.nt = nt
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if not c.is_zero():
-                    self.terms[e] = c
-
-    @classmethod
-    def _raw(cls, nv, nt, terms):
-        p = cls.__new__(cls)
-        p.nv = nv
-        p.nt = nt
-        p.terms = terms
-        return p
-
-    def is_zero(self):
-        return not self.terms
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def lead(self, key):
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(e, None)
-            else:
-                t[e] = s
-        return AlgPoly._raw(self.nv, self.nt, t)
-
-    def __sub__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = -c if s is None else s - c
-            if s.is_zero():
-                t.pop(e, None)
-            else:
-                t[e] = s
-        return AlgPoly._raw(self.nv, self.nt, t)
-
-    def __neg__(self):
-        return AlgPoly._raw(self.nv, self.nt, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _emul(e1, e2)
-                c = c1 * c2
-                s = t.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    t.pop(e, None)
-                else:
-                    t[e] = s
-        return AlgPoly._raw(self.nv, self.nt, t)
-
-    def mul_term(self, e, c):
-        if c.is_zero():
-            return AlgPoly._raw(self.nv, self.nt, {})
-        return AlgPoly._raw(
-            self.nv, self.nt, {_emul(e0, e): c0 * c for e0, c0 in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, AlgPoly) and self.nv == other.nv and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nv, frozenset(self.terms.items())))
 
 
 def to_algpoly(f, variables):
@@ -144,12 +54,12 @@ def to_algpoly(f, variables):
                 raise ValueError(f"variable {v.text()} outside the ideal's variables")
             e[pos[v]] = k
         terms[tuple(e)] = c
-    return AlgPoly._raw(nv, f.ring.nt, terms)
+    return terms
 
 
 def from_algpoly(p, variables, ring):
     terms = {}
-    for e, c in p.terms.items():
+    for e, c in p.items():
         mono = mono_from((variables[i], k) for i, k in enumerate(e) if k)
         terms[mono] = c
     return DiffPoly(ring, terms)
@@ -157,88 +67,72 @@ def from_algpoly(p, variables, ring):
 
 def _nf(p, basis, key):
     """Normal form with quotients: p = sum(q_i * basis_i) + remainder."""
-    rem = AlgPoly._raw(p.nv, p.nt, {})
-    quots = [AlgPoly._raw(p.nv, p.nt, {}) for _ in basis]
+    rem = {}
+    quots = [{} for _ in basis]
     work = p
-    while not work.is_zero():
-        e, c = work.lead(key)
-        hit = None
-        for i, b in enumerate(basis):
-            be, bc = b.lead(key)
+    while work:
+        e, c = lead(work, key)
+        for q, b in zip(quots, basis):
+            be, bc = lead(b, key)
             if _divides(be, e):
-                hit = (i, be, bc)
+                qe, qc = _ediv(e, be), c / bc
+                acc(q, qe, qc)
+                work = sub(work, mul(b, {qe: qc}))
                 break
-        if hit is None:
-            t = AlgPoly._raw(p.nv, p.nt, {e: c})
-            rem = rem + t
-            work = work - t
         else:
-            i, be, bc = hit
-            qe, qc = _ediv(e, be), c / bc
-            quots[i] = quots[i] + AlgPoly._raw(p.nv, p.nt, {qe: qc})
-            work = work - basis[i].mul_term(qe, qc)
+            acc(rem, e, c)
+            work = sub(work, {e: c})
     return rem, quots
 
 
 def _normalize(p, key):
     """Denominator-free, integer-primitive, positive leading coefficient."""
-    if p.is_zero():
+    if not p:
         return p
-    den_lcm = TPoly.one(p.nt)
-    for c in p.terms.values():
+    nt = next(iter(p.values())).nvars
+    den_lcm = TPoly.one(nt)
+    for c in p.values():
         g = tpoly_gcd(den_lcm, c.den)
         den_lcm = c.den * den_lcm.exact_div(g)
-    scaled = {e: c * Scalar._poly(den_lcm) for e, c in p.terms.items()}
-    content = TPoly.zero(p.nt)
+    scaled = {e: c * Scalar._poly(den_lcm) for e, c in p.items()}
+    content = TPoly.zero(nt)
     for c in scaled.values():
         content = tpoly_gcd(content, c.num)
-    den = 1
-    nums = 0
-    cleaned = {}
-    for e, c in scaled.items():
-        q = c.num.exact_div(content)
-        cleaned[e] = q
-        for frac_c in q.terms.values():
-            den = den * frac_c.denominator // _int_gcd(den, frac_c.denominator)
-    for q in cleaned.values():
-        for frac_c in q.terms.values():
-            nums = _int_gcd(nums, abs(frac_c.numerator * (den // frac_c.denominator)))
-    scale = Fraction(den, nums)
-    out = {e: Scalar._poly(q.scale(scale)) for e, q in cleaned.items()}
-    result = AlgPoly._raw(p.nv, p.nt, out)
-    lead_e = max(result.terms, key=key)
-    if result.terms[lead_e].num.lead_coeff() < 0:
-        result = -result
+    cleaned = {e: c.num.exact_div(content) for e, c in scaled.items()}
+    scale = _int_scale([fc for q in cleaned.values() for fc in q.terms.values()])
+    result = {e: Scalar._poly(q.scale(scale)) for e, q in cleaned.items()}
+    if lead(result, key)[1].num.lead_coeff() < 0:
+        result = neg(result)
     return result
 
 
 def _spoly(f, g, key):
-    fe, fc = f.lead(key)
-    ge, gc = g.lead(key)
+    fe, fc = lead(f, key)
+    ge, gc = lead(g, key)
     l = _elcm(fe, ge)
-    one = Scalar.one(f.nt)
-    return f.mul_term(_ediv(l, fe), one / fc) - g.mul_term(_ediv(l, ge), one / gc)
+    one = Scalar.one(fc.nvars)
+    return sub(mul(f, {_ediv(l, fe): one / fc}), mul(g, {_ediv(l, ge): one / gc}))
 
 
 def _buchberger(gens, key):
-    G = [g for g in gens if not g.is_zero()]
+    G = [g for g in gens if g]
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     while pairs:
-        pairs.sort(key=lambda ij: key(_elcm(G[ij[0]].lead(key)[0], G[ij[1]].lead(key)[0])))
+        pairs.sort(key=lambda ij: key(_elcm(lead(G[ij[0]], key)[0], lead(G[ij[1]], key)[0])))
         i, j = pairs.pop(0)
-        ei, ej = G[i].lead(key)[0], G[j].lead(key)[0]
-        if _elcm(ei, ej) == _emul(ei, ej):
+        ei, ej = lead(G[i], key)[0], lead(G[j], key)[0]
+        if _elcm(ei, ej) == emul(ei, ej):
             continue  # disjoint leading supports reduce to zero
         s = _spoly(G[i], G[j], key)
         rem, _ = _nf(s, G, key)
-        if not rem.is_zero():
+        if rem:
             G.append(rem)
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
     return _interreduce(G, key)
 
 
 def _interreduce(G, key):
-    G = [g for g in G if not g.is_zero()]
+    G = [g for g in G if g]
     changed = True
     while changed:
         changed = False
@@ -249,13 +143,13 @@ def _interreduce(G, key):
             rem, _ = _nf(G[i], others, key)
             if rem != G[i]:
                 changed = True
-                if rem.is_zero():
-                    G.pop(i)
-                else:
+                if rem:
                     G[i] = rem
+                else:
+                    G.pop(i)
                 break
     G = [_normalize(g, key) for g in G]
-    G.sort(key=lambda g: key(g.lead(key)[0]))
+    G.sort(key=lambda g: key(lead(g, key)[0]))
     return G
 
 
@@ -263,7 +157,7 @@ def _self_check(G, key):
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
             rem, _ = _nf(_spoly(G[i], G[j], key), G, key)
-            if not rem.is_zero():
+            if rem:
                 raise RuntimeError("S-polynomial self-check failed on emitted basis")
 
 
@@ -320,12 +214,12 @@ def ideal_member(f, ideal):
     rem, quots = _nf(p, basis, key)
     recomposed = rem
     for q, b in zip(quots, basis):
-        recomposed = recomposed + q * b
+        recomposed = add(recomposed, mul(q, b))
     if recomposed != p:
         raise RuntimeError("division certificate failed re-verification")
     nf = from_algpoly(rem, ideal.variables, ideal.ring)
     qs = [from_algpoly(q, ideal.variables, ideal.ring) for q in quots]
-    return MembershipCertificate(rem.is_zero(), nf, qs)
+    return MembershipCertificate(not rem, nf, qs)
 
 
 def eliminate(ideal, drop):
@@ -345,23 +239,20 @@ def eliminate(ideal, drop):
 
 
 def saturate(ideal, h):
-    """I : h^infinity via the extra-variable trick, staying inside AlgPoly."""
+    """I : h^infinity via the extra-variable trick, over frozen exponent vectors."""
     nv = len(ideal.variables)
-    nt = ideal.ring.nt
     key = _order_key(LEX)  # z is the first slot, so lex eliminates it
 
     def lift(p, z_exp=0):
-        return AlgPoly._raw(
-            nv + 1, nt, {(z_exp,) + e: c for e, c in p.terms.items()}
-        )
+        return {(z_exp,) + e: c for e, c in p.items()}
 
     gens = [lift(to_algpoly(g, ideal.variables)) for g in ideal.generators]
     hz = lift(to_algpoly(h, ideal.variables), 1)
-    one = AlgPoly._raw(nv + 1, nt, {(0,) * (nv + 1): Scalar.one(nt)})
-    gens.append(one - hz)
+    one = {(0,) * (nv + 1): Scalar.one(ideal.ring.nt)}
+    gens.append(sub(one, hz))
     G = _buchberger(gens, key)
-    kept = [g for g in G if all(e[0] == 0 for e in g.terms)]
-    dropped = [AlgPoly._raw(nv, nt, {e[1:]: c for e, c in g.terms.items()}) for g in kept]
+    kept = [g for g in G if all(e[0] == 0 for e in g)]
+    dropped = [{e[1:]: c for e, c in g.items()} for g in kept]
     out = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in dropped)
     return AlgIdeal(ideal.ring, ideal.variables, out, ideal.order)
 
@@ -385,45 +276,41 @@ def macaulay_member(f, ideal, bound):
     Sound for membership at the given bound; a miss refutes only up to it.
     """
     p = to_algpoly(f, ideal.variables)
-    if p.total_degree() > bound:
+    if total_degree(p) > bound:
         return MacaulayResult("bound_too_small", bound)
     nv = len(ideal.variables)
-    nt = ideal.ring.nt
+    one = Scalar.one(ideal.ring.nt)
     rows = []
     for g in ideal._alg_gens():
-        if g.is_zero():
+        if not g:
             continue
-        dg = g.total_degree()
+        dg = total_degree(g)
         for mono in itertools.product(range(bound - dg + 1), repeat=nv):
             if sum(mono) + dg > bound:
                 continue
-            rows.append(g.mul_term(mono, Scalar.one(nt)))
+            rows.append(mul(g, {mono: one}))
     # Echelonize the products, then reduce f against the pivots.
     pivots = {}
     key = _order_key(GREVLEX)
 
     def reduce_vec(vec):
-        vec = dict(vec.terms)
+        vec = dict(vec)
         while vec:
-            e = max(vec, key=key)
+            e, c = lead(vec, key)
             piv = pivots.get(e)
             if piv is None:
-                return AlgPoly._raw(nv, nt, vec), e
-            factor = vec[e] / piv.terms[e]
-            for pe, pc in piv.terms.items():
-                s = vec.get(pe, Scalar.zero(nt)) - factor * pc
-                if s.is_zero():
-                    vec.pop(pe, None)
-                else:
-                    vec[pe] = s
-        return AlgPoly._raw(nv, nt, {}), None
+                return vec, e
+            factor = c / piv[e]
+            for pe, pc in piv.items():
+                acc(vec, pe, -(factor * pc))
+        return vec, None
 
     for row in rows:
         red, lead_e = reduce_vec(row)
         if lead_e is not None:
             pivots[lead_e] = red
     residual, _ = reduce_vec(p)
-    return MacaulayResult("member" if residual.is_zero() else "not_at_bound", bound)
+    return MacaulayResult("not_at_bound" if residual else "member", bound)
 
 
 @dataclass
@@ -456,13 +343,12 @@ def _verify_zero_divisor(ideal, a, b):
 def _factor_search(ideal, f, config):
     """Exhaustive integer-coefficient factor pairs within degree/height bounds."""
     p = to_algpoly(f, ideal.variables)
-    deg = p.total_degree()
-    max_deg = min(config.factor_degree, deg - 1)
+    max_deg = min(config.factor_degree, total_degree(p) - 1)
     if max_deg < 1:
         return "vacuous", max_deg
-    if any(not c.is_const() for c in p.terms.values()):
+    if any(not c.is_const() for c in p.values()):
         return "skip", max_deg
-    nv = p.nv
+    nv = len(ideal.variables)
     monos = [e for e in itertools.product(range(max_deg + 1), repeat=nv) if sum(e) <= max_deg]
     ladder = list(range(-config.factor_height, config.factor_height + 1))
     total = len(ladder) ** len(monos)
@@ -475,19 +361,11 @@ def _factor_search(ideal, f, config):
             continue  # skip zero and sign duplicates
         if all(sum(e) == 0 or c == 0 for e, c in zip(monos, coeffs)):
             continue  # constant candidate
-        cand = AlgPoly._raw(
-            p.nv, nt, {e: Scalar.from_fraction(nt, c) for e, c in zip(monos, coeffs) if c}
-        )
-        quot = _exact_algdiv(p, cand)
-        if quot is not None and quot.total_degree() >= 1:
+        cand = {e: Scalar.from_fraction(nt, c) for e, c in zip(monos, coeffs) if c}
+        quot = exact_div(p, cand)
+        if quot is not None and total_degree(quot) >= 1:
             return (cand, quot), max_deg
     return None, max_deg
-
-
-def _exact_algdiv(p, d):
-    key = _order_key(GREVLEX)
-    rem, quots = _nf(p, [d], key)
-    return quots[0] if rem.is_zero() else None
 
 
 def _random_algpoly(rng, nv, nt, degree, height):
@@ -497,7 +375,7 @@ def _random_algpoly(rng, nv, nt, degree, height):
         c = rng.randint(-height, height)
         if c:
             terms[e] = Scalar.from_fraction(nt, c)
-    return AlgPoly._raw(nv, nt, terms)
+    return terms
 
 
 def primality_oracle(ideal, config=None):
@@ -565,10 +443,10 @@ def _primality_cascade(ideal, config):
         b = _random_algpoly(rng, nv, ring.nt, config.probe_degree, config.probe_height)
         ra, _ = _nf(a, alg_basis, key)
         rb, _ = _nf(b, alg_basis, key)
-        if ra.is_zero() or rb.is_zero():
+        if not ra or not rb:
             continue
-        rab, _ = _nf(ra * rb, alg_basis, key)
-        if rab.is_zero():
+        rab, _ = _nf(mul(ra, rb), alg_basis, key)
+        if not rab:
             fa = from_algpoly(ra, ideal.variables, ring)
             fb = from_algpoly(rb, ideal.variables, ring)
             if not _verify_zero_divisor(ideal, fa, fb):

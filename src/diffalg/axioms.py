@@ -22,7 +22,7 @@ from .algebra import (
     ideal_member,
     primality_oracle,
 )
-from .model import ModelPoint, eval_at_model_point, eval_poly, model_points
+from .model import ModelPoint, eval_at_model_point, eval_poly, model_points, t_monomials
 from .poly import DiffPoly
 from .prolong import tau, tau_set
 from .ranking import Ranking
@@ -105,15 +105,6 @@ def sat_ideal_member(f, cert):
     return c.remainder.is_zero(), c
 
 
-def _theta_layers(m, max_order):
-    import itertools
-
-    for total in range(max_order + 1):
-        for theta in itertools.product(range(total + 1), repeat=m):
-            if sum(theta) == total:
-                yield theta
-
-
 def saturation_members(cert, count, max_order=6):
     """Deterministic supply of distinct verified saturation-ideal members."""
     system = cert.system
@@ -128,7 +119,7 @@ def saturation_members(cert, count, max_order=6):
             out.append(g)
 
     m = len(system.leaders[0].theta)
-    for theta in _theta_layers(m, max_order):
+    for theta in t_monomials(m, max_order):
         for f in system.elements:
             push(f.derive_theta(theta))
             if len(out) >= count:
@@ -412,7 +403,7 @@ class WitnessReport:
 
 
 def _witness_checks(inst, pt):
-    """Fresh evaluation transcript for a candidate point."""
+    """Evaluation transcript for a candidate point."""
     from .parser import poly_text
 
     checks = []
@@ -439,9 +430,6 @@ def witness_search(inst, validation, *, degree=1, height=1):
         checks = _witness_checks(inst, pt)
         bad = next((c for c in checks if not c.ok), None)
         if bad is None:
-            fresh = _witness_checks(inst, pt)
-            if not all(c.ok for c in fresh):
-                raise RuntimeError("witness failed re-verification")
-            return WitnessReport("found", pt, fresh, examined, (degree, height), trail)
+            return WitnessReport("found", pt, checks, examined, (degree, height), trail)
         trail.append((pt, bad.label))
     return WitnessReport("exhausted", None, [], examined, (degree, height), trail)

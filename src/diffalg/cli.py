@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .algebra import (
     GREVLEX,
@@ -37,13 +36,12 @@ from .instances import (
 from .model import ModelPoint
 from .parser import ParseError, parse_poly, parse_tpoly, poly_text, scalar_text
 from .prolong import d_compatibility_check, tau
-from .ranking import ELIMINATION, ORDERLY, Ranking
+from .ranking import ORDERLY, Ranking
 from .reduction import (
     NotAutoreduced,
     autoreduced_check,
     coherence_check,
     full_reduce,
-    h_product,
     partial_reduce,
 )
 from .ring import CONSTANTS, RATIONAL_T, RingContext
@@ -63,39 +61,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-invocation configuration."""
+def _bound(name, flag, from_file=None):
+    """A search bound: the flag if given, else the [bounds] entry, else 1.
 
-    ring: RingContext
-    ranking: Ranking
-    order_bound: int = 2
-    degree: int = 1
-    height: int = 1
-    factor_degree: int = 2
-    factor_height: int = 2
-    machine: bool = False
-    seed: int | None = None
-
-    def __post_init__(self):
-        for name in ("order_bound", "degree", "height", "factor_degree", "factor_height"):
-            if getattr(self, name) < 1:
-                raise _UsageError(f"{name} must be positive")
+    A given value below 1, from either source, is a usage error.
+    """
+    given = [v for v in (flag, from_file) if v is not None]
+    if any(v < 1 for v in given):
+        raise _UsageError(f"{name} must be positive")
+    return given[0] if given else 1
 
 
-def run_config(args, ring=None, ranking=None, bounds=None):
-    bounds = bounds or {}
-    return RunConfig(
-        ring=ring if ring is not None else _ring_from(args),
-        ranking=ranking if ranking is not None else _ranking_from(args),
-        order_bound=bounds.get("order", 2),
-        degree=bounds.get("degree", getattr(args, "degree", None) or 1),
-        height=bounds.get("height", getattr(args, "height", None) or 1),
-        factor_degree=getattr(args, "degree_bound", 2),
-        factor_height=getattr(args, "height_bound", 2),
-        machine=getattr(args, "machine", False),
-        seed=getattr(args, "seed", None),
-    )
+def _grid_bounds(args, bounds):
+    """Witness-grid (degree, height); the file's [bounds] order is checked too."""
+    _bound("order_bound", None, bounds.get("order"))
+    return (_bound("degree", args.degree, bounds.get("degree")),
+            _bound("height", args.height, bounds.get("height")))
 
 
 def _tpoly_text(p):
@@ -118,15 +99,10 @@ def _ring_from(args):
 
 
 def _ranking_from(args):
-    spec = getattr(args, "ranking", ORDERLY)
-    if spec == ORDERLY:
-        return Ranking()
-    if spec.startswith(ELIMINATION):
-        _, _, perm = spec.partition(":")
-        if not perm:
-            raise _UsageError("elimination ranking needs a permutation, e.g. elimination:2,1")
-        return Ranking(ELIMINATION, tuple(int(k) for k in perm.split(",")))
-    raise _UsageError(f"unknown ranking {spec!r}")
+    try:
+        return Ranking.parse(args.ranking)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _system_polys(args, ring):
@@ -260,8 +236,8 @@ def _cmd_hprod(args):
     except NotAutoreduced as exc:
         return _emit([f"rejected: {exc}"], {"status": "rejected", "reason": str(exc)},
                      args, EXIT_REJECTED)
-    h = h_product(system)
-    return _emit([poly_text(h)], {"status": "ok", "h": poly_text(h)}, args, EXIT_OK)
+    h = poly_text(system.h)
+    return _emit([h], {"status": "ok", "h": h}, args, EXIT_OK)
 
 
 def _algideal_from(args, ring):
@@ -314,12 +290,11 @@ def _cmd_saturate(args):
 
 
 def _primality_config(args):
-    cfg = run_config(args)
     return PrimalityConfig(
-        factor_degree=cfg.factor_degree,
-        factor_height=cfg.factor_height,
-        seed=cfg.seed or 0,
-        assert_prime=getattr(args, "assert_prime", False),
+        factor_degree=_bound("factor_degree", args.degree_bound),
+        factor_height=_bound("factor_height", args.height_bound),
+        seed=args.seed or 0,
+        assert_prime=args.assert_prime,
     )
 
 
@@ -370,9 +345,7 @@ def _cmd_axiom(args):
     except NotAutoreduced as exc:
         return _emit([f"rejected: {exc}"], {"status": "rejected", "reason": str(exc)},
                      args, EXIT_REJECTED)
-    cfg = run_config(args, ring=data.ring, ranking=data.ranking, bounds=data.bounds)
-    degree = args.degree if args.degree is not None else cfg.degree
-    height = args.height if args.height is not None else cfg.height
+    degree, height = _grid_bounds(args, data.bounds)
     validation = instance_validate(inst, degree=degree, height=height)
     if args.what == "validate":
         lines = [f"status: {validation.status}"]
@@ -423,12 +396,10 @@ def _cmd_demo(args):
     cert = charset_certify(data.lam, data.ranking, config)
     if cert.status == "rejected":
         return _emit([f"rejected: {cert.reason}"], {"status": "rejected"}, args, EXIT_REJECTED)
-    cfg = run_config(args, ring=data.ring, ranking=data.ranking, bounds=data.bounds)
-    degree = args.degree if args.degree is not None else cfg.degree
-    height = args.height if args.height is not None else cfg.height
+    degree, height = _grid_bounds(args, data.bounds)
     report = naive_vs_tau_demo(
         data.naive, cert, degree=degree, height=height,
-        members=args.members, samples=args.samples,
+        members=_bound("members", args.members), samples=_bound("samples", args.samples),
     )
     lines = [f"status: {report.status}"]
     if report.status == "found":
@@ -453,11 +424,16 @@ def _add_ring_opts(sp):
     sp.add_argument("--field", choices=[CONSTANTS, RATIONAL_T], default=CONSTANTS)
 
 
+def _add_system_opts(sp):
+    sp.add_argument("--system", default=None, help='semicolon-separated, e.g. "d1 x1 - 1; d2 x1"')
+    sp.add_argument("--system-file", default=None)
+    sp.add_argument("--ranking", default=ORDERLY,
+                    help="orderly (default) or elimination:i,j,...; ignored with --system-file")
+
+
 def _add_common(sp, ring=True):
     if ring:
         _add_ring_opts(sp)
-    sp.add_argument("--ranking", default=ORDERLY,
-                    help="orderly (default) or elimination:i,j,...")
     sp.add_argument("--machine", action="store_true", help="print only the trailer block")
     sp.add_argument("--seed", type=int, default=None)
 
@@ -474,8 +450,7 @@ def build_parser():
 
     sp = sub.add_parser("reduce", help="Ritt-reduce against an autoreduced system")
     sp.add_argument("expr")
-    sp.add_argument("--system", default=None, help='semicolon-separated, e.g. "d1 x1 - 1; d2 x1"')
-    sp.add_argument("--system-file", default=None)
+    _add_system_opts(sp)
     sp.add_argument("--mode", choices=["full", "partial"], default="full")
     sp.add_argument("--check", action="store_true",
                     help="print the certificate re-verification line")
@@ -483,14 +458,12 @@ def build_parser():
     sp.set_defaults(fn=_cmd_reduce)
 
     sp = sub.add_parser("coherent", help="check all cross-derivative pairs")
-    sp.add_argument("--system", default=None)
-    sp.add_argument("--system-file", default=None)
+    _add_system_opts(sp)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_coherent)
 
     sp = sub.add_parser("hprod", help="product of initials and separants")
-    sp.add_argument("--system", default=None)
-    sp.add_argument("--system-file", default=None)
+    _add_system_opts(sp)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_hprod)
 

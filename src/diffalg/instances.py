@@ -25,7 +25,7 @@ from importlib import resources
 
 from .axioms import AxiomInstance
 from .parser import parse_poly
-from .ranking import ELIMINATION, ORDERLY, Ranking
+from .ranking import Ranking
 from .reduction import autoreduced_check
 from .ring import CONSTANTS, RATIONAL_T, RingContext
 
@@ -58,17 +58,6 @@ def _parse_kv(rest, where):
     return out
 
 
-def _parse_ranking(text):
-    if text == ORDERLY:
-        return Ranking()
-    if text.startswith(ELIMINATION):
-        _, _, perm = text.partition(":")
-        if not perm:
-            raise InstanceFormatError("elimination ranking needs a permutation, e.g. elimination:2,1")
-        return Ranking(ELIMINATION, tuple(int(k) for k in perm.split(",")))
-    raise InstanceFormatError(f"unknown ranking {text!r}")
-
-
 def parse_instance_text(text):
     ring = None
     ranking = Ranking()
@@ -96,7 +85,10 @@ def parse_instance_text(text):
                 except KeyError as exc:
                     raise InstanceFormatError(f"[ring] is missing {exc}") from None
                 if "ranking" in kv:
-                    ranking = _parse_ranking(kv["ranking"])
+                    try:
+                        ranking = Ranking.parse(kv["ranking"])
+                    except ValueError as exc:
+                        raise InstanceFormatError(str(exc)) from None
                 current = None
             elif name == "bounds":
                 kv = _parse_kv(rest, "[bounds]")

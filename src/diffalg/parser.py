@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .poly import DiffPoly, mono_degree
 from .ring import RATIONAL_T, DerivVar, mi_unit, mi_zero
-from .scalars import Scalar, TPoly, _deglex
+from .scalars import Scalar, TPoly
+from .sparse import deglex
 
 
 class ParseError(ValueError):
@@ -223,7 +224,7 @@ def scalar_text(s):
     if p.is_zero():
         return "0"
     parts = []
-    for e in sorted(p.terms, key=_deglex, reverse=True):
+    for e in sorted(p.terms, key=deglex, reverse=True):
         q = p.terms[e]
         if not parts:
             parts.append(_tterm_text(e, q) if q > 0 else "-" + _tterm_text(e, -q))

@@ -7,10 +7,8 @@ returns a fresh canonical value, so sharing is always safe.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ring import DerivVar, RingContext
-from .scalars import Scalar, TPoly
+from . import sparse
+from .scalars import Scalar
 
 # A monomial is a tuple of (DerivVar, exponent) pairs with positive exponents,
 # sorted by the canonical variable key.
@@ -139,62 +137,33 @@ class DiffPoly:
 
     def __add__(self, other):
         self._check(other)
-        t = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = t.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(mono, None)
-            else:
-                t[mono] = s
-        return DiffPoly._raw(self.ring, t)
+        return DiffPoly._raw(self.ring, sparse.add(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return DiffPoly._raw(self.ring, sparse.sub(self.terms, other.terms))
 
     def __neg__(self):
-        return DiffPoly._raw(self.ring, {m: -c for m, c in self.terms.items()})
+        return DiffPoly._raw(self.ring, sparse.neg(self.terms))
 
     def __mul__(self, other):
         self._check(other)
-        t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                s = t.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    t.pop(m, None)
-                else:
-                    t[m] = s
-        return DiffPoly._raw(self.ring, t)
+        return DiffPoly._raw(self.ring, sparse.mul(self.terms, other.terms, mono_mul))
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("exponent must be non-negative")
-        r = DiffPoly.one(self.ring)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return sparse.power(self, k, DiffPoly.one(self.ring))
 
     def scale(self, c):
         if not isinstance(c, Scalar):
             c = Scalar.from_fraction(self.ring.nt, c)
-        if c.is_zero():
-            return DiffPoly.zero(self.ring)
-        return DiffPoly._raw(self.ring, {m: k * c for m, k in self.terms.items()})
+        return DiffPoly._raw(self.ring, sparse.scale(self.terms, c))
 
     def map_coeffs(self, fn):
         t = {}
         for m, c in self.terms.items():
-            c2 = fn(c)
-            if not c2.is_zero():
-                t[m] = c2
+            sparse.acc(t, m, fn(c))
         return DiffPoly._raw(self.ring, t)
 
     def derive(self, i):
@@ -202,23 +171,12 @@ class DiffPoly:
         if not 1 <= i <= self.ring.m:
             raise ValueError(f"no derivation d{i} (m={self.ring.m})")
         out = {}
-
-        def acc(mono, c):
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-
         for mono, c in self.terms.items():
-            dc = c.diff(i)
-            if not dc.is_zero():
-                acc(mono, dc)
+            sparse.acc(out, mono, c.diff(i))
             for v, e in mono:
                 rest = mono_drop(mono, v, 1)
                 bumped = mono_mul(rest, ((v.derived(i), 1),))
-                acc(bumped, c.scale(e))
+                sparse.acc(out, bumped, c.scale(e))
         return DiffPoly._raw(self.ring, out)
 
     def derive_theta(self, theta):
@@ -234,14 +192,7 @@ class DiffPoly:
         for mono, c in self.terms.items():
             for w, e in mono:
                 if w == v:
-                    m2 = mono_drop(mono, v, 1)
-                    s = out.get(m2)
-                    c2 = c.scale(e)
-                    s = c2 if s is None else s + c2
-                    if s.is_zero():
-                        out.pop(m2, None)
-                    else:
-                        out[m2] = s
+                    sparse.acc(out, mono_drop(mono, v, 1), c.scale(e))
         return DiffPoly._raw(self.ring, out)
 
     def degree_in(self, v):
@@ -254,21 +205,6 @@ class DiffPoly:
             if dict(mono).get(v, 0) == k:
                 t[mono_drop(mono, v, k) if k else mono] = c
         return DiffPoly._raw(self.ring, t)
-
-    def as_univariate(self, v):
-        """Split into {degree in v: coefficient polynomial}."""
-        out = {}
-        for mono, c in self.terms.items():
-            k = dict(mono).get(v, 0)
-            m2 = mono_drop(mono, v, k) if k else mono
-            bucket = out.setdefault(k, {})
-            s = bucket.get(m2)
-            s = c if s is None else s + c
-            bucket[m2] = s
-        return {
-            k: DiffPoly._raw(self.ring, {m: c for m, c in t.items() if not c.is_zero()})
-            for k, t in out.items()
-        }
 
     def __eq__(self, other):
         return (
@@ -288,25 +224,3 @@ class DiffPoly:
         except ValueError:
             return f"DiffPoly(<{len(self.terms)} terms, rational-function coefficients>)"
 
-
-def clear_denominators(f):
-    """Scale f by the lcm of its coefficient denominators; returns a poly with
-    polynomial coefficients generating the same ideal."""
-    from .scalars import tpoly_gcd
-
-    acc = TPoly.one(f.ring.nt)
-    for c in f.terms.values():
-        g = tpoly_gcd(acc, c.den)
-        q = acc.exact_div(g)
-        acc = c.den * q
-    factor = Scalar._poly(acc)
-    return f.scale(factor) if not acc.is_const() or acc.const_value() != 1 else f
-
-
-def poly_from_tpoly(ring, p):
-    """Lift a t-polynomial into the differential ring as a constant term."""
-    return DiffPoly.const(ring, Scalar._poly(p))
-
-
-def frac(q_or_num, den=None):
-    return Fraction(q_or_num, den) if den is not None else Fraction(q_or_num)

@@ -30,6 +30,18 @@ class Ranking:
             ):
                 raise ValueError("elimination ranking needs a permutation of 1..n")
 
+    @classmethod
+    def parse(cls, spec):
+        """Ranking from "orderly" or "elimination:i,j,..."; raises ValueError."""
+        if spec == ORDERLY:
+            return cls()
+        if spec.startswith(ELIMINATION):
+            _, _, perm = spec.partition(":")
+            if not perm:
+                raise ValueError("elimination ranking needs a permutation, e.g. elimination:2,1")
+            return cls(ELIMINATION, tuple(int(k) for k in perm.split(",")))
+        raise ValueError(f"unknown ranking {spec!r}")
+
     def key(self, v: DerivVar):
         fam = 0 if v.family == "x" else 1
         if self.kind == ORDERLY:

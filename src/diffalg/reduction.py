@@ -104,11 +104,6 @@ def autoreduced_check(polys, ranking):
     return RankedSystem(ranking, elements, leaders, degrees, initials, separants, h)
 
 
-def h_product(system):
-    """Product of the initials and separants of all elements."""
-    return system.h
-
-
 @dataclass
 class ReductionCertificate:
     mode: str

@@ -100,9 +100,6 @@ class DerivVar:
         """The variable delta_i applied once more."""
         return DerivVar(self.family, self.index, mi_add(self.theta, mi_unit(len(self.theta), i)))
 
-    def apply(self, theta):
-        return DerivVar(self.family, self.index, mi_add(self.theta, theta))
-
     def shadow(self, family):
         """Same derivative in the other family."""
         return DerivVar(family, self.index, self.theta)

@@ -9,11 +9,9 @@ structural equality is semantic equality and hashing is safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 
-
-def _deglex(e):
-    return (sum(e), e)
+from . import sparse
 
 
 class TPoly:
@@ -72,7 +70,7 @@ class TPoly:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
+        return sparse.total_degree(self.terms)
 
     def occurring(self):
         s = set()
@@ -88,62 +86,26 @@ class TPoly:
 
     def __add__(self, other):
         self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = c if s is None else s + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return TPoly._raw(self.nvars, t)
+        return TPoly._raw(self.nvars, sparse.add(self.terms, other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = -c if s is None else s - c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return TPoly._raw(self.nvars, t)
+        return TPoly._raw(self.nvars, sparse.sub(self.terms, other.terms))
 
     def __neg__(self):
-        return TPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return TPoly._raw(self.nvars, sparse.neg(self.terms))
 
     def __mul__(self, other):
         self._check(other)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return TPoly._raw(self.nvars, t)
+        return TPoly._raw(self.nvars, sparse.mul(self.terms, other.terms))
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        r = TPoly.one(self.nvars)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return sparse.power(self, k, TPoly.one(self.nvars))
 
     def scale(self, q):
-        q = Fraction(q)
-        if not q:
-            return TPoly.zero(self.nvars)
-        return TPoly._raw(self.nvars, {e: c * q for e, c in self.terms.items()})
+        return TPoly._raw(self.nvars, sparse.scale(self.terms, Fraction(q)))
 
     def diff(self, i):
         """Partial derivative with respect to t_i (1-based)."""
@@ -153,20 +115,13 @@ class TPoly:
         for e, c in self.terms.items():
             k = e[i - 1]
             if k:
-                e2 = e[: i - 1] + (k - 1,) + e[i:]
-                s = t.get(e2)
-                s = c * k if s is None else s + c * k
-                if s:
-                    t[e2] = s
-                else:
-                    t.pop(e2, None)
+                sparse.acc(t, e[: i - 1] + (k - 1,) + e[i:], c * k)
         return TPoly._raw(self.nvars, t)
 
     def lead_term(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_deglex)
-        return e, self.terms[e]
+        return sparse.lead(self.terms)
 
     def lead_coeff(self):
         return self.lead_term()[1]
@@ -186,24 +141,8 @@ class TPoly:
         """Quotient self/d when d divides exactly, else None."""
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        q = {}
-        r = dict(self.terms)
-        de, dc = d.lead_term()
-        while r:
-            e = max(r, key=_deglex)
-            ediff = tuple(a - b for a, b in zip(e, de))
-            if any(k < 0 for k in ediff):
-                return None
-            qc = r[e] / dc
-            q[ediff] = qc
-            for e2, c2 in d.terms.items():
-                em = tuple(a + b for a, b in zip(ediff, e2))
-                s = r.get(em, Fraction(0)) - qc * c2
-                if s:
-                    r[em] = s
-                else:
-                    r.pop(em, None)
-        return TPoly._raw(self.nvars, q)
+        q = sparse.exact_div(self.terms, d.terms)
+        return None if q is None else TPoly._raw(self.nvars, q)
 
     def __eq__(self, other):
         return (
@@ -219,7 +158,7 @@ class TPoly:
         if not self.terms:
             return "TPoly(0)"
         parts = []
-        for e in sorted(self.terms, key=_deglex, reverse=True):
+        for e in sorted(self.terms, key=sparse.deglex, reverse=True):
             mono = "*".join(
                 f"t{j + 1}^{k}" if k > 1 else f"t{j + 1}" for j, k in enumerate(e) if k
             )
@@ -228,17 +167,17 @@ class TPoly:
         return "TPoly(" + " + ".join(parts) + ")"
 
 
+def _int_scale(coeffs):
+    """The positive rational that scales nonzero Fractions to coprime integers."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return Fraction(den, gcd(*(c.numerator * (den // c.denominator) for c in coeffs)))
+
+
 def _int_normalize(p):
     """Scale to coprime integer coefficients with positive deg-lex lead."""
     if p.is_zero():
         return p
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = _int_gcd(num, abs(c.numerator * (den // c.denominator)))
-    q = p.scale(Fraction(den, num))
+    q = p.scale(_int_scale(list(p.terms.values())))
     if q.lead_coeff() < 0:
         q = -q
     return q
@@ -369,10 +308,8 @@ class Scalar:
     def is_poly(self):
         return self._den_is_one()
 
-    def as_fraction(self):
-        if not self.is_const():
-            raise ValueError("scalar is not a rational constant")
-        return self.num.const_value() / self.den.const_value()
+    def __bool__(self):
+        return bool(self.num.terms)
 
     def __add__(self, other):
         if self._den_is_one() and other._den_is_one():
@@ -403,14 +340,7 @@ class Scalar:
     def __pow__(self, k):
         if k < 0:
             return Scalar.one(self.nvars) / self ** (-k)
-        r = Scalar.one(self.nvars)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return sparse.power(self, k, Scalar.one(self.nvars))
 
     def scale(self, q):
         q = Fraction(q)

@@ -165,3 +165,76 @@ class TestInstanceFiles:
             "# header\n[ring] m=1 n=1\n\n[lambda]\n# not a poly\nx1\n"
         )
         assert len(data.lam) == 1
+
+
+class TestSearchBounds:
+    @pytest.mark.parametrize("argv, name", [
+        (["axiom", "witness", FIX["basic.axiom"], "--height", "-2"], "height"),
+        (["axiom", "witness", FIX["basic.axiom"], "--degree", "-1"], "degree"),
+        (["axiom", "validate", FIX["basic.axiom"], "--degree", "0"], "degree"),
+        (["demo", "naive-vs-tau", FIX["square-naive.demo"], "--samples", "-3"], "samples"),
+        (["demo", "naive-vs-tau", FIX["square-naive.demo"], "--members", "0"], "members"),
+        (["demo", "naive-vs-tau", FIX["square-naive.demo"], "--height", "0"], "height"),
+        (["prime", "x1^2 + 1", "--vars", "x1", "--m", "0", "--degree-bound", "0"],
+         "factor_degree"),
+        (["prime", "x1^2 + 1", "--vars", "x1", "--m", "0", "--height-bound", "-1"],
+         "factor_height"),
+    ])
+    def test_flag_below_one_is_usage_error(self, capsys, argv, name):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {name} must be positive\n"
+
+    @pytest.mark.parametrize("bounds, name", [
+        ("order=0 degree=1 height=1", "order_bound"),
+        ("order=2 degree=0 height=1", "degree"),
+        ("order=2 degree=1 height=-1", "height"),
+    ])
+    def test_file_bound_below_one_is_usage_error(self, tmp_path, capsys, bounds, name):
+        text = open(FIX["basic.axiom"], encoding="utf-8").read()
+        path = tmp_path / "bad.axiom"
+        path.write_text(text.replace("order=2 degree=1 height=1", bounds), encoding="utf-8")
+        for flags in ([], ["--degree", "1", "--height", "1"]):
+            assert main(["axiom", "witness", str(path), *flags]) == 1
+            assert capsys.readouterr().err == f"usage error: {name} must be positive\n"
+
+    def test_flag_overrides_file_bound(self, capsys):
+        code, out = run(capsys, "axiom", "witness", FIX["exhaustion.axiom"],
+                        "--height", "2", "--machine")
+        assert code == 2
+        assert "examined: 125" in out and "height: 2" in out
+
+
+class TestRankingSpec:
+    def test_bad_flag_is_usage_error(self, capsys):
+        code = main(["reduce", "x1", "--system", "d1 x1", "--m", "1", "--n", "1",
+                     "--ranking", "bogus"])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: unknown ranking 'bogus'\n"
+
+    def test_elimination_flag_needs_permutation(self, capsys):
+        code = main(["hprod", "--system", "x1^2 - 1", "--m", "1", "--n", "1",
+                     "--ranking", "elimination"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: elimination ranking needs a permutation, e.g. elimination:2,1\n")
+
+    @pytest.mark.parametrize("command", [
+        ["groebner", "x1^2 - 1", "--vars", "x1", "--m", "0"],
+        ["prime", "x1^2 + 1", "--vars", "x1", "--m", "0"],
+        ["certify", FIX["coherent-pair.sys"]],
+    ])
+    def test_flag_only_on_commands_that_read_it(self, capsys, command):
+        assert main([*command, "--ranking", "orderly"]) == 1
+        assert "unrecognized arguments: --ranking" in capsys.readouterr().err
+
+    def test_bad_file_ranking_is_format_error(self, tmp_path, capsys):
+        with pytest.raises(InstanceFormatError, match="unknown ranking 'bogus'"):
+            parse_instance_text("[ring] m=1 n=1 ranking=bogus\n[lambda]\nx1\n")
+        path = tmp_path / "bad.sys"
+        path.write_text("[ring] m=1 n=1 ranking=elimination:1,1\n[lambda]\nx1\n",
+                        encoding="utf-8")
+        assert main(["certify", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: elimination ranking needs a permutation of 1..n\n")

@@ -26,6 +26,14 @@ def test_orderly_examples():
     assert compare_vars(DerivVar("x", 1, (0, 0)), DerivVar("x", 2, (0, 0)), r) == -1
 
 
+def test_parse_spec():
+    assert Ranking.parse("orderly") == Ranking()
+    assert Ranking.parse("elimination:2,1,3") == Ranking(ELIMINATION, (2, 1, 3))
+    for bad in ("lex", "elimination", "elimination:1,1", "elimination:a"):
+        with pytest.raises(ValueError):
+            Ranking.parse(bad)
+
+
 def test_elimination_permutation_required():
     with pytest.raises(ValueError):
         Ranking(ELIMINATION)
