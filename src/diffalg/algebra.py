@@ -1,7 +1,10 @@
 """Commutative-algebra backend over the derivative variables actually occurring.
 
 Polynomials are frozen to exponent vectors over an ordered variable tuple,
-as sparse term dicts (see sparse.py); coefficients stay exact scalars.
+as sparse term dicts (see sparse.py). Each call picks its coefficient domain
+from its data: plain Fractions when every coefficient of every polynomial it
+works on is a rational constant, exact Scalars otherwise. Both domains share
+one arithmetic path; results thaw back to DiffPolys over Scalars either way.
 Buchberger runs the normal strategy with pairs selected by lcm order, the
 emitted basis is inter-reduced and normalized to denominator-free,
 integer-primitive elements with a positive leading coefficient, and every
@@ -10,9 +13,12 @@ call re-checks that all S-polynomials of the output reduce to zero.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .poly import DiffPoly, mono_from
 from .scalars import Scalar, TPoly, _int_scale, tpoly_gcd
@@ -23,8 +29,8 @@ LEX = "lex"
 
 
 def _order_key(order):
-    if order == GREVLEX:
-        return lambda e: (sum(e), tuple(-k for k in reversed(e)))
+    if order == GREVLEX:  # a fresh memo per call: keys repeat across division steps
+        return functools.cache(lambda e: (sum(e), tuple(-k for k in reversed(e))))
     if order == LEX:
         return lambda e: e
     raise ValueError(f"unknown monomial order {order!r}")
@@ -57,6 +63,15 @@ def to_algpoly(f, variables):
     return terms
 
 
+def _freeze(polys, variables):
+    """Term dicts over Fraction if every coefficient is constant, else over Scalar; and one."""
+    frozen = [to_algpoly(f, variables) for f in polys]
+    coeffs = [c for p in frozen for c in p.values()]
+    if all(c.is_const() for c in coeffs):
+        return [{e: c.num.const_value() for e, c in p.items()} for p in frozen], Fraction(1)
+    return frozen, Scalar.one(coeffs[0].nvars)
+
+
 def from_algpoly(p, variables, ring):
     terms = {}
     for e, c in p.items():
@@ -67,21 +82,23 @@ def from_algpoly(p, variables, ring):
 
 def _nf(p, basis, key):
     """Normal form with quotients: p = sum(q_i * basis_i) + remainder."""
+    leads = [lead(b, key) for b in basis]
     rem = {}
     quots = [{} for _ in basis]
-    work = p
+    work = dict(p)
     while work:
         e, c = lead(work, key)
-        for q, b in zip(quots, basis):
-            be, bc = lead(b, key)
+        for q, b, (be, bc) in zip(quots, basis, leads):
             if _divides(be, e):
                 qe, qc = _ediv(e, be), c / bc
                 acc(q, qe, qc)
-                work = sub(work, mul(b, {qe: qc}))
+                nqc = -qc
+                for me, mc in b.items():
+                    acc(work, emul(qe, me), nqc * mc)
                 break
         else:
-            acc(rem, e, c)
-            work = sub(work, {e: c})
+            rem[e] = c
+            del work[e]
     return rem, quots
 
 
@@ -89,45 +106,55 @@ def _normalize(p, key):
     """Denominator-free, integer-primitive, positive leading coefficient."""
     if not p:
         return p
-    nt = next(iter(p.values())).nvars
-    den_lcm = TPoly.one(nt)
-    for c in p.values():
-        g = tpoly_gcd(den_lcm, c.den)
-        den_lcm = c.den * den_lcm.exact_div(g)
-    scaled = {e: c * Scalar._poly(den_lcm) for e, c in p.items()}
-    content = TPoly.zero(nt)
-    for c in scaled.values():
-        content = tpoly_gcd(content, c.num)
-    cleaned = {e: c.num.exact_div(content) for e, c in scaled.items()}
-    scale = _int_scale([fc for q in cleaned.values() for fc in q.terms.values()])
-    result = {e: Scalar._poly(q.scale(scale)) for e, q in cleaned.items()}
-    if lead(result, key)[1].num.lead_coeff() < 0:
-        result = neg(result)
-    return result
+    c0 = next(iter(p.values()))
+    if isinstance(c0, Fraction):
+        scale = _int_scale(list(p.values()))
+        result = {e: c * scale for e, c in p.items()}
+        negative = lead(result, key)[1] < 0
+    else:
+        den_lcm = TPoly.one(c0.nvars)
+        for c in p.values():
+            g = tpoly_gcd(den_lcm, c.den)
+            den_lcm = c.den * den_lcm.exact_div(g)
+        scaled = {e: c * Scalar._poly(den_lcm) for e, c in p.items()}
+        content = TPoly.zero(c0.nvars)
+        for c in scaled.values():
+            content = tpoly_gcd(content, c.num)
+        cleaned = {e: c.num.exact_div(content) for e, c in scaled.items()}
+        scale = _int_scale([fc for q in cleaned.values() for fc in q.terms.values()])
+        result = {e: Scalar._poly(q.scale(scale)) for e, q in cleaned.items()}
+        negative = lead(result, key)[1].num.lead_coeff() < 0
+    return neg(result) if negative else result
 
 
 def _spoly(f, g, key):
     fe, fc = lead(f, key)
     ge, gc = lead(g, key)
     l = _elcm(fe, ge)
-    one = Scalar.one(fc.nvars)
-    return sub(mul(f, {_ediv(l, fe): one / fc}), mul(g, {_ediv(l, ge): one / gc}))
+    return sub(mul(f, {_ediv(l, fe): fc ** -1}), mul(g, {_ediv(l, ge): gc ** -1}))
 
 
 def _buchberger(gens, key):
     G = [g for g in gens if g]
-    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    leads = [lead(g, key)[0] for g in G]
+    # Pairs leave the heap by lcm order, ties in insertion order.
+    pairs, seq = [], itertools.count()
+
+    def push(j):
+        for i in range(j):
+            heapq.heappush(pairs, (key(_elcm(leads[i], leads[j])), next(seq), i, j))
+
+    for j in range(len(G)):
+        push(j)
     while pairs:
-        pairs.sort(key=lambda ij: key(_elcm(lead(G[ij[0]], key)[0], lead(G[ij[1]], key)[0])))
-        i, j = pairs.pop(0)
-        ei, ej = lead(G[i], key)[0], lead(G[j], key)[0]
-        if _elcm(ei, ej) == emul(ei, ej):
+        _, _, i, j = heapq.heappop(pairs)
+        if _elcm(leads[i], leads[j]) == emul(leads[i], leads[j]):
             continue  # disjoint leading supports reduce to zero
-        s = _spoly(G[i], G[j], key)
-        rem, _ = _nf(s, G, key)
+        rem, _ = _nf(_spoly(G[i], G[j], key), G, key)
         if rem:
             G.append(rem)
-            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+            leads.append(lead(rem, key)[0])
+            push(len(G) - 1)
     return _interreduce(G, key)
 
 
@@ -173,9 +200,6 @@ class AlgIdeal:
         for g in self.generators:
             to_algpoly(g, self.variables)  # validates variable coverage
 
-    def _alg_gens(self):
-        return [to_algpoly(g, self.variables) for g in self.generators]
-
     def _alg_basis(self):
         if self.basis is None:
             raise ValueError("no basis attached; run buchberger first")
@@ -185,7 +209,7 @@ class AlgIdeal:
 def buchberger(ideal):
     """Attach the reduced, self-checked basis; deterministic for fixed input."""
     key = _order_key(ideal.order)
-    G = _buchberger(ideal._alg_gens(), key)
+    G = _buchberger(_freeze(ideal.generators, ideal.variables)[0], key)
     _self_check(G, key)
     basis = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in G)
     return AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order, basis)
@@ -209,8 +233,7 @@ def ideal_member(f, ideal):
     """Normal-form membership test; the division identity is re-verified."""
     ideal = _with_basis(ideal)
     key = _order_key(ideal.order)
-    basis = ideal._alg_basis()
-    p = to_algpoly(f, ideal.variables)
+    (p, *basis), _ = _freeze((f, *ideal.basis), ideal.variables)
     rem, quots = _nf(p, basis, key)
     recomposed = rem
     for q, b in zip(quots, basis):
@@ -246,10 +269,9 @@ def saturate(ideal, h):
     def lift(p, z_exp=0):
         return {(z_exp,) + e: c for e, c in p.items()}
 
-    gens = [lift(to_algpoly(g, ideal.variables)) for g in ideal.generators]
-    hz = lift(to_algpoly(h, ideal.variables), 1)
-    one = {(0,) * (nv + 1): Scalar.one(ideal.ring.nt)}
-    gens.append(sub(one, hz))
+    (hp, *gens), one = _freeze((h, *ideal.generators), ideal.variables)
+    gens = [lift(g) for g in gens]
+    gens.append(sub({(0,) * (nv + 1): one}, lift(hp, 1)))
     G = _buchberger(gens, key)
     kept = [g for g in G if all(e[0] == 0 for e in g)]
     dropped = [{e[1:]: c for e, c in g.items()} for g in kept]
@@ -275,13 +297,12 @@ def macaulay_member(f, ideal, bound):
 
     Sound for membership at the given bound; a miss refutes only up to it.
     """
-    p = to_algpoly(f, ideal.variables)
+    (p, *gens), one = _freeze((f, *ideal.generators), ideal.variables)
     if total_degree(p) > bound:
         return MacaulayResult("bound_too_small", bound)
     nv = len(ideal.variables)
-    one = Scalar.one(ideal.ring.nt)
     rows = []
-    for g in ideal._alg_gens():
+    for g in gens:
         if not g:
             continue
         dg = total_degree(g)

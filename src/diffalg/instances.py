@@ -15,7 +15,10 @@ Sections [lambda], [open], [W] and [naive] hold one polynomial per line in
 the shared grammar; [ring] and [bounds] carry key=value pairs on the header
 line. Blank lines and lines starting with '#' are ignored. An optional
 ranking key on the [ring] line selects "orderly" (default) or
-"elimination:i,j,..." with a permutation of the variable indices.
+"elimination:i,j,..." with a permutation of the variable indices. [ring]
+takes only m, n, field and ranking; [bounds] only order, degree and height,
+each an integer. Any other key, a repeated key or a non-integer value is a
+format error naming the line.
 """
 
 from __future__ import annotations
@@ -46,16 +49,34 @@ class InstanceData:
 
 
 _POLY_SECTIONS = {"lambda": "lam", "open": "open_extra", "w": "w_gens", "naive": "naive"}
+_HEADER_KEYS = {"ring": ("m", "n", "field", "ranking"), "bounds": ("order", "degree", "height")}
 
 
-def _parse_kv(rest, where):
+def _parse_kv(rest, name, lineno):
+    where = f"line {lineno}: [{name}]"
+    allowed = _HEADER_KEYS[name]
     out = {}
     for chunk in rest.split():
         if "=" not in chunk:
-            raise InstanceFormatError(f"expected key=value in {where}, got {chunk!r}")
+            raise InstanceFormatError(f"{where} expects key=value, got {chunk!r}")
         k, v = chunk.split("=", 1)
-        out[k.strip()] = v.strip()
+        if k not in allowed:
+            raise InstanceFormatError(
+                f"{where} has unknown key {k!r} (allowed: {', '.join(allowed)})"
+            )
+        if k in out:
+            raise InstanceFormatError(f"{where} repeats key {k!r}")
+        out[k] = v
     return out
+
+
+def _int_value(kv, key, name, lineno):
+    try:
+        return int(kv[key])
+    except ValueError:
+        raise InstanceFormatError(
+            f"line {lineno}: [{name}] {key} must be an integer, got {kv[key]!r}"
+        ) from None
 
 
 def parse_instance_text(text):
@@ -75,15 +96,15 @@ def parse_instance_text(text):
             name = line[1:end].strip().lower()
             rest = line[end + 1 :].strip()
             if name == "ring":
-                kv = _parse_kv(rest, "[ring]")
+                kv = _parse_kv(rest, name, lineno)
+                for k in ("m", "n"):
+                    if k not in kv:
+                        raise InstanceFormatError(f"line {lineno}: [ring] is missing {k!r}")
+                m, n = (_int_value(kv, k, name, lineno) for k in ("m", "n"))
                 try:
-                    ring = RingContext(
-                        m=int(kv["m"]),
-                        n=int(kv["n"]),
-                        field_mode=kv.get("field", CONSTANTS),
-                    )
-                except KeyError as exc:
-                    raise InstanceFormatError(f"[ring] is missing {exc}") from None
+                    ring = RingContext(m, n, kv.get("field", CONSTANTS))
+                except ValueError as exc:
+                    raise InstanceFormatError(f"line {lineno}: {exc}") from None
                 if "ranking" in kv:
                     try:
                         ranking = Ranking.parse(kv["ranking"])
@@ -91,8 +112,8 @@ def parse_instance_text(text):
                         raise InstanceFormatError(str(exc)) from None
                 current = None
             elif name == "bounds":
-                kv = _parse_kv(rest, "[bounds]")
-                bounds = {k: int(v) for k, v in kv.items()}
+                kv = _parse_kv(rest, name, lineno)
+                bounds = {k: _int_value(kv, k, name, lineno) for k in kv}
                 current = None
             elif name in _POLY_SECTIONS:
                 current = name

@@ -294,7 +294,8 @@ class Scalar:
         return self.num.nvars
 
     def _den_is_one(self):
-        return self.den.terms == {(0,) * self.den.nvars: Fraction(1)}
+        t = self.den.terms
+        return len(t) == 1 and t.get((0,) * self.den.nvars) == 1
 
     def is_zero(self):
         return self.num.is_zero()

@@ -162,6 +162,69 @@ class TestMacaulay:
         assert res.status == "bound_too_small"
 
 
+class TestCoefficientDomain:
+    """Constant ideals run over Fractions, others over Scalars, with one meaning."""
+
+    RINGS = (RingContext(m=0, n=3), RingContext(m=0, n=3, field_mode="rational_t"))
+    TEXTS = (
+        ("x1^2 - 1/2", "x1*x2 - 3/4"),
+        ("2*x1^2 + x2 - 1", "x1*x2^2 - 5/3*x1", "x2^3 + x1"),
+        ("x1*x2 - x3", "x2*x3 - 2/7*x1", "x1^2 - x3^2 + 1"),
+    )
+
+    def _ideal(self, ring, texts, order="grevlex"):
+        variables = tuple(xvar(ring, j) for j in (1, 2, 3))
+        return AlgIdeal(ring, variables, tuple(parse_poly(t, ring) for t in texts), order)
+
+    def test_constant_ideals_take_fraction_path(self):
+        from fractions import Fraction
+
+        from diffalg.algebra import _freeze
+
+        for ring in self.RINGS:
+            I = self._ideal(ring, self.TEXTS[0])
+            frozen, one = _freeze(I.generators, I.variables)
+            assert one == 1 and isinstance(one, Fraction)
+            assert all(isinstance(c, Fraction) for p in frozen for c in p.values())
+
+    def test_bases_agree_across_rings(self):
+        for texts in self.TEXTS:
+            for order in ("grevlex", "lex"):
+                bases = [
+                    [poly_text(g) for g in buchberger(self._ideal(r, texts, order)).basis]
+                    for r in self.RINGS
+                ]
+                assert bases[0] == bases[1]
+
+    def test_t_coefficient_keeps_scalar_path(self):
+        from diffalg import Scalar
+        from diffalg.algebra import _freeze
+
+        ring = self.RINGS[1]
+        I = AlgIdeal(ring, X[:2], (parse_poly("t1*x1 - 1", ring), parse_poly("x1^2 - x2", ring)))
+        frozen, one = _freeze(I.generators, I.variables)
+        assert isinstance(one, Scalar)
+        assert all(isinstance(c, Scalar) for p in frozen for c in p.values())
+        basis = [poly_text(g) for g in buchberger(I).basis]
+        assert basis == ["t1^2*x2 - 1", "t1*x1 - 1"]
+        assert ideal_member(parse_poly("t1^3*x1*x2 - 1", ring), I).member
+
+    def test_macaulay_and_saturate_agree_across_rings(self):
+        for texts in self.TEXTS[:2]:
+            for probe in ("x1^2*x2 - 1/2*x2", "x1 + x2", "3/4*x1 - 1/2*x2"):
+                verdicts = [
+                    macaulay_member(parse_poly(probe, r), self._ideal(r, texts), 4).status
+                    for r in self.RINGS
+                ]
+                assert verdicts[0] == verdicts[1]
+            sats = [
+                saturate(self._ideal(r, texts), parse_poly("x1", r)).generators
+                for r in self.RINGS
+            ]
+            sats = [[poly_text(g) for g in gens] for gens in sats]
+            assert sats[0] == sats[1]
+
+
 def _rand_gen(rng, max_terms=3, degree=3, height=2):
     import itertools
     from fractions import Fraction

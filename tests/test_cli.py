@@ -167,6 +167,37 @@ class TestInstanceFiles:
         assert len(data.lam) == 1
 
 
+class TestHeaderKeys:
+    @pytest.mark.parametrize("old, new, message", [
+        ("order=2 degree=1 height=1", "order=2 degre=0 hieght=-5",
+         "line 10: [bounds] has unknown key 'degre' (allowed: order, degree, height)"),
+        ("order=2 degree=1 height=1", "order=2 degree=abc height=1",
+         "line 10: [bounds] degree must be an integer, got 'abc'"),
+        ("order=2 degree=1 height=1", "order=2 degree=1 degree=2",
+         "line 10: [bounds] repeats key 'degree'"),
+        ("order=2 degree=1 height=1", "order=2 degree",
+         "line 10: [bounds] expects key=value, got 'degree'"),
+        ("m=1 n=1 field=rational_t", "m=1 n=1 feild=rational_t",
+         "line 2: [ring] has unknown key 'feild' (allowed: m, n, field, ranking)"),
+        ("m=1 n=1 field=rational_t", "m=one n=1 field=rational_t",
+         "line 2: [ring] m must be an integer, got 'one'"),
+        ("m=1 n=1 field=rational_t", "n=1 field=rational_t",
+         "line 2: [ring] is missing 'm'"),
+        ("m=1 n=1 field=rational_t", "m=1 n=1 field=rational",
+         "line 2: unknown field mode 'rational'"),
+    ], ids=["bounds-unknown-key", "bounds-not-int", "bounds-repeat", "bounds-no-value",
+            "ring-unknown-key", "ring-not-int", "ring-missing-m", "ring-bad-field"])
+    def test_bad_header_is_one_line_error(self, tmp_path, capsys, old, new, message):
+        text = open(FIX["basic.axiom"], encoding="utf-8").read()
+        assert old in text
+        path = tmp_path / "bad.axiom"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["axiom", "witness", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestSearchBounds:
     @pytest.mark.parametrize("argv, name", [
         (["axiom", "witness", FIX["basic.axiom"], "--height", "-2"], "height"),
