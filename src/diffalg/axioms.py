@@ -6,16 +6,22 @@ primality), the naive-versus-prolonged variety comparison, the open-set
 equality replay, and validation plus witness search for axiom instances.
 Dominance of the projection is checked by an order-bounded elimination
 surrogate and every verdict carries the truncation order used.
+
+Every search walks one grid, the model points of ``model_points`` over all
+x-indices in the documented order, and tests each candidate against a list of
+checks ``(polynomial, want_zero)``. The open set's checks come in a fixed
+order: the system elements vanish, then H and each inequation do not. A
+candidate stops at its first failing check, and that check names the failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .algebra import (
     GREVLEX,
     AlgIdeal,
-    PrimalityConfig,
     PrimalityVerdict,
     buchberger,
     eliminate,
@@ -23,6 +29,7 @@ from .algebra import (
     primality_oracle,
 )
 from .model import ModelPoint, eval_at_model_point, eval_poly, model_points, t_monomials
+from .parser import poly_text
 from .poly import DiffPoly
 from .prolong import tau, tau_set
 from .ranking import Ranking
@@ -38,6 +45,13 @@ from .reduction import (
 CERTIFIED = "certified"
 REJECTED = "rejected"
 CONDITIONAL = "conditional"
+
+
+def _frozen_variables(polys, ranking):
+    """The derivative variables of polys, highest-ranked first."""
+    return tuple(
+        sorted({v for f in polys for v in f.variables()}, key=ranking.key, reverse=True)
+    )
 
 
 @dataclass
@@ -73,12 +87,8 @@ def charset_certify(polys, ranking=None, primality_config=None):
             system,
             coh,
         )
-    ring = system.ring
-    variables = tuple(
-        sorted({v for f in system.elements for v in f.variables()},
-               key=ranking.key, reverse=True)
-    )
-    ideal = buchberger(AlgIdeal(ring, variables, tuple(system.elements), GREVLEX))
+    variables = _frozen_variables(system.elements, ranking)
+    ideal = buchberger(AlgIdeal(system.ring, variables, tuple(system.elements), GREVLEX))
     verdict = primality_oracle(ideal, primality_config)
     if verdict.status == "not_prime":
         return CharSetCertificate(
@@ -149,32 +159,51 @@ def naive_prolongation_gens(polys):
     return out
 
 
-def _all_indices(ring):
-    return range(1, ring.n + 1)
+def _grid(ring, degree, height):
+    """Every model point over x1..xn, in the documented order."""
+    return model_points(ring, range(1, ring.n + 1), degree, height)
+
+
+def _open_set(system, extra=()):
+    """Checks of the open set: each system element vanishes, H and each extra
+    inequation do not."""
+    return ([(f, True) for f in system.elements] + [(system.h, False)]
+            + [(g, False) for g in extra])
+
+
+def _fails(checks, pt, ypt=None):
+    """Index of the first check that fails at (pt, ypt), or None if all pass.
+
+    Without ypt a check must be free of y-variables."""
+    for i, (p, want_zero) in enumerate(checks):
+        val = eval_at_model_point(p, pt) if ypt is None else eval_poly(p, pt, ypt)
+        if val.is_zero() != want_zero:
+            return i
+    return None
+
+
+def _doubled_points(ring, degree, height, x_checks, y_zero):
+    """Grid pairs (a, b), a passing x_checks and every y_zero polynomial
+    vanishing at (a, b); a-major documented order, y-grid built once."""
+    y_checks = [(g, True) for g in y_zero]
+    y_grid = None
+    for pt in _grid(ring, degree, height):
+        if _fails(x_checks, pt) is not None:
+            continue
+        if y_grid is None:
+            y_grid = list(_grid(ring, degree, height))
+        for ypt in y_grid:
+            if _fails(y_checks, pt, ypt) is None:
+                yield pt, ypt
 
 
 def doubled_samples(system, count, degree=1, height=1, extra_nonzero=()):
     """Pairs (a, b) with the system vanishing at a, H off zero, and the
     prolonged system vanishing at (a, b); documented enumeration order."""
-    ring = system.ring
     taus = [tau(f).value for f in system.elements]
-    pairs = []
-    y_grid = None
-    for pt in model_points(ring, _all_indices(ring), degree, height):
-        if not all(eval_at_model_point(f, pt).is_zero() for f in system.elements):
-            continue
-        if eval_at_model_point(system.h, pt).is_zero():
-            continue
-        if not all(not eval_at_model_point(g, pt).is_zero() for g in extra_nonzero):
-            continue
-        if y_grid is None:
-            y_grid = list(model_points(ring, _all_indices(ring), degree, height))
-        for ypt in y_grid:
-            if all(eval_poly(tf, pt, ypt).is_zero() for tf in taus):
-                pairs.append((pt, ypt))
-                if len(pairs) >= count:
-                    return pairs
-    return pairs
+    points = _doubled_points(system.ring, degree, height,
+                             _open_set(system, extra_nonzero), taus)
+    return list(islice(points, count))
 
 
 @dataclass
@@ -192,31 +221,20 @@ class DiscrepancyReport:
 def naive_vs_tau_demo(raw_gens, cert, *, degree=1, height=1, members=10, samples=50):
     """Search the naive prolongation variety for a point missing the corrected
     one, then confirm the corrected data is clean on sampled open-set points."""
-    ring = cert.system.ring
     members_list = saturation_members(cert, members)
     tau_members = [(g, tau(g).value) for g in members_list]
+    member_checks = [(tg, True) for _, tg in tau_members]
 
-    raw_taus = [tau(f).value for f in raw_gens]
-    found = None
+    point = member = value = None
     examined = 0
-    y_grid = None
-    for pt in model_points(ring, _all_indices(ring), degree, height):
-        if not all(eval_at_model_point(f, pt).is_zero() for f in raw_gens):
-            continue
-        if y_grid is None:
-            y_grid = list(model_points(ring, _all_indices(ring), degree, height))
-        for ypt in y_grid:
-            if not all(eval_poly(tf, pt, ypt).is_zero() for tf in raw_taus):
-                continue
-            examined += 1
-            for g, tg in tau_members:
-                val = eval_poly(tg, pt, ypt)
-                if not val.is_zero():
-                    found = ((pt, ypt), g, val)
-                    break
-            if found:
-                break
-        if found:
+    naive = _doubled_points(cert.system.ring, degree, height,
+                            [(f, True) for f in raw_gens], [tau(f).value for f in raw_gens])
+    for pt, ypt in naive:
+        examined += 1
+        i = _fails(member_checks, pt, ypt)
+        if i is not None:
+            member, tg = tau_members[i]
+            point, value = (pt, ypt), eval_poly(tg, pt, ypt)
             break
 
     sample_pairs = doubled_samples(cert.system, samples, degree=max(degree, 2), height=height)
@@ -227,15 +245,9 @@ def naive_vs_tau_demo(raw_gens, cert, *, degree=1, height=1, members=10, samples
             if not val.is_zero():
                 failures.append((pt, ypt, g, val))
 
-    if found:
-        return DiscrepancyReport(
-            "found", found[0], found[1], found[2], members_list, examined,
-            len(sample_pairs), failures,
-        )
-    return DiscrepancyReport(
-        "not_found_at_bounds", None, None, None, members_list, examined,
-        len(sample_pairs), failures,
-    )
+    status = "not_found_at_bounds" if point is None else "found"
+    return DiscrepancyReport(status, point, member, value, members_list, examined,
+                             len(sample_pairs), failures)
 
 
 @dataclass
@@ -307,10 +319,7 @@ def instance_validate(inst, *, degree=1, height=1, primality_config=None):
     ring = inst.system.ring
     pairs = tau_set(inst.system.elements)
     pool = list(inst.w_gens) + [f for f, _ in pairs] + [t.value for _, t in pairs]
-    variables = tuple(
-        sorted({v for f in pool for v in f.variables()},
-               key=inst.system.ranking.key, reverse=True)
-    )
+    variables = _frozen_variables(pool, inst.system.ranking)
     over = [v for v in variables if v.order > inst.order_bound]
     if over:
         return InstanceValidation(
@@ -318,8 +327,6 @@ def instance_validate(inst, *, degree=1, height=1, primality_config=None):
             f"derivative {over[0].text()} exceeds the truncation order {inst.order_bound}",
             cert, None, inst.order_bound,
         )
-    from .parser import poly_text
-
     w_ideal = buchberger(AlgIdeal(ring, variables, tuple(inst.w_gens), GREVLEX))
     for f, tf in pairs:
         if not ideal_member(f, w_ideal).member:
@@ -332,16 +339,8 @@ def instance_validate(inst, *, degree=1, height=1, primality_config=None):
                 "rejected", f"prolonged element {poly_text(tf.value)} is not in the W ideal",
                 cert, None, inst.order_bound,
             )
-    o_point = None
-    for pt in model_points(ring, _all_indices(ring), degree, height):
-        if not all(eval_at_model_point(f, pt).is_zero() for f in inst.system.elements):
-            continue
-        if eval_at_model_point(inst.system.h, pt).is_zero():
-            continue
-        if any(eval_at_model_point(g, pt).is_zero() for g in inst.open_extra):
-            continue
-        o_point = pt
-        break
+    checks = _open_set(inst.system, inst.open_extra)
+    o_point = next((pt for pt in _grid(ring, degree, height) if _fails(checks, pt) is None), None)
     if o_point is None:
         return InstanceValidation(
             "rejected", "no point of the open set found within the search bounds",
@@ -363,12 +362,8 @@ def projection_closure_check(inst, validation):
     """Eliminate the y-family from the W ideal and reduce every eliminant."""
     if validation.status != "valid":
         raise ValueError("instance must validate before the projection check")
-    ring = inst.system.ring
-    variables = tuple(
-        sorted({v for f in inst.w_gens for v in f.variables()},
-               key=inst.system.ranking.key, reverse=True)
-    )
-    ideal = AlgIdeal(ring, variables, tuple(inst.w_gens), GREVLEX)
+    variables = _frozen_variables(inst.w_gens, inst.system.ranking)
+    ideal = AlgIdeal(inst.system.ring, variables, tuple(inst.w_gens), GREVLEX)
     drop = {v for v in variables if v.family == "y"}
     projected = eliminate(ideal, drop)
     residuals = []
@@ -402,34 +397,23 @@ class WitnessReport:
     trail: list = field(default_factory=list)
 
 
-def _witness_checks(inst, pt):
-    """Evaluation transcript for a candidate point."""
-    from .parser import poly_text
-
-    checks = []
-    for f in inst.system.elements:
-        checks.append(CheckLine(f"system: {poly_text(f)}", eval_at_model_point(f, pt), True))
-    checks.append(CheckLine("H", eval_at_model_point(inst.system.h, pt), False))
-    for g in inst.open_extra:
-        checks.append(CheckLine(f"inequation: {poly_text(g)}", eval_at_model_point(g, pt), False))
-    dpt = pt.d_companion()
-    for w in inst.w_gens:
-        checks.append(CheckLine(f"W: {poly_text(w)}", eval_poly(w, pt, dpt), True))
-    return checks
-
-
 def witness_search(inst, validation, *, degree=1, height=1):
     """First grid point of the open set whose D-companion pair lands in W."""
     if validation.status != "valid":
         return WitnessReport("invalid_instance", None, [], 0, (degree, height))
-    ring = inst.system.ring
+    checks = _open_set(inst.system, inst.open_extra) + [(w, True) for w in inst.w_gens]
+    labels = ([f"system: {poly_text(f)}" for f in inst.system.elements] + ["H"]
+              + [f"inequation: {poly_text(g)}" for g in inst.open_extra]
+              + [f"W: {poly_text(w)}" for w in inst.w_gens])
     examined = 0
     trail = []
-    for pt in model_points(ring, _all_indices(ring), degree, height):
+    for pt in _grid(inst.system.ring, degree, height):
         examined += 1
-        checks = _witness_checks(inst, pt)
-        bad = next((c for c in checks if not c.ok), None)
-        if bad is None:
-            return WitnessReport("found", pt, checks, examined, (degree, height), trail)
-        trail.append((pt, bad.label))
+        dpt = pt.d_companion()
+        i = _fails(checks, pt, dpt)
+        if i is None:
+            transcript = [CheckLine(label, eval_poly(p, pt, dpt), want_zero)
+                          for label, (p, want_zero) in zip(labels, checks)]
+            return WitnessReport("found", pt, transcript, examined, (degree, height), trail)
+        trail.append((pt, labels[i]))
     return WitnessReport("exhausted", None, [], examined, (degree, height), trail)

@@ -1,8 +1,9 @@
 """Single executable exposing every operation over the shared grammar.
 
 Exit codes: 0 success/found/certified, 2 rejected/exhausted/not-member,
-1 usage error. Every report re-verifies its own certificates before printing
-and ends with a machine-readable trailer block.
+1 usage error, 3 internal error (a certificate failed its re-verification).
+Every report re-verifies its own certificates before printing and ends with a
+machine-readable trailer block.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ from .reduction import (
     partial_reduce,
 )
 from .ring import CONSTANTS, RATIONAL_T, RingContext
-from .scalars import Scalar
+from .scalars import Scalar, TPoly, tpoly_gcd
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECTED = 2
+EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
@@ -86,7 +88,33 @@ def _tpoly_text(p):
 def _scalar_out(s):
     if s.is_poly():
         return scalar_text(s)
-    return f"({scalar_text(Scalar._poly(s.num))}) / ({scalar_text(Scalar._poly(s.den))})"
+    return f"({_tpoly_text(s.num)}) / ({_tpoly_text(s.den)})"
+
+
+def _poly_out(f):
+    """poly_text, or (numerator) / (denominator) over the least common
+    t-denominator when a coefficient has a non-constant one."""
+    den = TPoly.one(f.ring.nt)
+    for c in f.terms.values():
+        den = den * c.den.exact_div(tpoly_gcd(den, c.den))
+    if den.is_const():
+        return poly_text(f)
+    den = den.scale(1 / den.lead_coeff())
+    num = f.scale(Scalar._poly(den))
+    num_text = scalar_text(num.scalar_value()) if num.is_scalar() else poly_text(num)
+    return f"({num_text}) / ({_tpoly_text(den)})"
+
+
+def _pair_lines(pairs, system):
+    """One line per cross-derivative pair, each certificate re-verified first."""
+    lines = []
+    for ev in pairs:
+        if not ev.certificate.verify(system):
+            raise RuntimeError("coherence reduction certificate failed re-verification")
+        lines.append(
+            f"pair (elements {ev.hi + 1}, {ev.lo + 1}): remainder {poly_text(ev.remainder)}"
+        )
+    return lines
 
 
 def _point_text(pt):
@@ -100,16 +128,20 @@ def _ring_from(args):
 
 def _ranking_from(args):
     try:
-        return Ranking.parse(args.ranking)
+        ranking = Ranking.parse(args.ranking)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    if ranking.permutation and len(ranking.permutation) != args.n:
+        raise _UsageError(f"elimination ranking must permute 1..{args.n}")
+    return ranking
 
 
-def _system_polys(args, ring):
-    if getattr(args, "system_file", None):
+def _system_polys(args):
+    ring = _ring_from(args)
+    if args.system_file:
         data = load_instance_file(args.system_file)
         return data.lam, data.ring, data.ranking
-    if not getattr(args, "system", None):
+    if not args.system:
         raise _UsageError("provide --system or --system-file")
     polys = [parse_poly(chunk, ring) for chunk in args.system.split(";") if chunk.strip()]
     return polys, ring, _ranking_from(args)
@@ -174,14 +206,9 @@ def _cmd_tau(args):
 
 
 def _cmd_reduce(args):
-    ring = _ring_from(args)
-    polys, ring, ranking = _system_polys(args, ring)
+    polys, ring, ranking = _system_polys(args)
     f = parse_poly(args.expr, ring)
-    try:
-        system = autoreduced_check(polys, ranking)
-    except NotAutoreduced as exc:
-        return _emit([f"rejected: {exc}"], {"status": "rejected", "reason": str(exc)},
-                     args, EXIT_REJECTED)
+    system = autoreduced_check(polys, ranking)
     cert = partial_reduce(f, system) if args.mode == "partial" else full_reduce(f, system)
     if not cert.verify(system):
         raise RuntimeError("reduction certificate failed re-verification")
@@ -207,21 +234,10 @@ def _cmd_reduce(args):
 
 
 def _cmd_coherent(args):
-    ring = _ring_from(args)
-    polys, ring, ranking = _system_polys(args, ring)
-    try:
-        system = autoreduced_check(polys, ranking)
-    except NotAutoreduced as exc:
-        return _emit([f"rejected: {exc}"], {"status": "rejected", "reason": str(exc)},
-                     args, EXIT_REJECTED)
+    polys, _, ranking = _system_polys(args)
+    system = autoreduced_check(polys, ranking)
     rep = coherence_check(system)
-    lines = []
-    for ev in rep.pairs:
-        if not ev.certificate.verify(system):
-            raise RuntimeError("coherence reduction certificate failed re-verification")
-        lines.append(
-            f"pair (elements {ev.hi + 1}, {ev.lo + 1}): remainder {poly_text(ev.remainder)}"
-        )
+    lines = _pair_lines(rep.pairs, system)
     lines.append("coherent" if rep.coherent else "incoherent")
     trailer = {"status": "coherent" if rep.coherent else "incoherent",
                "pairs": str(len(rep.pairs))}
@@ -229,13 +245,8 @@ def _cmd_coherent(args):
 
 
 def _cmd_hprod(args):
-    ring = _ring_from(args)
-    polys, ring, ranking = _system_polys(args, ring)
-    try:
-        system = autoreduced_check(polys, ranking)
-    except NotAutoreduced as exc:
-        return _emit([f"rejected: {exc}"], {"status": "rejected", "reason": str(exc)},
-                     args, EXIT_REJECTED)
+    polys, _, ranking = _system_polys(args)
+    system = autoreduced_check(polys, ranking)
     h = poly_text(system.h)
     return _emit([h], {"status": "ok", "h": h}, args, EXIT_OK)
 
@@ -247,12 +258,14 @@ def _algideal_from(args, ring):
     return AlgIdeal(ring, variables, gens, order)
 
 
+def _emit_polys(polys, args, **trailer):
+    lines = [poly_text(g) for g in polys] or ["0"]
+    return _emit(lines, {"status": "ok", "size": str(len(polys)), **trailer}, args, EXIT_OK)
+
+
 def _cmd_groebner(args):
-    ring = _ring_from(args)
-    ideal = buchberger(_algideal_from(args, ring))
-    lines = [poly_text(g) for g in ideal.basis] or ["0"]
-    trailer = {"status": "ok", "size": str(len(ideal.basis)), "order": ideal.order}
-    return _emit(lines, trailer, args, EXIT_OK)
+    ideal = buchberger(_algideal_from(args, _ring_from(args)))
+    return _emit_polys(ideal.basis, args, order=ideal.order)
 
 
 def _cmd_member(args):
@@ -260,33 +273,22 @@ def _cmd_member(args):
     ideal = buchberger(_algideal_from(args, ring))
     f = parse_poly(args.expr, ring)
     cert = ideal_member(f, ideal)
-    lines = [
-        f"member: {'yes' if cert.member else 'no'}",
-        f"normal form: {poly_text(cert.normal_form)}",
-    ]
-    trailer = {"status": "member" if cert.member else "not-member",
-               "normal_form": poly_text(cert.normal_form)}
+    nf = _poly_out(cert.normal_form)
+    lines = [f"member: {'yes' if cert.member else 'no'}", f"normal form: {nf}"]
+    trailer = {"status": "member" if cert.member else "not-member", "normal_form": nf}
     return _emit(lines, trailer, args, EXIT_OK if cert.member else EXIT_REJECTED)
 
 
 def _cmd_eliminate(args):
     ring = _ring_from(args)
-    ideal = _algideal_from(args, ring)
-    drop = set(_parse_vars(args.drop, ring))
-    out = eliminate(ideal, drop)
-    lines = [poly_text(g) for g in out.generators] or ["0"]
-    trailer = {"status": "ok", "size": str(len(out.generators))}
-    return _emit(lines, trailer, args, EXIT_OK)
+    out = eliminate(_algideal_from(args, ring), set(_parse_vars(args.drop, ring)))
+    return _emit_polys(out.generators, args)
 
 
 def _cmd_saturate(args):
     ring = _ring_from(args)
-    ideal = _algideal_from(args, ring)
-    h = parse_poly(args.by, ring)
-    out = saturate(ideal, h)
-    lines = [poly_text(g) for g in out.generators] or ["0"]
-    trailer = {"status": "ok", "size": str(len(out.generators))}
-    return _emit(lines, trailer, args, EXIT_OK)
+    out = saturate(_algideal_from(args, ring), parse_poly(args.by, ring))
+    return _emit_polys(out.generators, args)
 
 
 def _primality_config(args):
@@ -318,12 +320,7 @@ def _cmd_certify(args):
     cert = charset_certify(data.lam, data.ranking, config)
     lines = [f"status: {cert.status}", f"stage: {cert.stage}", f"reason: {cert.reason}"]
     if cert.coherence is not None:
-        for ev in cert.coherence.pairs:
-            if not ev.certificate.verify(cert.system):
-                raise RuntimeError("coherence reduction certificate failed re-verification")
-            lines.append(
-                f"pair (elements {ev.hi + 1}, {ev.lo + 1}): remainder {poly_text(ev.remainder)}"
-            )
+        lines += _pair_lines(cert.coherence.pairs, cert.system)
     if cert.primality is not None:
         lines.append(f"primality: {cert.primality.status} ({cert.primality.method})")
         if cert.primality.witness:
@@ -334,17 +331,9 @@ def _cmd_certify(args):
     return _emit(lines, trailer, args, code)
 
 
-def _load_instance(args):
-    data = load_instance_file(args.file)
-    return data, build_axiom_instance(data)
-
-
 def _cmd_axiom(args):
-    try:
-        data, inst = _load_instance(args)
-    except NotAutoreduced as exc:
-        return _emit([f"rejected: {exc}"], {"status": "rejected", "reason": str(exc)},
-                     args, EXIT_REJECTED)
+    data = load_instance_file(args.file)
+    inst = build_axiom_instance(data)
     degree, height = _grid_bounds(args, data.bounds)
     validation = instance_validate(inst, degree=degree, height=height)
     if args.what == "validate":
@@ -524,9 +513,15 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NotAutoreduced as exc:
+        return _emit([f"rejected: {exc}"], {"status": "rejected", "reason": str(exc)},
+                     args, EXIT_REJECTED)
     except (ParseError, InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -109,7 +109,11 @@ def parse_instance_text(text):
                     try:
                         ranking = Ranking.parse(kv["ranking"])
                     except ValueError as exc:
-                        raise InstanceFormatError(str(exc)) from None
+                        raise InstanceFormatError(f"line {lineno}: {exc}") from None
+                    if ranking.permutation and len(ranking.permutation) != n:
+                        raise InstanceFormatError(
+                            f"line {lineno}: elimination ranking must permute 1..{n}"
+                        )
                 current = None
             elif name == "bounds":
                 kv = _parse_kv(rest, name, lineno)

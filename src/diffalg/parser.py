@@ -182,7 +182,10 @@ class _Parser:
 
 def parse_poly(text, ring):
     """Parse an expression into a canonical polynomial."""
-    return _Parser(text, ring).parse()
+    try:
+        return _Parser(text, ring).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 def parse_tpoly(text, ring):

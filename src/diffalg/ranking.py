@@ -35,12 +35,18 @@ class Ranking:
         """Ranking from "orderly" or "elimination:i,j,..."; raises ValueError."""
         if spec == ORDERLY:
             return cls()
-        if spec.startswith(ELIMINATION):
-            _, _, perm = spec.partition(":")
-            if not perm:
-                raise ValueError("elimination ranking needs a permutation, e.g. elimination:2,1")
-            return cls(ELIMINATION, tuple(int(k) for k in perm.split(",")))
-        raise ValueError(f"unknown ranking {spec!r}")
+        kind, _, perm = spec.partition(":")
+        if kind != ELIMINATION:
+            raise ValueError(f"unknown ranking {spec!r}")
+        if not perm:
+            raise ValueError("elimination ranking needs a permutation, e.g. elimination:2,1")
+        try:
+            indices = tuple(int(k) for k in perm.split(","))
+        except ValueError:
+            raise ValueError(
+                f"elimination ranking needs comma-separated indices, got {perm!r}"
+            ) from None
+        return cls(ELIMINATION, indices)
 
     def key(self, v: DerivVar):
         fam = 0 if v.family == "x" else 1

@@ -65,6 +65,21 @@ class TestExitCodes:
         code, _ = run(capsys, "member", "1", "x1", "--vars", "x1", "--m", "0")
         assert code == 2
 
+    def test_failed_reverification_is_three(self, capsys, monkeypatch):
+        from diffalg.reduction import ReductionCertificate
+
+        monkeypatch.setattr(ReductionCertificate, "verify", lambda self, system: False)
+        code = main(["reduce", "d1 d1 x1", "--system", "d1 x1 - x1", "--m", "1", "--n", "1"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: reduction certificate failed re-verification\n"
+
+    def test_deep_nesting_is_input_error(self, capsys):
+        assert main(["tau", "(" * 3000 + "x1" + ")" * 3000, "--m", "1", "--n", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: expression nested too deeply (at position 0)\n")
+
     def test_demo_exit_codes(self, capsys):
         code, out = run(capsys, "demo", "naive-vs-tau", FIX["square-naive.demo"])
         assert code == 0 and "status: found" in out
@@ -120,6 +135,19 @@ class TestReports:
         code, out = run(capsys, "saturate", "x1*x2", "--vars", "x1, x2",
                         "--by", "x1", "--m", "0", "--n", "2")
         assert code == 0 and "x2" in out
+
+    def test_member_with_t_denominator(self, capsys):
+        code, out = run(capsys, "member", "x1", "t1*x1 - 1", "--vars", "x1",
+                        "--m", "0", "--n", "1", "--field", "rational_t")
+        assert code == 2
+        assert out.splitlines() == [
+            "member: no", "normal form: (1) / (t1)", "---",
+            "status: not-member", "normal_form: (1) / (t1)", "exit: 2",
+        ]
+        code, out = run(capsys, "member", "x3 + x1*x2", "t1*x1 - 1; (t1 + 1)*x2 - 3",
+                        "--vars", "x1, x2, x3", "--m", "1", "--n", "3", "--field", "rational_t")
+        assert code == 2
+        assert "normal form: ((t1^2 + t1)*x3 + 3) / (t1^2 + t1)" in out
 
     def test_tau_check_point(self, capsys):
         code, out = run(capsys, "tau", "x1^2", "--m", "1", "--n", "1",
@@ -185,8 +213,13 @@ class TestHeaderKeys:
          "line 2: [ring] is missing 'm'"),
         ("m=1 n=1 field=rational_t", "m=1 n=1 field=rational",
          "line 2: unknown field mode 'rational'"),
+        ("m=1 n=1 field=rational_t", "m=1 n=1 field=rational_t ranking=elimination:a",
+         "line 2: elimination ranking needs comma-separated indices, got 'a'"),
+        ("m=1 n=1 field=rational_t", "m=1 n=1 field=rational_t ranking=elimination:2,1",
+         "line 2: elimination ranking must permute 1..1"),
     ], ids=["bounds-unknown-key", "bounds-not-int", "bounds-repeat", "bounds-no-value",
-            "ring-unknown-key", "ring-not-int", "ring-missing-m", "ring-bad-field"])
+            "ring-unknown-key", "ring-not-int", "ring-missing-m", "ring-bad-field",
+            "ring-ranking-not-int", "ring-ranking-short"])
     def test_bad_header_is_one_line_error(self, tmp_path, capsys, old, new, message):
         text = open(FIX["basic.axiom"], encoding="utf-8").read()
         assert old in text
@@ -251,6 +284,17 @@ class TestRankingSpec:
         assert capsys.readouterr().err == (
             "usage error: elimination ranking needs a permutation, e.g. elimination:2,1\n")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("elimination:a", "elimination ranking needs comma-separated indices, got 'a'"),
+        ("elimination:1", "elimination ranking must permute 1..2"),
+        ("elimination:1,2,3", "elimination ranking must permute 1..2"),
+    ])
+    def test_bad_elimination_flag_is_one_line(self, capsys, spec, message):
+        code = main(["coherent", "--system", "d1 x1; d1 x2", "--m", "1", "--n", "2",
+                     "--ranking", spec])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     @pytest.mark.parametrize("command", [
         ["groebner", "x1^2 - 1", "--vars", "x1", "--m", "0"],
         ["prime", "x1^2 + 1", "--vars", "x1", "--m", "0"],
@@ -268,4 +312,9 @@ class TestRankingSpec:
                         encoding="utf-8")
         assert main(["certify", str(path)]) == 1
         assert capsys.readouterr().err == (
-            "error: elimination ranking needs a permutation of 1..n\n")
+            "error: line 1: elimination ranking needs a permutation of 1..n\n")
+        path.write_text("[ring] m=1 n=2 ranking=elimination:1\n[lambda]\nd1 x1\n",
+                        encoding="utf-8")
+        assert main(["certify", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: elimination ranking must permute 1..2\n")

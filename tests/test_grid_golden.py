@@ -1,0 +1,97 @@
+"""Pinned digest of the grid searches over axiom instances and demo files.
+
+Every search walks the documented model-point order and stops at the first
+point that passes its checks, so any change that keeps its meaning must give
+the same doubled samples in the same order, the same demo reports, the same
+first open-set point, the same first witness, the same ``examined`` counts and
+the same per-candidate failure labels. The digest covers ``doubled_samples``
+on the [lambda] systems of both demo fixtures, ``naive_vs_tau_demo`` on both
+demo fixtures at their own bounds, and ``instance_validate`` plus
+``witness_search`` on both axiom fixtures at three (degree, height) bounds.
+An inline instance with a non-constant H and an inequation adds doubled
+samples away from both, and a trail whose labels come from every kind of
+check: system, H, inequation and W.
+"""
+
+import hashlib
+
+from diffalg import (
+    PrimalityConfig,
+    autoreduced_check,
+    charset_certify,
+    doubled_samples,
+    instance_validate,
+    naive_vs_tau_demo,
+    witness_search,
+)
+from diffalg.instances import (
+    build_axiom_instance,
+    fixture_path,
+    load_instance_file,
+    parse_instance_text,
+)
+
+DIGEST = "e986a1fca168650899f0ead827caae2d6e78c5f99d1f900859d7f02cc62882d5"
+DEMOS = ("linear-flow.demo", "square-naive.demo")
+AXIOMS = ("basic.axiom", "exhaustion.axiom")
+BOUNDS = ((1, 1), (2, 1), (1, 2))
+OPEN_SET = """
+[ring] m=1 n=2 field=rational_t
+[lambda]
+x2*d1x1 - x1
+[open]
+x2 - 1
+[W]
+x2*d1x1 - x1
+y2*d1x1 + x2*d1y1 - y1
+y2 - 1
+"""
+
+
+def _samples(tag, pairs):
+    yield f"{tag} doubled_samples: {len(pairs)}"
+    for i, (pt, ypt) in enumerate(pairs):
+        yield f"{tag} sample {i}: {pt!r} | {ypt!r}"
+
+
+def _searches(tag, inst, degree, height):
+    val = instance_validate(inst, degree=degree, height=height)
+    yield f"{tag} validate: {val.status} {val.failed} o_point={val.o_point!r}"
+    rep = witness_search(inst, val, degree=degree, height=height)
+    yield f"{tag} witness: {rep.status} {rep.witness!r} examined={rep.examined}"
+    for c in rep.checks:
+        yield f"{tag} check {c.label} {c.value!r} {c.want_zero}"
+    for pt, label in rep.trail:
+        yield f"{tag} trail {pt!r}: {label}"
+
+
+def _golden_lines():
+    lines = []
+    for name in DEMOS:
+        data = load_instance_file(fixture_path(name))
+        system = autoreduced_check(data.lam, data.ranking)
+        lines.extend(_samples(name, doubled_samples(system, 50, degree=2, height=1)))
+        cert = charset_certify(data.lam, data.ranking, PrimalityConfig(seed=0))
+        rep = naive_vs_tau_demo(data.naive, cert, degree=data.bounds.get("degree", 1),
+                                height=data.bounds.get("height", 1))
+        lines.append(
+            f"{name} demo: {rep.status} point={rep.point!r} member={rep.violated_member!r} "
+            f"value={rep.violated_value!r} examined={rep.candidates_examined} "
+            f"samples={rep.samples_checked} failures={len(rep.sample_failures)}"
+        )
+    for name in AXIOMS:
+        inst = build_axiom_instance(load_instance_file(fixture_path(name)))
+        for degree, height in BOUNDS:
+            lines.extend(_searches(f"{name} ({degree},{height})", inst, degree, height))
+    inst = build_axiom_instance(parse_instance_text(OPEN_SET))
+    pairs = doubled_samples(inst.system, 20, extra_nonzero=inst.open_extra)
+    lines.extend(_samples("open-set", pairs))
+    lines.extend(_searches("open-set (1,1)", inst, 1, 1))
+    return lines
+
+
+def test_grid_searches_match_pinned_digest():
+    lines = _golden_lines()
+    assert sum(" witness: " in line for line in lines) == len(AXIOMS) * len(BOUNDS) + 1
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DIGEST

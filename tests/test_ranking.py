@@ -29,9 +29,11 @@ def test_orderly_examples():
 def test_parse_spec():
     assert Ranking.parse("orderly") == Ranking()
     assert Ranking.parse("elimination:2,1,3") == Ranking(ELIMINATION, (2, 1, 3))
-    for bad in ("lex", "elimination", "elimination:1,1", "elimination:a"):
+    for bad in ("lex", "elimination", "elimination:1,1", "elimination:a", "eliminationX:1"):
         with pytest.raises(ValueError):
             Ranking.parse(bad)
+    with pytest.raises(ValueError, match="needs comma-separated indices, got '2,b'"):
+        Ranking.parse("elimination:2,b")
 
 
 def test_elimination_permutation_required():
