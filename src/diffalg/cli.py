@@ -9,6 +9,8 @@ machine-readable trailer block.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import sys
 
 from .algebra import (
@@ -247,7 +249,7 @@ def _cmd_coherent(args):
 def _cmd_hprod(args):
     polys, _, ranking = _system_polys(args)
     system = autoreduced_check(polys, ranking)
-    h = poly_text(system.h)
+    h = "1" if system.h is None else poly_text(system.h)  # None: the empty product
     return _emit([h], {"status": "ok", "h": h}, args, EXIT_OK)
 
 
@@ -370,8 +372,9 @@ def _cmd_axiom(args):
         trailer = {"status": "found", "witness": _point_text(report.witness),
                    "examined": str(report.examined)}
         return _emit(lines, trailer, args, EXIT_OK)
-    for pt, why in report.trail:
-        lines.append(f"candidate {_point_text(pt)}: failed {why}")
+    # Rendered only if _emit prints it: --machine shows the trailer alone.
+    lines = itertools.chain(
+        lines, (f"candidate {_point_text(pt)}: failed {why}" for pt, why in report.trail))
     trailer = {"status": report.status, "examined": str(report.examined),
                "degree": str(degree), "height": str(height)}
     return _emit(lines, trailer, args, EXIT_REJECTED)
@@ -427,7 +430,9 @@ def _add_common(sp, ring=True):
     sp.add_argument("--seed", type=int, default=None)
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; parse_args never changes it."""
     p = _Parser(prog="diffalg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -4,13 +4,19 @@ A model point sends each x_j to a polynomial in t1..t_{m+1}; derivative
 variables evaluate to iterated partial derivatives of the assignment, so
 every polynomial evaluates to an exact scalar. The companion point obtained
 by differentiating in the last t-symbol plays the role of the D-image.
+
+Evaluation runs in Q[t]: terms with polynomial coefficients are summed as
+exponent-vector dicts, and only terms whose coefficient has a t-denominator
+take rational-function arithmetic. The candidate polynomials of each degree
+layer are built once per process and shared, so they must never be changed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .ring import RingContext
+from . import sparse
 from .scalars import Scalar, TPoly
 
 
@@ -66,13 +72,13 @@ def _theta_value(base, theta):
 def eval_poly(f, point, y_point=None):
     """Evaluate f at the point; y-variables read from y_point when given."""
     nt = f.ring.nt
-    total = Scalar.zero(nt)
     cache = {}
+    total = {}  # the terms with polynomial coefficients, summed in Q[t]
+    rest = None  # the terms with a t-denominator, summed as Scalars
     for mono, c in f.terms.items():
-        val = c
+        val = None  # product of the factor values; None for the empty monomial
         for v, e in mono:
-            key = v
-            got = cache.get(key)
+            got = cache.get(v)
             if got is None:
                 if v.family == "x":
                     base = point.get(v.index)
@@ -80,11 +86,17 @@ def eval_poly(f, point, y_point=None):
                     if y_point is None:
                         raise ValueError(f"y-variable {v.text()} present but no y-assignment given")
                     base = y_point.get(v.index)
-                got = Scalar._poly(_theta_value(base, v.theta))
-                cache[key] = got
-            val = val * got ** e
-        total = total + val
-    return total
+                got = cache[v] = _theta_value(base, v.theta)
+            for _ in range(e):
+                val = got.terms if val is None else sparse.mul(val, got.terms)
+        if c.is_poly():
+            for m, k in (c.num.terms if val is None else sparse.mul(c.num.terms, val)).items():
+                sparse.acc(total, m, k)
+        else:
+            term = c if val is None else c * Scalar._poly(TPoly._raw(nt, val))
+            rest = term if rest is None else rest + term
+    value = Scalar._poly(TPoly._raw(nt, total))
+    return value if rest is None else value + rest
 
 
 def eval_at_model_point(f, point):
@@ -112,6 +124,23 @@ def coefficient_ladder(height):
     return out
 
 
+@functools.cache
+def _layer(nt, layer, height):
+    """The candidates whose highest used monomial degree is exactly layer.
+
+    Memoised: the tuple and its polynomials are shared by every caller, so
+    nothing may change them.
+    """
+    ladder = coefficient_ladder(height)
+    monos = t_monomials(nt, layer)
+    out = []
+    for coeffs in itertools.product(ladder, repeat=len(monos)):
+        used = max((sum(e) for e, c in zip(monos, coeffs) if c), default=0)
+        if used == layer:
+            out.append(TPoly(nt, {e: c for e, c in zip(monos, coeffs) if c}))
+    return tuple(out)
+
+
 def model_polys(ring, degree, height):
     """All candidate t-polynomials in the documented order.
 
@@ -120,17 +149,7 @@ def model_polys(ring, degree, height):
     the ladder order 0, 1, -1, 2, -2, ... per coordinate and the earlier
     (lower-degree) monomial coordinates varying slowest.
     """
-    ladder = coefficient_ladder(height)
-    out = []
-    for layer in range(degree + 1):
-        monos = t_monomials(ring.nt, layer)
-        for coeffs in itertools.product(ladder, repeat=len(monos)):
-            used = max((sum(e) for e, c in zip(monos, coeffs) if c), default=0)
-            if used != layer:
-                continue
-            terms = {e: c for e, c in zip(monos, coeffs) if c}
-            out.append(TPoly(ring.nt, terms))
-    return out
+    return [p for layer in range(degree + 1) for p in _layer(ring.nt, layer, height)]
 
 
 def model_points(ring, indices, degree, height):
@@ -141,8 +160,9 @@ def model_points(ring, indices, degree, height):
     first index varying slowest.
     """
     indices = list(indices)
+    pool = []
     for layer in range(degree + 1):
-        pool = model_polys(ring, layer, height)
+        pool.extend(_layer(ring.nt, layer, height))
         for combo in itertools.product(pool, repeat=len(indices)):
             eff = max((max(p.total_degree(), 0) for p in combo), default=0)
             if eff == layer:

@@ -149,6 +149,18 @@ class TestReports:
         assert code == 2
         assert "normal form: ((t1^2 + t1)*x3 + 3) / (t1^2 + t1)" in out
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_hprod_of_empty_system_is_one(self, tmp_path, capsys, source):
+        if source == "flag":
+            argv = ["hprod", "--system", ";", "--m", "1", "--n", "1"]
+        else:
+            path = tmp_path / "empty.sys"
+            path.write_text("[ring] m=1 n=1\n", encoding="utf-8")
+            argv = ["hprod", "--system-file", str(path)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == ["1", "---", "status: ok", "h: 1", "exit: 0"]
+
     def test_tau_check_point(self, capsys):
         code, out = run(capsys, "tau", "x1^2", "--m", "1", "--n", "1",
                         "--field", "rational_t", "--check-point", "x1=t2")
@@ -318,3 +330,26 @@ class TestRankingSpec:
         assert main(["certify", str(path)]) == 1
         assert capsys.readouterr().err == (
             "error: line 1: elimination ranking must permute 1..2\n")
+
+
+class TestReentrance:
+    """main() parses with one argparse tree per process; no call leaks into the next."""
+
+    def test_same_argv_same_output(self, capsys):
+        argv = ["axiom", "witness", FIX["exhaustion.axiom"]]
+        first = run(capsys, *argv)
+        assert first[0] == 2 and "candidate x1 := 0: failed" in first[1]
+        assert run(capsys, *argv) == first
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["tau", "x1", "--frobnicate"]) == 1
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+        code, out = run(capsys, "tau", "x1^2", "--m", "1", "--n", "1")
+        assert code == 0 and out.splitlines()[0] == "2*x1*y1"
+
+    def test_no_flag_default_sticks(self, capsys):
+        code, out = run(capsys, "axiom", "witness", FIX["exhaustion.axiom"],
+                        "--degree", "2", "--machine")
+        assert code == 2 and "examined: 729" in out and "degree: 2" in out
+        code, out = run(capsys, "axiom", "witness", FIX["exhaustion.axiom"], "--machine")
+        assert code == 2 and "examined: 27" in out and "degree: 1" in out
