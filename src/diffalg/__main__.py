@@ -1,0 +1,7 @@
+"""``python -m diffalg``: the command-line interface of cli.py."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import modp
 from .poly import DiffPoly, mono_from
 from .scalars import Scalar, TPoly, _int_scale, tpoly_gcd
 from .sparse import acc, add, emul, exact_div, lead, mul, neg, sub, total_degree
@@ -389,6 +390,35 @@ def _factor_search(ideal, f, config):
     return None, max_deg
 
 
+_PROOF_PRIMES = tuple(q for q in range(2, 100) if all(q % d for d in range(2, q)))
+
+
+def _irreducibility_prime(ideal, f):
+    """A prime p proving f irreducible over Q, or None when none below 100 does.
+
+    Only a univariate f with constant coefficients is tried. Scaled to a
+    primitive integer polynomial, a factorization of f over Q is one over Z
+    (Gauss's lemma); if p does not divide the leading coefficient, both
+    factors keep their degrees mod p, so an f irreducible mod p is
+    irreducible over Q. Q is algebraically closed in Q(t), so it stays
+    irreducible over the rational-function field too.
+    """
+    p = to_algpoly(f, ideal.variables)
+    occ = {j for e in p for j, k in enumerate(e) if k}
+    if len(occ) != 1 or any(not c.is_const() for c in p.values()):
+        return None
+    (j,) = occ
+    q = {e[j]: c.num.const_value() for e, c in p.items()}
+    scale = _int_scale(list(q.values()))
+    coeffs = [int(q.get(k, 0) * scale) for k in range(max(q) + 1)]
+    for prime in _PROOF_PRIMES:
+        if coeffs[-1] % prime and modp.irreducible(
+            modp.trim([c % prime for c in coeffs]), prime
+        ):
+            return prime
+    return None
+
+
 def _random_algpoly(rng, nv, nt, degree, height):
     monos = [e for e in itertools.product(range(degree + 1), repeat=nv) if sum(e) <= degree]
     terms = {}
@@ -451,9 +481,16 @@ def _primality_cascade(ideal, config):
             if not _verify_zero_divisor(ideal, a, b):
                 raise RuntimeError("factorization witness failed re-verification")
             return PrimalityVerdict("not_prime", "counterexample", (a, b), "factorization witness")
+        searched = f"factor search exhausted at degree {used_deg}, height {config.factor_height}"
+        proof = _irreducibility_prime(ideal, basis[0])
+        if proof is None:
+            return PrimalityVerdict(
+                "unknown", "principal-irreducible", None,
+                f"{searched}; no irreducibility proof mod a prime below 100",
+            )
         return PrimalityVerdict(
             "prime", "principal-irreducible", None,
-            f"factor search exhausted at degree {used_deg}, height {config.factor_height}",
+            f"{searched}; irreducible mod {proof} (Rabin's test), hence over Q",
         )
     rng = random.Random(config.seed)
     key = _order_key(ideal.order)

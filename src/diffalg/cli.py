@@ -2,6 +2,8 @@
 
 Exit codes: 0 success/found/certified, 2 rejected/exhausted/not-member,
 1 usage error, 3 internal error (a certificate failed its re-verification).
+A reader that closes the output pipe early (``| head``) ends the run quietly
+with exit 0.
 Every report re-verifies its own certificates before printing and ends with a
 machine-readable trailer block.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 
 from .algebra import (
@@ -128,6 +131,14 @@ def _ring_from(args):
     return RingContext(m=args.m, n=args.n, field_mode=mode)
 
 
+def _load(path):
+    """load_instance_file; an unreadable file is an input error (exit 1)."""
+    try:
+        return load_instance_file(path)
+    except OSError as exc:
+        raise InstanceFormatError(str(exc)) from None
+
+
 def _ranking_from(args):
     try:
         ranking = Ranking.parse(args.ranking)
@@ -141,7 +152,7 @@ def _ranking_from(args):
 def _system_polys(args):
     ring = _ring_from(args)
     if args.system_file:
-        data = load_instance_file(args.system_file)
+        data = _load(args.system_file)
         return data.lam, data.ring, data.ranking
     if not args.system:
         raise _UsageError("provide --system or --system-file")
@@ -317,7 +328,7 @@ def _cmd_prime(args):
 
 
 def _cmd_certify(args):
-    data = load_instance_file(args.file)
+    data = _load(args.file)
     config = PrimalityConfig(seed=args.seed or 0)
     cert = charset_certify(data.lam, data.ranking, config)
     lines = [f"status: {cert.status}", f"stage: {cert.stage}", f"reason: {cert.reason}"]
@@ -334,7 +345,7 @@ def _cmd_certify(args):
 
 
 def _cmd_axiom(args):
-    data = load_instance_file(args.file)
+    data = _load(args.file)
     inst = build_axiom_instance(data)
     degree, height = _grid_bounds(args, data.bounds)
     validation = instance_validate(inst, degree=degree, height=height)
@@ -381,7 +392,7 @@ def _cmd_axiom(args):
 
 
 def _cmd_demo(args):
-    data = load_instance_file(args.file)
+    data = _load(args.file)
     if not data.naive:
         raise _UsageError("demo file needs a [naive] section")
     config = PrimalityConfig(seed=args.seed or 0)
@@ -510,7 +521,16 @@ def build_parser():
     return p
 
 
-def main(argv=None):
+def _quiet_stdout():
+    """Point a real stdout at the null device, so the exit-time flush cannot fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # captured in process: nothing flushes it at exit
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
+def _run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -521,12 +541,23 @@ def main(argv=None):
     except NotAutoreduced as exc:
         return _emit([f"rejected: {exc}"], {"status": "rejected", "reason": str(exc)},
                      args, EXIT_REJECTED)
-    except (ParseError, InstanceFormatError, ValueError, OSError) as exc:
+    except (ParseError, InstanceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def main(argv=None):
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (``| head``): end quietly
+        _quiet_stdout()
+        return EXIT_OK
 
 
 if __name__ == "__main__":

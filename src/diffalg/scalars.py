@@ -4,6 +4,13 @@ The k symbols carry the derivations of the base field: derivation i acts as
 the partial derivative with respect to t_i. Scalars are kept fully reduced
 with a monic (deg-lex leading coefficient 1) denominator at all times, so
 structural equality is semantic equality and hashing is safe.
+
+Lowest terms cost a gcd of numerator and denominator per operation, and
+almost all of those gcds are 1. tpoly_gcd first tries to prove that from
+univariate images mod a 61-bit prime (see _coprime_mod_p, and modp.py); only
+when that proof fails does it run the exact primitive PRS. Sums and
+differences over one shared denominator add numerators and skip the product
+of denominators, and polynomial scalars share one unit denominator.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import sparse
+from . import modp, sparse
 
 
 class TPoly:
@@ -49,7 +56,11 @@ class TPoly:
 
     @classmethod
     def one(cls, nvars):
-        return cls.const(nvars, 1)
+        """The unit, one shared instance per arity: no TPoly is mutated in place."""
+        p = _ONES.get(nvars)
+        if p is None:
+            p = _ONES[nvars] = cls.const(nvars, 1)
+        return p
 
     @classmethod
     def var(cls, nvars, i):
@@ -167,6 +178,9 @@ class TPoly:
         return "TPoly(" + " + ".join(parts) + ")"
 
 
+_ONES = {}
+
+
 def _int_scale(coeffs):
     """The positive rational that scales nonzero Fractions to coprime integers."""
     den = lcm(*(c.denominator for c in coeffs))
@@ -213,16 +227,77 @@ def _content_pp(p, i):
     return cont, pp
 
 
+# Fixed nonzero evaluation points of the coprimality filter, one per t-variable.
+_T_POINTS = tuple(pow(3, 40 + j, modp.P61) for j in range(32))
+
+
+def _residues(f, p):
+    """(exponent, coefficient mod p) pairs of f; None if a denominator vanishes mod p."""
+    out = []
+    for e, c in f.terms.items():
+        d = c.denominator
+        if d == 1:
+            out.append((e, c.numerator % p))
+        elif d % p:
+            out.append((e, c.numerator * pow(d, -1, p) % p))
+        else:
+            return None
+    return out
+
+
+def _image(res, i, p):
+    """Dense image in t_i (0-based) of residue terms, the other t's at _T_POINTS."""
+    img = [0] * (max(e[i] for e, _ in res) + 1)
+    for e, r in res:
+        for j, k in enumerate(e):
+            if k and j != i:
+                r = r * pow(_T_POINTS[j], k, p) % p
+        img[e[i]] = (img[e[i]] + r) % p
+    return img
+
+
+def _coprime_mod_p(a, b, common):
+    """True when modular images prove gcd(a, b) constant; False proves nothing.
+
+    common is the nonempty set of t-variables (1-based) occurring in both; a
+    common factor can involve no other t, so with none in common the gcd is
+    constant. Soundness (the one-sided test of Brown's modular gcd): let g be
+    a common factor of positive degree in some t_i, so t_i is in common. The
+    coefficient denominators are prime to p, so a and b lie in Z_(p)[t], and
+    by Gauss's lemma over Z_(p) we may take g primitive with a = g*h and
+    b = g*h' there. Reduce mod p and set the other t's to the fixed points:
+    the image of a keeps its degree in t_i, and deg_i(a) = deg_i(g) + deg_i(h)
+    while neither factor's degree can grow, so the image of g keeps its
+    degree >= 1 and divides both images, whose gcd is then not 1.
+    """
+    if a.nvars > len(_T_POINTS):
+        return False
+    p = modp.P61
+    ra, rb = _residues(a, p), _residues(b, p)
+    if ra is None or rb is None:
+        return False
+    for i in common:
+        fa = _image(ra, i - 1, p)
+        if not fa[-1] or len(modp.gcd(fa, _image(rb, i - 1, p), p)) != 1:
+            return False
+    return True
+
+
 def tpoly_gcd(a, b):
-    """GCD over Q[t1..tk], normalized to coprime integer coefficients."""
+    """GCD over Q[t1..tk], normalized to coprime integer coefficients.
+
+    A modular coprimality proof answers 1 without the exact primitive PRS,
+    which runs only when the proof fails.
+    """
     if a.is_zero():
         return _int_normalize(b)
     if b.is_zero():
         return _int_normalize(a)
-    occ = a.occurring() | b.occurring()
-    if not occ:
+    occ_a, occ_b = a.occurring(), b.occurring()
+    common = occ_a & occ_b
+    if not common or _coprime_mod_p(a, b, common):
         return TPoly.one(a.nvars)
-    v = max(occ)
+    v = max(occ_a | occ_b)
     ca, pa = _content_pp(a, v)
     cb, pb = _content_pp(b, v)
     cg = tpoly_gcd(ca, cb)
@@ -315,11 +390,15 @@ class Scalar:
     def __add__(self, other):
         if self._den_is_one() and other._den_is_one():
             return Scalar._poly(self.num + other.num)
+        if self.den == other.den:
+            return Scalar(self.num + other.num, self.den)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
         if self._den_is_one() and other._den_is_one():
             return Scalar._poly(self.num - other.num)
+        if self.den == other.den:
+            return Scalar(self.num - other.num, self.den)
         return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self):

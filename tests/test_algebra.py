@@ -126,7 +126,30 @@ class TestPrimality:
     def test_irreducible_quadratic(self):
         v = primality_oracle(ideal("x1^2 + 1", variables=X[:1]))
         assert v.status == "prime" and v.method == "principal-irreducible"
-        assert "degree 1" in v.note
+        assert "irreducible mod 3" in v.note
+
+    @pytest.mark.parametrize("text", ["x1^2 - 9", "x1^3 - 27", "(x1^2+3)*(2*x1^2+x1+3)"])
+    def test_reducible_generator_is_never_prime(self, text):
+        assert primality_oracle(ideal(text, variables=X[:1])).status != "prime"
+
+    def test_reducible_mod_every_prime_is_unknown(self):
+        # x1^4 + 1 is irreducible over Q but factors mod every prime
+        v = primality_oracle(ideal("x1^4 + 1", variables=X[:1]))
+        assert v.status == "unknown" and "no irreducibility proof" in v.note
+
+    def test_exhausted_multivariate_search_is_unknown(self):
+        assert primality_oracle(ideal("x1^3 + x2^3 + 1")).status == "unknown"
+
+    def test_products_of_random_polynomials_are_never_prime(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            factors = []
+            for _ in range(2):
+                deg = rng.randint(1, 2)
+                coeffs = [rng.randint(-3, 3) for _ in range(deg)] + [rng.choice([-2, -1, 1, 2])]
+                factors.append("(" + " + ".join(f"({c})*x1^{k}" for k, c in enumerate(coeffs)) + ")")
+            v = primality_oracle(ideal("*".join(factors), variables=X[:1]))
+            assert v.status != "prime", factors
 
     def test_unit_ideal(self):
         v = primality_oracle(ideal("x1", "x1 - 1", variables=X[:1]))

@@ -1,5 +1,10 @@
 """Command-line surface: documented outputs, exit codes, file formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from diffalg.cli import main
@@ -353,3 +358,48 @@ class TestReentrance:
         assert code == 2 and "examined: 729" in out and "degree: 2" in out
         code, out = run(capsys, "axiom", "witness", FIX["exhaustion.axiom"], "--machine")
         assert code == 2 and "examined: 27" in out and "degree: 1" in out
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestOutputAndInput:
+    @pytest.mark.parametrize("argv", [
+        ["axiom", "witness", FIX["exhaustion.axiom"]],
+        ["coherent", "--system", "x1; x1^2", "--m", "1", "--n", "1"],  # rejected
+    ])
+    def test_broken_pipe_ends_quietly(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_module_entry_point_into_head(self):
+        # `python -m diffalg ... | head -2`: the reader closes after two lines
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "diffalg", "axiom", "witness", FIX["exhaustion.axiom"],
+             "--degree", "2", "--height", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert head == [b"status: exhausted\n", b"candidates examined: 15625\n"]
+        assert err == b""
+
+    def test_unreadable_input_is_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.axiom"
+        assert main(["axiom", "witness", str(missing)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"

@@ -132,7 +132,7 @@ CASES = [
         (
             'status: prime\n'
             'method: principal-irreducible\n'
-            'note: factor search exhausted at degree 1, height 2\n'
+            'note: factor search exhausted at degree 1, height 2; irreducible mod 3 (Rabin\'s test), hence over Q\n'
             '---\n'
             'status: prime\n'
             'method: principal-irreducible\n'
