@@ -55,7 +55,7 @@ from .reduction import (
     is_reduced,
     partial_reduce,
 )
-from .ring import CONSTANTS, RATIONAL_T, DerivVar, RingContext, xvar, yvar
+from .ring import CONSTANTS, RATIONAL_T, DerivVar, RingContext, xvar
 from .scalars import Scalar, TPoly, tpoly_gcd
 
 __version__ = "0.1.0"
@@ -126,5 +126,4 @@ __all__ = [
     "tpoly_gcd",
     "witness_search",
     "xvar",
-    "yvar",
 ]

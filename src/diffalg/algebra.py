@@ -5,10 +5,11 @@ as sparse term dicts (see sparse.py). Each call picks its coefficient domain
 from its data: plain Fractions when every coefficient of every polynomial it
 works on is a rational constant, exact Scalars otherwise. Both domains share
 one arithmetic path; results thaw back to DiffPolys over Scalars either way.
-Buchberger runs the normal strategy with pairs selected by lcm order, the
-emitted basis is inter-reduced and normalized to denominator-free,
-integer-primitive elements with a positive leading coefficient, and every
-call re-checks that all S-polynomials of the output reduce to zero.
+Buchberger runs the normal strategy with pairs selected by lcm order, and
+the emitted basis is inter-reduced and normalized to denominator-free,
+integer-primitive elements with a positive leading coefficient. buchberger,
+eliminate and saturate each re-check that all S-polynomials of the basis
+they compute reduce to zero, and raise RuntimeError otherwise.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from fractions import Fraction
 
 from . import modp
 from .poly import DiffPoly, mono_from
-from .scalars import Scalar, TPoly, _int_scale, tpoly_gcd
-from .sparse import acc, add, emul, exact_div, lead, mul, neg, sub, total_degree
+from .scalars import Scalar, TPoly, _int_scale, common_den, tpoly_gcd
+from .sparse import (
+    acc, add, divides, ediv, elcm, emul, exact_div, lead, monomials, mul, neg, sub, total_degree,
+)
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -35,18 +38,6 @@ def _order_key(order):
     if order == LEX:
         return lambda e: e
     raise ValueError(f"unknown monomial order {order!r}")
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _ediv(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _elcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def to_algpoly(f, variables):
@@ -90,8 +81,8 @@ def _nf(p, basis, key):
     while work:
         e, c = lead(work, key)
         for q, b, (be, bc) in zip(quots, basis, leads):
-            if _divides(be, e):
-                qe, qc = _ediv(e, be), c / bc
+            if divides(be, e):
+                qe, qc = ediv(e, be), c / bc
                 acc(q, qe, qc)
                 nqc = -qc
                 for me, mc in b.items():
@@ -113,11 +104,8 @@ def _normalize(p, key):
         result = {e: c * scale for e, c in p.items()}
         negative = lead(result, key)[1] < 0
     else:
-        den_lcm = TPoly.one(c0.nvars)
-        for c in p.values():
-            g = tpoly_gcd(den_lcm, c.den)
-            den_lcm = c.den * den_lcm.exact_div(g)
-        scaled = {e: c * Scalar._poly(den_lcm) for e, c in p.items()}
+        den = Scalar._poly(common_den(c0.nvars, p.values()))
+        scaled = {e: c * den for e, c in p.items()}
         content = TPoly.zero(c0.nvars)
         for c in scaled.values():
             content = tpoly_gcd(content, c.num)
@@ -131,8 +119,8 @@ def _normalize(p, key):
 def _spoly(f, g, key):
     fe, fc = lead(f, key)
     ge, gc = lead(g, key)
-    l = _elcm(fe, ge)
-    return sub(mul(f, {_ediv(l, fe): fc ** -1}), mul(g, {_ediv(l, ge): gc ** -1}))
+    l = elcm(fe, ge)
+    return sub(mul(f, {ediv(l, fe): fc ** -1}), mul(g, {ediv(l, ge): gc ** -1}))
 
 
 def _buchberger(gens, key):
@@ -143,13 +131,13 @@ def _buchberger(gens, key):
 
     def push(j):
         for i in range(j):
-            heapq.heappush(pairs, (key(_elcm(leads[i], leads[j])), next(seq), i, j))
+            heapq.heappush(pairs, (key(elcm(leads[i], leads[j])), next(seq), i, j))
 
     for j in range(len(G)):
         push(j)
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        if _elcm(leads[i], leads[j]) == emul(leads[i], leads[j]):
+        if elcm(leads[i], leads[j]) == emul(leads[i], leads[j]):
             continue  # disjoint leading supports reduce to zero
         rem, _ = _nf(_spoly(G[i], G[j], key), G, key)
         if rem:
@@ -246,6 +234,15 @@ def ideal_member(f, ideal):
     return MembershipCertificate(not rem, nf, qs)
 
 
+def _lex_eliminate(gens, k):
+    """The self-checked reduced lex basis of gens, restricted to the elements
+    free of the first k variables, with those k slots struck out."""
+    key = _order_key(LEX)
+    G = _buchberger(gens, key)
+    _self_check(G, key)
+    return [{e[k:]: c for e, c in g.items()} for g in G if not any(any(e[:k]) for e in g)]
+
+
 def eliminate(ideal, drop):
     """Generators of the ideal intersected with the subring without `drop`."""
     drop = set(drop)
@@ -253,30 +250,20 @@ def eliminate(ideal, drop):
         raise ValueError("dropped variables must belong to the ideal")
     if not drop:
         return AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order)
-    first = [v for v in ideal.variables if v in drop]
-    rest = [v for v in ideal.variables if v not in drop]
-    reordered = tuple(first + rest)
-    work = AlgIdeal(ideal.ring, reordered, ideal.generators, LEX)
-    work = buchberger(work)
-    kept = tuple(g for g in work.basis if all(v not in drop for v in g.variables()))
-    return AlgIdeal(ideal.ring, tuple(rest), kept, GREVLEX)
+    first = tuple(v for v in ideal.variables if v in drop)
+    rest = tuple(v for v in ideal.variables if v not in drop)
+    gens, _ = _freeze(ideal.generators, first + rest)
+    kept = _lex_eliminate(gens, len(first))
+    return AlgIdeal(ideal.ring, rest, tuple(from_algpoly(g, rest, ideal.ring) for g in kept),
+                    GREVLEX)
 
 
 def saturate(ideal, h):
-    """I : h^infinity via the extra-variable trick, over frozen exponent vectors."""
-    nv = len(ideal.variables)
-    key = _order_key(LEX)  # z is the first slot, so lex eliminates it
-
-    def lift(p, z_exp=0):
-        return {(z_exp,) + e: c for e, c in p.items()}
-
+    """I : h^infinity via the extra-variable trick: eliminate z from I + (1 - z*h)."""
     (hp, *gens), one = _freeze((h, *ideal.generators), ideal.variables)
-    gens = [lift(g) for g in gens]
-    gens.append(sub({(0,) * (nv + 1): one}, lift(hp, 1)))
-    G = _buchberger(gens, key)
-    kept = [g for g in G if all(e[0] == 0 for e in g)]
-    dropped = [{e[1:]: c for e, c in g.items()} for g in kept]
-    out = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in dropped)
+    gens = [{(0,) + e: c for e, c in g.items()} for g in gens]
+    gens.append(sub({(0,) * (len(ideal.variables) + 1): one}, {(1,) + e: c for e, c in hp.items()}))
+    out = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in _lex_eliminate(gens, 1))
     return AlgIdeal(ideal.ring, ideal.variables, out, ideal.order)
 
 
@@ -304,13 +291,8 @@ def macaulay_member(f, ideal, bound):
     nv = len(ideal.variables)
     rows = []
     for g in gens:
-        if not g:
-            continue
-        dg = total_degree(g)
-        for mono in itertools.product(range(bound - dg + 1), repeat=nv):
-            if sum(mono) + dg > bound:
-                continue
-            rows.append(mul(g, {mono: one}))
+        if g:
+            rows.extend(mul(g, {mono: one}) for mono in monomials(nv, bound - total_degree(g)))
     # Echelonize the products, then reduce f against the pivots.
     pivots = {}
     key = _order_key(GREVLEX)
@@ -335,14 +317,19 @@ def macaulay_member(f, ideal, bound):
     return MacaulayResult("not_at_bound" if residual else "member", bound)
 
 
+# Limits of the primality search that no caller varies: the factor search
+# gives up above FACTOR_BUDGET candidates, and probes draw polynomials of
+# degree and integer coefficient height up to PROBE_DEGREE and PROBE_HEIGHT.
+FACTOR_BUDGET = 200_000
+PROBE_DEGREE = 2
+PROBE_HEIGHT = 2
+
+
 @dataclass
 class PrimalityConfig:
     factor_degree: int = 2
     factor_height: int = 2
-    factor_budget: int = 200_000
     probe_trials: int = 32
-    probe_degree: int = 2
-    probe_height: int = 2
     seed: int = 0
     assert_prime: bool = False
 
@@ -362,48 +349,20 @@ def _verify_zero_divisor(ideal, a, b):
     return prod_in and a_out and b_out
 
 
-def _factor_search(ideal, f, config):
-    """Exhaustive integer-coefficient factor pairs within degree/height bounds."""
-    p = to_algpoly(f, ideal.variables)
-    max_deg = min(config.factor_degree, total_degree(p) - 1)
-    if max_deg < 1:
-        return "vacuous", max_deg
-    if any(not c.is_const() for c in p.values()):
-        return "skip", max_deg
-    nv = len(ideal.variables)
-    monos = [e for e in itertools.product(range(max_deg + 1), repeat=nv) if sum(e) <= max_deg]
-    ladder = list(range(-config.factor_height, config.factor_height + 1))
-    total = len(ladder) ** len(monos)
-    if total > config.factor_budget:
-        return "budget", max_deg
-    nt = ideal.ring.nt
-    for coeffs in itertools.product(ladder, repeat=len(monos)):
-        lead = next((c for c in coeffs if c), 0)
-        if lead <= 0:
-            continue  # skip zero and sign duplicates
-        if all(sum(e) == 0 or c == 0 for e, c in zip(monos, coeffs)):
-            continue  # constant candidate
-        cand = {e: Scalar.from_fraction(nt, c) for e, c in zip(monos, coeffs) if c}
-        quot = exact_div(p, cand)
-        if quot is not None and total_degree(quot) >= 1:
-            return (cand, quot), max_deg
-    return None, max_deg
-
-
 _PROOF_PRIMES = tuple(q for q in range(2, 100) if all(q % d for d in range(2, q)))
 
 
-def _irreducibility_prime(ideal, f):
-    """A prime p proving f irreducible over Q, or None when none below 100 does.
+def _irreducibility_prime(p):
+    """A prime proving the frozen polynomial p irreducible over Q, or None
+    when none below 100 does.
 
-    Only a univariate f with constant coefficients is tried. Scaled to a
-    primitive integer polynomial, a factorization of f over Q is one over Z
-    (Gauss's lemma); if p does not divide the leading coefficient, both
-    factors keep their degrees mod p, so an f irreducible mod p is
-    irreducible over Q. Q is algebraically closed in Q(t), so it stays
-    irreducible over the rational-function field too.
+    Only a univariate p with constant coefficients is tried. Scaled to a
+    primitive integer polynomial, a factorization of p over Q is one over Z
+    (Gauss's lemma); if the prime does not divide the leading coefficient,
+    both factors keep their degrees mod the prime, so a p irreducible mod the
+    prime is irreducible over Q. Q is algebraically closed in Q(t), so it
+    stays irreducible over the rational-function field too.
     """
-    p = to_algpoly(f, ideal.variables)
     occ = {j for e in p for j, k in enumerate(e) if k}
     if len(occ) != 1 or any(not c.is_const() for c in p.values()):
         return None
@@ -419,11 +378,57 @@ def _irreducibility_prime(ideal, f):
     return None
 
 
-def _random_algpoly(rng, nv, nt, degree, height):
-    monos = [e for e in itertools.product(range(degree + 1), repeat=nv) if sum(e) <= degree]
+def _principal(ideal, f, config):
+    """Verdict on the principal ideal (f), f of total degree at least 1.
+
+    Linear f is prime. Otherwise an exhaustive search over integer-coefficient
+    factors within the degree/height bounds either finds a verified factor
+    pair or is followed by an irreducibility proof mod a small prime.
+    """
+    def unknown(note):
+        return PrimalityVerdict("unknown", "principal-irreducible", None, note)
+
+    if f.total_degree() == 1:
+        return PrimalityVerdict("prime", "principal-irreducible", None, "principal linear generator")
+    p = to_algpoly(f, ideal.variables)
+    max_deg = min(config.factor_degree, total_degree(p) - 1)
+    if max_deg < 1:
+        return unknown("factor-degree bound below 1; search not attempted")
+    if any(not c.is_const() for c in p.values()):
+        return unknown(
+            "principal generator has non-constant coefficients; factor search not attempted")
+    monos = monomials(len(ideal.variables), max_deg)
+    ladder = list(range(-config.factor_height, config.factor_height + 1))
+    if len(ladder) ** len(monos) > FACTOR_BUDGET:
+        return unknown(f"factor search space above budget {FACTOR_BUDGET}")
+    nt = ideal.ring.nt
+    for coeffs in itertools.product(ladder, repeat=len(monos)):
+        if next((c for c in coeffs if c), 0) <= 0:
+            continue  # skip zero and sign duplicates
+        if all(sum(e) == 0 or c == 0 for e, c in zip(monos, coeffs)):
+            continue  # constant candidate
+        cand = {e: Scalar.from_fraction(nt, c) for e, c in zip(monos, coeffs) if c}
+        quot = exact_div(p, cand)
+        if quot is not None and total_degree(quot) >= 1:
+            a = from_algpoly(cand, ideal.variables, ideal.ring)
+            b = from_algpoly(quot, ideal.variables, ideal.ring)
+            if not _verify_zero_divisor(ideal, a, b):
+                raise RuntimeError("factorization witness failed re-verification")
+            return PrimalityVerdict("not_prime", "counterexample", (a, b), "factorization witness")
+    searched = f"factor search exhausted at degree {max_deg}, height {config.factor_height}"
+    proof = _irreducibility_prime(p)
+    if proof is None:
+        return unknown(f"{searched}; no irreducibility proof mod a prime below 100")
+    return PrimalityVerdict(
+        "prime", "principal-irreducible", None,
+        f"{searched}; irreducible mod {proof} (Rabin's test), hence over Q",
+    )
+
+
+def _random_algpoly(rng, monos, nt):
     terms = {}
     for e in rng.sample(monos, k=min(len(monos), rng.randint(1, 3))):
-        c = rng.randint(-height, height)
+        c = rng.randint(-PROBE_HEIGHT, PROBE_HEIGHT)
         if c:
             terms[e] = Scalar.from_fraction(nt, c)
     return terms
@@ -455,50 +460,14 @@ def _primality_cascade(ideal, config):
     if all(g.total_degree() <= 1 for g in ideal.generators):
         return PrimalityVerdict("prime", "linear", note="affine-linear generators cut a subspace")
     if len(basis) == 1:
-        if basis[0].total_degree() == 1:
-            return PrimalityVerdict(
-                "prime", "principal-irreducible", None, "principal linear generator"
-            )
-        found, used_deg = _factor_search(ideal, basis[0], config)
-        if found == "vacuous":
-            return PrimalityVerdict(
-                "unknown", "principal-irreducible", None,
-                "factor-degree bound below 1; search not attempted",
-            )
-        if found == "budget":
-            return PrimalityVerdict(
-                "unknown", "principal-irreducible", None,
-                f"factor search space above budget {config.factor_budget}",
-            )
-        if found == "skip":
-            return PrimalityVerdict(
-                "unknown", "principal-irreducible", None,
-                "principal generator has non-constant coefficients; factor search not attempted",
-            )
-        if found is not None:
-            a = from_algpoly(found[0], ideal.variables, ring)
-            b = from_algpoly(found[1], ideal.variables, ring)
-            if not _verify_zero_divisor(ideal, a, b):
-                raise RuntimeError("factorization witness failed re-verification")
-            return PrimalityVerdict("not_prime", "counterexample", (a, b), "factorization witness")
-        searched = f"factor search exhausted at degree {used_deg}, height {config.factor_height}"
-        proof = _irreducibility_prime(ideal, basis[0])
-        if proof is None:
-            return PrimalityVerdict(
-                "unknown", "principal-irreducible", None,
-                f"{searched}; no irreducibility proof mod a prime below 100",
-            )
-        return PrimalityVerdict(
-            "prime", "principal-irreducible", None,
-            f"{searched}; irreducible mod {proof} (Rabin's test), hence over Q",
-        )
+        return _principal(ideal, basis[0], config)
     rng = random.Random(config.seed)
     key = _order_key(ideal.order)
     alg_basis = ideal._alg_basis()
-    nv = len(ideal.variables)
+    monos = monomials(len(ideal.variables), PROBE_DEGREE)
     for _ in range(config.probe_trials):
-        a = _random_algpoly(rng, nv, ring.nt, config.probe_degree, config.probe_height)
-        b = _random_algpoly(rng, nv, ring.nt, config.probe_degree, config.probe_height)
+        a = _random_algpoly(rng, monos, ring.nt)
+        b = _random_algpoly(rng, monos, ring.nt)
         ra, _ = _nf(a, alg_basis, key)
         rb, _ = _nf(b, alg_basis, key)
         if not ra or not rb:

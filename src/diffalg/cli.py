@@ -51,7 +51,7 @@ from .reduction import (
     partial_reduce,
 )
 from .ring import CONSTANTS, RATIONAL_T, RingContext
-from .scalars import Scalar, TPoly, tpoly_gcd
+from .scalars import Scalar, common_den
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,9 +99,7 @@ def _scalar_out(s):
 def _poly_out(f):
     """poly_text, or (numerator) / (denominator) over the least common
     t-denominator when a coefficient has a non-constant one."""
-    den = TPoly.one(f.ring.nt)
-    for c in f.terms.values():
-        den = den * c.den.exact_div(tpoly_gcd(den, c.den))
+    den = common_den(f.ring.nt, f.terms.values())
     if den.is_const():
         return poly_text(f)
     den = den.scale(1 / den.lead_coeff())
@@ -177,11 +175,13 @@ def _parse_model(text, ring):
         chunk = chunk.strip()
         if not chunk:
             continue
-        lhs, _, rhs = chunk.partition("=")
+        lhs, eq, rhs = chunk.partition("=")
         lhs = lhs.strip()
-        if not lhs.startswith("x"):
+        if not (eq and lhs.startswith("x") and lhs[1:].strip().isdecimal()):
             raise _UsageError(f"model assignments look like x1=t2, got {chunk!r}")
         j = int(lhs[1:])
+        if j in assignment:
+            raise _UsageError(f"x{j} is assigned twice in {text!r}")
         assignment[j] = parse_tpoly(rhs.strip(), ring)
     return ModelPoint(ring, assignment)
 

@@ -108,12 +108,7 @@ def eval_at_model_point(f, point):
 
 def t_monomials(nt, degree):
     """Exponent vectors of total degree <= degree, sorted by (degree, lex)."""
-    out = []
-    for total in range(degree + 1):
-        for e in itertools.product(range(total + 1), repeat=nt):
-            if sum(e) == total:
-                out.append(e)
-    return out
+    return sorted(sparse.monomials(nt, degree), key=sum)
 
 
 def coefficient_ladder(height):

@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import DiffPoly, mono_degree
-from .ring import RATIONAL_T, DerivVar, mi_unit, mi_zero
+from .ranking import Ranking
+from .ring import RATIONAL_T, DerivVar
 from .scalars import Scalar, TPoly
 from .sparse import deglex
 
@@ -149,7 +150,7 @@ class _Parser:
             self.expect_op(")")
             return p
         if kind == "let" and val == "d":
-            theta = list(mi_zero(self.ring.m))
+            theta = [0] * self.ring.m
             while True:
                 idx, p = self.index_after("d", pos)
                 if not 1 <= idx <= self.ring.m:
@@ -169,7 +170,7 @@ class _Parser:
             idx, p = self.index_after(val, pos)
             if not 1 <= idx <= self.ring.n:
                 raise ParseError(f"variable index {val}{idx} out of range (n={self.ring.n})", p)
-            return DiffPoly.var(self.ring, DerivVar(val, idx, mi_zero(self.ring.m)))
+            return DiffPoly.var(self.ring, DerivVar(val, idx, (0,) * self.ring.m))
         if kind == "let" and val == "t":
             idx, p = self.index_after("t", pos)
             if self.ring.field_mode != RATIONAL_T:
@@ -199,12 +200,12 @@ def parse_tpoly(text, ring):
     return s.num
 
 
-def _print_var_key(v):
-    return (0 if v.family == "x" else 1, v.order, v.index, v.theta)
+# Variables print in the orderly ranking, y above x.
+_var_key = Ranking().key
 
 
 def _print_mono_key(mono):
-    factors = sorted(((_print_var_key(v), e) for v, e in mono), reverse=True)
+    factors = sorted(((_var_key(v), e) for v, e in mono), reverse=True)
     return (mono_degree(mono), tuple(factors))
 
 
@@ -261,7 +262,7 @@ def poly_text(f):
         neg, mag = _scalar_sign_split(c)
         vars_txt = "*".join(
             v.text() + (f"^{e}" if e > 1 else "") for v, e in
-            sorted(mono, key=lambda it: _print_var_key(it[0]))
+            sorted(mono, key=lambda it: _var_key(it[0]))
         )
         if not mono:
             body = _scalar_factor_text(mag)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .poly import DiffPoly
 from .ranking import Ranking, leader_initial_separant
-from .ring import mi_geq, mi_max, mi_order, mi_sub, mi_zero
+from .sparse import divides, ediv, elcm
 
 PARTIAL = "partial"
 FULL = "full"
@@ -59,39 +59,35 @@ class RankedSystem:
         return self.elements[0].ring if self.elements else None
 
 
-def _reduced_wrt(f, u, d):
-    """Is f free of proper derivatives of u, with degree in u below d?"""
-    for v in f.variables():
-        if v.family == u.family and v.index == u.index:
-            if v.theta != u.theta and mi_geq(v.theta, u.theta):
-                return False, f"contains the proper derivative {v.text()} of {u.text()}"
-    if f.degree_in(u) >= d:
-        return False, f"has degree {f.degree_in(u)} >= {d} in the leader {u.text()}"
-    return True, ""
-
-
 def autoreduced_check(polys, ranking):
-    """Accept a sequence as an autoreduced system, or raise NotAutoreduced."""
+    """Accept a sequence as an autoreduced system, or raise NotAutoreduced.
+
+    Each element must be fully reduced with respect to every other one; a
+    rejection names the highest-ranked offending variable of the first
+    failing pair (reducer-major, in input order).
+    """
     polys = list(polys)
     parts = []
     for i, f in enumerate(polys):
         if f.is_zero() or f.is_scalar():
             raise NotAutoreduced("element is a scalar; a proper system has none", i)
         parts.append(leader_initial_separant(f, ranking))
-    for i in range(len(polys)):
-        for j in range(len(polys)):
+    leaders = [u for u, _, _ in parts]
+    degrees = [f.degree_in(u) for f, u in zip(polys, leaders)]
+    for i, (u, d) in enumerate(zip(leaders, degrees)):
+        for j, f in enumerate(polys):
             if i == j:
                 continue
-            ui, d = parts[i][0], polys[i].degree_in(parts[i][0])
-            ok, why = _reduced_wrt(polys[j], ui, d)
-            if not ok:
+            viol = _violation(f, ranking, (u,), (d,), FULL)
+            if viol is not None:
+                v, _, theta = viol
+                why = (f"contains the proper derivative {v.text()} of {u.text()}" if any(theta)
+                       else f"has degree {f.degree_in(u)} >= {d} in the leader {u.text()}")
                 raise NotAutoreduced(f"element {why}", j, i)
-            if parts[i][0] == parts[j][0]:
+            if u == leaders[j]:
                 raise NotAutoreduced("two elements share a leader", i, j)
-    order = sorted(range(len(polys)), key=lambda k: ranking.key(parts[k][0]))
+    order = sorted(range(len(polys)), key=lambda k: ranking.key(leaders[k]))
     elements = tuple(polys[k] for k in order)
-    leaders = tuple(parts[k][0] for k in order)
-    degrees = tuple(polys[k].degree_in(parts[k][0]) for k in order)
     initials = tuple(parts[k][1] for k in order)
     separants = tuple(parts[k][2] for k in order)
     if elements:
@@ -101,7 +97,10 @@ def autoreduced_check(polys, ranking):
         assert not h.is_zero()
     else:
         h = None
-    return RankedSystem(ranking, elements, leaders, degrees, initials, separants, h)
+    return RankedSystem(
+        ranking, elements, tuple(leaders[k] for k in order), tuple(degrees[k] for k in order),
+        initials, separants, h,
+    )
 
 
 @dataclass
@@ -121,27 +120,24 @@ class ReductionCertificate:
             rhs = rhs + q * system.elements[gi].derive_theta(theta)
         return lhs == rhs
 
-    @property
-    def h_power_bound(self):
-        return self.steps
 
-
-def _violation(p, system, mode):
-    """Highest-ranked variable of p violating reducedness, with its reducer."""
-    rk = system.ranking.key
+def _violation(p, ranking, leaders, degrees, mode):
+    """Highest-ranked variable of p violating reducedness with respect to the
+    leaders (of the given degrees), with its reducer's index and operator."""
+    rk = ranking.key
     best = None
     for v in p.variables():
         choice = None
-        for gi, lg in enumerate(system.leaders):
+        for gi, lg in enumerate(leaders):
             if lg.family != v.family or lg.index != v.index:
                 continue
             if v.theta == lg.theta:
-                if mode == FULL and p.degree_in(v) >= system.leader_degrees[gi]:
-                    choice = (gi, mi_zero(len(v.theta)))
+                if mode == FULL and p.degree_in(v) >= degrees[gi]:
+                    choice = (gi, ediv(v.theta, lg.theta))
                     break
-            elif mi_geq(v.theta, lg.theta):
-                if choice is None or rk(system.leaders[choice[0]]) < rk(lg):
-                    choice = (gi, mi_sub(v.theta, lg.theta))
+            elif divides(lg.theta, v.theta):
+                if choice is None or rk(leaders[choice[0]]) < rk(lg):
+                    choice = (gi, ediv(v.theta, lg.theta))
         if choice is not None:
             k = rk(v)
             if best is None or k > best[0]:
@@ -156,11 +152,11 @@ def _reduce(f, system, mode):
     cof = {}
     steps = 0
     while not p.is_zero():
-        viol = _violation(p, system, mode)
+        viol = _violation(p, system.ranking, system.leaders, system.leader_degrees, mode)
         if viol is None:
             break
         v, gi, theta = viol
-        if mi_order(theta):
+        if any(theta):
             divisor = system.elements[gi].derive_theta(theta)
             ini = system.separants[gi]
             dmin = 1
@@ -195,7 +191,8 @@ def full_reduce(f, system):
 
 
 def is_reduced(f, system, mode=FULL):
-    return f.is_zero() or _violation(f, system, mode) is None
+    return f.is_zero() or _violation(
+        f, system.ranking, system.leaders, system.leader_degrees, mode) is None
 
 
 @dataclass
@@ -234,9 +231,9 @@ def coherence_check(system):
                 continue
             hi, lo = j, i  # elements are sorted ascending; j has the higher leader
             ua, ub = system.leaders[hi], system.leaders[lo]
-            theta = mi_max(ua.theta, ub.theta)
-            a_shift = system.elements[hi].derive_theta(mi_sub(theta, ua.theta))
-            b_shift = system.elements[lo].derive_theta(mi_sub(theta, ub.theta))
+            theta = elcm(ua.theta, ub.theta)
+            a_shift = system.elements[hi].derive_theta(ediv(theta, ua.theta))
+            b_shift = system.elements[lo].derive_theta(ediv(theta, ub.theta))
             delta = system.separants[lo] * a_shift - system.separants[hi] * b_shift
             cert = full_reduce(delta, system)
             evidence.append(DeltaPairEvidence(hi, lo, delta, cert))

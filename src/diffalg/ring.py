@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .sparse import emul, unit
+
 CONSTANTS = "constants"
 RATIONAL_T = "rational_t"
 
@@ -34,50 +36,13 @@ class RingContext:
         return self.m + 1
 
 
-# Derivative-operator exponents (e1, ..., em), one slot per delta-derivation.
-MultiIndex = tuple
-
-
-def mi_zero(m):
-    return (0,) * m
-
-
-def mi_unit(m, i):
-    if not 1 <= i <= m:
-        raise ValueError(f"derivation index {i} out of range (1..{m})")
-    return tuple(1 if j == i - 1 else 0 for j in range(m))
-
-
-def mi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mi_sub(a, b):
-    d = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in d):
-        raise ValueError(f"{a} is not a derivative of {b}")
-    return d
-
-
-def mi_max(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mi_order(theta):
-    return sum(theta)
-
-
-def mi_geq(a, b):
-    return all(x >= y for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class DerivVar:
     """A derivative theta x_j (or theta y_j in prolongation output)."""
 
     family: str
     index: int
-    theta: MultiIndex
+    theta: tuple  # derivative-operator exponents (e1, ..., em)
 
     def __post_init__(self):
         if self.family not in ("x", "y"):
@@ -98,7 +63,7 @@ class DerivVar:
 
     def derived(self, i):
         """The variable delta_i applied once more."""
-        return DerivVar(self.family, self.index, mi_add(self.theta, mi_unit(len(self.theta), i)))
+        return DerivVar(self.family, self.index, emul(self.theta, unit(len(self.theta), i)))
 
     def shadow(self, family):
         """Same derivative in the other family."""
@@ -112,10 +77,5 @@ class DerivVar:
 def xvar(ring, index, theta=None):
     if not 1 <= index <= ring.n:
         raise ValueError(f"x{index} out of range (n={ring.n})")
-    return DerivVar("x", index, theta if theta is not None else mi_zero(ring.m))
+    return DerivVar("x", index, theta if theta is not None else (0,) * ring.m)
 
-
-def yvar(ring, index, theta=None):
-    if not 1 <= index <= ring.n:
-        raise ValueError(f"y{index} out of range (n={ring.n})")
-    return DerivVar("y", index, theta if theta is not None else mi_zero(ring.m))

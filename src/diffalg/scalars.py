@@ -66,8 +66,7 @@ class TPoly:
     def var(cls, nvars, i):
         if not 1 <= i <= nvars:
             raise ValueError(f"t{i} out of range (have t1..t{nvars})")
-        e = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls._raw(nvars, {e: Fraction(1)})
+        return cls._raw(nvars, {sparse.unit(nvars, i): Fraction(1)})
 
     def is_zero(self):
         return not self.terms
@@ -185,6 +184,14 @@ def _int_scale(coeffs):
     """The positive rational that scales nonzero Fractions to coprime integers."""
     den = lcm(*(c.denominator for c in coeffs))
     return Fraction(den, gcd(*(c.numerator * (den // c.denominator) for c in coeffs)))
+
+
+def common_den(nvars, scalars):
+    """Least common multiple of the scalars' t-denominators (1 for none)."""
+    den = TPoly.one(nvars)
+    for c in scalars:
+        den = den * c.den.exact_div(tpoly_gcd(den, c.den))
+    return den
 
 
 def _int_normalize(p):
@@ -368,34 +375,31 @@ class Scalar:
     def nvars(self):
         return self.num.nvars
 
-    def _den_is_one(self):
-        t = self.den.terms
-        return len(t) == 1 and t.get((0,) * self.den.nvars) == 1
-
     def is_zero(self):
         return self.num.is_zero()
 
     def is_one(self):
-        return self._den_is_one() and self.num.is_const() and self.num.const_value() == 1
+        return self.is_poly() and self.num.is_const() and self.num.const_value() == 1
 
     def is_const(self):
         return self.num.is_const() and self.den.is_const()
 
     def is_poly(self):
-        return self._den_is_one()
+        t = self.den.terms
+        return len(t) == 1 and t.get((0,) * self.den.nvars) == 1
 
     def __bool__(self):
         return bool(self.num.terms)
 
     def __add__(self, other):
-        if self._den_is_one() and other._den_is_one():
+        if self.is_poly() and other.is_poly():
             return Scalar._poly(self.num + other.num)
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
-        if self._den_is_one() and other._den_is_one():
+        if self.is_poly() and other.is_poly():
             return Scalar._poly(self.num - other.num)
         if self.den == other.den:
             return Scalar(self.num - other.num, self.den)
@@ -408,7 +412,7 @@ class Scalar:
         return s
 
     def __mul__(self, other):
-        if self._den_is_one() and other._den_is_one():
+        if self.is_poly() and other.is_poly():
             return Scalar._poly(self.num * other.num)
         return Scalar(self.num * other.num, self.den * other.den)
 
@@ -433,7 +437,7 @@ class Scalar:
 
     def diff(self, i):
         """Derivative d/dt_i via the quotient rule."""
-        if self._den_is_one():
+        if self.is_poly():
             return Scalar._poly(self.num.diff(i))
         n = self.num.diff(i) * self.den - self.num * self.den.diff(i)
         return Scalar(n, self.den * self.den)
@@ -449,6 +453,6 @@ class Scalar:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if self._den_is_one():
+        if self.is_poly():
             return f"Scalar({self.num!r})"
         return f"Scalar({self.num!r} / {self.den!r})"

@@ -8,6 +8,9 @@ or Scalars; both define +, -, *, / and test false exactly when zero.
 
 Monomial keys are exponent vectors (TPoly and the Groebner backend) unless
 the caller passes its own monomial product, as DiffPoly does with mono_mul.
+This module also owns exponent-vector arithmetic (product, quotient, lcm,
+divisibility, unit vectors), which DerivVar's derivative operators use too,
+and the one enumeration of all monomials up to a degree.
 Functions that return a polynomial return a fresh dict and leave their
 arguments alone; acc updates the dict it is given. power works on any value
 with a *, so TPoly, DiffPoly and Scalar share it.
@@ -15,6 +18,7 @@ with a *, so TPoly, DiffPoly and Scalar share it.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 
@@ -26,6 +30,31 @@ def deglex(e):
 def emul(a, b):
     """Product of two exponent-vector monomials."""
     return tuple(map(operator.add, a, b))
+
+
+def ediv(a, b):
+    """Quotient a/b of exponent-vector monomials; b must divide a."""
+    return tuple(map(operator.sub, a, b))
+
+
+def elcm(a, b):
+    """Least common multiple of two exponent-vector monomials."""
+    return tuple(map(max, a, b))
+
+
+def divides(a, b):
+    """Does the monomial a divide the monomial b?"""
+    return all(map(operator.le, a, b))
+
+
+def unit(n, i):
+    """Exponent vector of the i-th of n variables (1-based)."""
+    return (0,) * (i - 1) + (1,) + (0,) * (n - i)
+
+
+def monomials(n, degree):
+    """Exponent vectors in n variables of total degree <= degree, in lex order."""
+    return [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
 
 
 def total_degree(p):
@@ -128,9 +157,9 @@ def exact_div(p, d):
     r = dict(p)
     while r:
         e, c = lead(r)
-        qe = tuple(map(operator.sub, e, de))
-        if min(qe, default=0) < 0:
+        if not divides(de, e):
             return None
+        qe = ediv(e, de)
         qc = c / dc
         q[qe] = qc
         for e2, c2 in d.items():

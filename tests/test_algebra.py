@@ -97,6 +97,13 @@ class TestSaturate:
         out = saturate(ideal("x1^2"), P("x1"))
         assert [poly_text(g) for g in out.generators] == ["1"]
 
+    def test_self_check_catches_a_wrong_basis(self, monkeypatch):
+        from diffalg import algebra
+
+        monkeypatch.setattr(algebra, "_buchberger", lambda gens, key: [g for g in gens if g])
+        with pytest.raises(RuntimeError, match="S-polynomial self-check failed"):
+            saturate(ideal("x1*x2"), P("x1"))
+
     def test_contains_original_and_idempotent(self, rng):
         for _ in range(15):
             gens = [_rand_gen(rng) for _ in range(rng.randint(1, 2))]

@@ -80,6 +80,17 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: reduction certificate failed re-verification\n"
 
+    def test_failed_saturation_self_check_is_three(self, capsys, monkeypatch):
+        from diffalg import algebra
+
+        monkeypatch.setattr(algebra, "_buchberger", lambda gens, key: [g for g in gens if g])
+        code = main(["saturate", "x1*x2", "--vars", "x1, x2", "--by", "x1", "--m", "0",
+                     "--n", "2"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error:")
+
     def test_deep_nesting_is_input_error(self, capsys):
         assert main(["tau", "(" * 3000 + "x1" + ")" * 3000, "--m", "1", "--n", "1"]) == 1
         assert capsys.readouterr().err == (
@@ -335,6 +346,50 @@ class TestRankingSpec:
         assert main(["certify", str(path)]) == 1
         assert capsys.readouterr().err == (
             "error: line 1: elimination ranking must permute 1..2\n")
+
+
+class TestCheckPoint:
+    @pytest.mark.parametrize("point, message", [
+        ("xa=t2", "model assignments look like x1=t2, got 'xa=t2'"),
+        ("x1", "model assignments look like x1=t2, got 'x1'"),
+        ("x1=t2; x1=t1", "x1 is assigned twice in 'x1=t2; x1=t1'"),
+    ])
+    def test_bad_point_is_usage_error(self, capsys, point, message):
+        code = main(["tau", "x1^2", "--m", "1", "--n", "1", "--field", "rational_t",
+                     "--check-point", point])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    def test_spaced_index_is_accepted(self, capsys):
+        code, out = run(capsys, "tau", "x1^2", "--m", "1", "--n", "1", "--field", "rational_t",
+                        "--check-point", " x 1 = t2 ")
+        assert code == 0 and "chain rule: ok" in out
+
+
+class TestRejectionReason:
+    def test_highest_ranked_offender_under_any_hash_seed(self):
+        # Three proper derivatives of the leader x1 offend; the reason names
+        # the highest-ranked one whatever the set iteration order.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        reasons = set()
+        for seed in ("1", "2", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "diffalg", "coherent", "--system",
+                 "x1 - 1; d1x1*d2x1 + d1d2x1 + x2", "--m", "2", "--n", "2", "--machine"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 2
+            reasons.add(proc.stdout)
+        assert reasons == {
+            "---\n"
+            "status: rejected\n"
+            "reason: element contains the proper derivative d1d2x1 of x1 (elements 2 and 1)\n"
+            "exit: 2\n"
+        }
 
 
 class TestReentrance:
