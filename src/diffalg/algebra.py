@@ -1,10 +1,11 @@
 """Commutative-algebra backend over the derivative variables actually occurring.
 
 Polynomials are frozen to exponent vectors over an ordered variable tuple,
-as sparse term dicts (see sparse.py). Each call picks its coefficient domain
-from its data: plain Fractions when every coefficient of every polynomial it
-works on is a rational constant, exact Scalars otherwise. Both domains share
-one arithmetic path; results thaw back to DiffPolys over Scalars either way.
+as sparse term dicts (see sparse.py). Every call, the primality oracle
+included, picks its coefficient domain from its data in _freeze: plain
+Fractions when every coefficient of every polynomial it works on is a rational
+constant, exact Scalars otherwise. Both domains share one arithmetic path;
+results thaw back to DiffPolys over Scalars either way.
 Buchberger runs the normal strategy with pairs selected by lcm order, and
 the emitted basis is inter-reduced and normalized to denominator-free,
 integer-primitive elements with a positive leading coefficient. buchberger,
@@ -56,12 +57,13 @@ def to_algpoly(f, variables):
 
 
 def _freeze(polys, variables):
-    """Term dicts over Fraction if every coefficient is constant, else over Scalar; and one."""
+    """Term dicts over Fraction if every coefficient is constant, else over
+    Scalar; and the map taking a rational into that domain."""
     frozen = [to_algpoly(f, variables) for f in polys]
     coeffs = [c for p in frozen for c in p.values()]
     if all(c.is_const() for c in coeffs):
-        return [{e: c.num.const_value() for e, c in p.items()} for p in frozen], Fraction(1)
-    return frozen, Scalar.one(coeffs[0].nvars)
+        return [{e: c.num.const_value() for e, c in p.items()} for p in frozen], Fraction
+    return frozen, functools.partial(Scalar.from_fraction, coeffs[0].nvars)
 
 
 def from_algpoly(p, variables, ring):
@@ -189,11 +191,6 @@ class AlgIdeal:
         for g in self.generators:
             to_algpoly(g, self.variables)  # validates variable coverage
 
-    def _alg_basis(self):
-        if self.basis is None:
-            raise ValueError("no basis attached; run buchberger first")
-        return [to_algpoly(g, self.variables) for g in self.basis]
-
 
 def buchberger(ideal):
     """Attach the reduced, self-checked basis; deterministic for fixed input."""
@@ -260,9 +257,9 @@ def eliminate(ideal, drop):
 
 def saturate(ideal, h):
     """I : h^infinity via the extra-variable trick: eliminate z from I + (1 - z*h)."""
-    (hp, *gens), one = _freeze((h, *ideal.generators), ideal.variables)
+    (hp, *gens), lift = _freeze((h, *ideal.generators), ideal.variables)
     gens = [{(0,) + e: c for e, c in g.items()} for g in gens]
-    gens.append(sub({(0,) * (len(ideal.variables) + 1): one}, {(1,) + e: c for e, c in hp.items()}))
+    gens.append(sub({(0,) * (len(ideal.variables) + 1): lift(1)}, {(1,) + e: c for e, c in hp.items()}))
     out = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in _lex_eliminate(gens, 1))
     return AlgIdeal(ideal.ring, ideal.variables, out, ideal.order)
 
@@ -285,10 +282,11 @@ def macaulay_member(f, ideal, bound):
 
     Sound for membership at the given bound; a miss refutes only up to it.
     """
-    (p, *gens), one = _freeze((f, *ideal.generators), ideal.variables)
+    (p, *gens), lift = _freeze((f, *ideal.generators), ideal.variables)
     if total_degree(p) > bound:
         return MacaulayResult("bound_too_small", bound)
     nv = len(ideal.variables)
+    one = lift(1)
     rows = []
     for g in gens:
         if g:
@@ -318,9 +316,11 @@ def macaulay_member(f, ideal, bound):
 
 
 # Limits of the primality search that no caller varies: the factor search
-# gives up above FACTOR_BUDGET candidates, and probes draw polynomials of
-# degree and integer coefficient height up to PROBE_DEGREE and PROBE_HEIGHT.
+# gives up above FACTOR_BUDGET candidates, and PROBE_TRIALS probes draw
+# polynomials of degree and integer coefficient height up to PROBE_DEGREE and
+# PROBE_HEIGHT.
 FACTOR_BUDGET = 200_000
+PROBE_TRIALS = 32
 PROBE_DEGREE = 2
 PROBE_HEIGHT = 2
 
@@ -329,15 +329,13 @@ PROBE_HEIGHT = 2
 class PrimalityConfig:
     factor_degree: int = 2
     factor_height: int = 2
-    probe_trials: int = 32
     seed: int = 0
-    assert_prime: bool = False
 
 
 @dataclass
 class PrimalityVerdict:
     status: str  # "prime" | "not_prime" | "unknown"
-    method: str  # "linear" | "principal-irreducible" | "certificate" | "counterexample" | "probe-exhausted"
+    method: str  # "linear" | "principal-irreducible" | "counterexample" | "probe-exhausted"
     witness: tuple | None = None
     note: str = ""
 
@@ -353,21 +351,21 @@ _PROOF_PRIMES = tuple(q for q in range(2, 100) if all(q % d for d in range(2, q)
 
 
 def _irreducibility_prime(p):
-    """A prime proving the frozen polynomial p irreducible over Q, or None
+    """A prime proving p, frozen over Fraction, irreducible over Q, or None
     when none below 100 does.
 
-    Only a univariate p with constant coefficients is tried. Scaled to a
-    primitive integer polynomial, a factorization of p over Q is one over Z
-    (Gauss's lemma); if the prime does not divide the leading coefficient,
-    both factors keep their degrees mod the prime, so a p irreducible mod the
-    prime is irreducible over Q. Q is algebraically closed in Q(t), so it
-    stays irreducible over the rational-function field too.
+    Only a univariate p is tried. Scaled to a primitive integer polynomial,
+    a factorization of p over Q is one over Z (Gauss's lemma); if the prime
+    does not divide the leading coefficient, both factors keep their degrees
+    mod the prime, so a p irreducible mod the prime is irreducible over Q.
+    Q is algebraically closed in Q(t), so it stays irreducible over the
+    rational-function field too.
     """
     occ = {j for e in p for j, k in enumerate(e) if k}
-    if len(occ) != 1 or any(not c.is_const() for c in p.values()):
+    if len(occ) != 1:
         return None
     (j,) = occ
-    q = {e[j]: c.num.const_value() for e, c in p.items()}
+    q = {e[j]: c for e, c in p.items()}
     scale = _int_scale(list(q.values()))
     coeffs = [int(q.get(k, 0) * scale) for k in range(max(q) + 1)]
     for prime in _PROOF_PRIMES:
@@ -390,24 +388,23 @@ def _principal(ideal, f, config):
 
     if f.total_degree() == 1:
         return PrimalityVerdict("prime", "principal-irreducible", None, "principal linear generator")
-    p = to_algpoly(f, ideal.variables)
+    (p,), lift = _freeze((f,), ideal.variables)
     max_deg = min(config.factor_degree, total_degree(p) - 1)
     if max_deg < 1:
         return unknown("factor-degree bound below 1; search not attempted")
-    if any(not c.is_const() for c in p.values()):
+    if lift is not Fraction:
         return unknown(
             "principal generator has non-constant coefficients; factor search not attempted")
     monos = monomials(len(ideal.variables), max_deg)
     ladder = list(range(-config.factor_height, config.factor_height + 1))
     if len(ladder) ** len(monos) > FACTOR_BUDGET:
         return unknown(f"factor search space above budget {FACTOR_BUDGET}")
-    nt = ideal.ring.nt
     for coeffs in itertools.product(ladder, repeat=len(monos)):
         if next((c for c in coeffs if c), 0) <= 0:
             continue  # skip zero and sign duplicates
         if all(sum(e) == 0 or c == 0 for e, c in zip(monos, coeffs)):
             continue  # constant candidate
-        cand = {e: Scalar.from_fraction(nt, c) for e, c in zip(monos, coeffs) if c}
+        cand = {e: lift(c) for e, c in zip(monos, coeffs) if c}
         quot = exact_div(p, cand)
         if quot is not None and total_degree(quot) >= 1:
             a = from_algpoly(cand, ideal.variables, ideal.ring)
@@ -425,28 +422,18 @@ def _principal(ideal, f, config):
     )
 
 
-def _random_algpoly(rng, monos, nt):
+def _random_algpoly(rng, monos, lift):
     terms = {}
     for e in rng.sample(monos, k=min(len(monos), rng.randint(1, 3))):
         c = rng.randint(-PROBE_HEIGHT, PROBE_HEIGHT)
         if c:
-            terms[e] = Scalar.from_fraction(nt, c)
+            terms[e] = lift(c)
     return terms
 
 
 def primality_oracle(ideal, config=None):
     """Strategy cascade with an honest `unknown`; not_prime carries a verified witness."""
     config = config or PrimalityConfig()
-    verdict = _primality_cascade(ideal, config)
-    if verdict.status == "unknown" and config.assert_prime:
-        return PrimalityVerdict(
-            "prime", "certificate",
-            note=f"primality asserted by the caller (cascade said: {verdict.note})",
-        )
-    return verdict
-
-
-def _primality_cascade(ideal, config):
     ideal = _with_basis(ideal)
     basis = list(ideal.basis)
     ring = ideal.ring
@@ -463,11 +450,11 @@ def _primality_cascade(ideal, config):
         return _principal(ideal, basis[0], config)
     rng = random.Random(config.seed)
     key = _order_key(ideal.order)
-    alg_basis = ideal._alg_basis()
+    alg_basis, lift = _freeze(basis, ideal.variables)
     monos = monomials(len(ideal.variables), PROBE_DEGREE)
-    for _ in range(config.probe_trials):
-        a = _random_algpoly(rng, monos, ring.nt)
-        b = _random_algpoly(rng, monos, ring.nt)
+    for _ in range(PROBE_TRIALS):
+        a = _random_algpoly(rng, monos, lift)
+        b = _random_algpoly(rng, monos, lift)
         ra, _ = _nf(a, alg_basis, key)
         rb, _ = _nf(b, alg_basis, key)
         if not ra or not rb:
@@ -481,5 +468,5 @@ def _primality_cascade(ideal, config):
             return PrimalityVerdict("not_prime", "counterexample", (fa, fb), "zero-divisor probe")
     return PrimalityVerdict(
         "unknown", "probe-exhausted", None,
-        f"no zero divisor found in {config.probe_trials} probes",
+        f"no zero divisor found in {PROBE_TRIALS} probes",
     )

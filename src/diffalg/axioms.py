@@ -95,7 +95,7 @@ def charset_certify(polys, ranking=None, primality_config=None):
             REJECTED, "primality", verdict.note or "algebraic ideal is not prime",
             system, coh, verdict, variables,
         )
-    if verdict.status == "prime" and verdict.method != "certificate":
+    if verdict.status == "prime":
         return CharSetCertificate(
             CERTIFIED, "complete", "coherent with prime algebraic ideal",
             system, coh, verdict, variables,

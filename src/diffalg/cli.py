@@ -40,7 +40,7 @@ from .instances import (
     load_instance_file,
 )
 from .model import ModelPoint
-from .parser import ParseError, parse_poly, parse_tpoly, poly_text, scalar_text
+from .parser import ParseError, parse_poly, parse_tpoly, poly_text, scalar_text, tpoly_text
 from .prolong import d_compatibility_check, tau
 from .ranking import ORDERLY, Ranking
 from .reduction import (
@@ -51,7 +51,6 @@ from .reduction import (
     partial_reduce,
 )
 from .ring import CONSTANTS, RATIONAL_T, RingContext
-from .scalars import Scalar, common_den
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,28 +85,6 @@ def _grid_bounds(args, bounds):
             _bound("height", args.height, bounds.get("height")))
 
 
-def _tpoly_text(p):
-    return scalar_text(Scalar._poly(p))
-
-
-def _scalar_out(s):
-    if s.is_poly():
-        return scalar_text(s)
-    return f"({_tpoly_text(s.num)}) / ({_tpoly_text(s.den)})"
-
-
-def _poly_out(f):
-    """poly_text, or (numerator) / (denominator) over the least common
-    t-denominator when a coefficient has a non-constant one."""
-    den = common_den(f.ring.nt, f.terms.values())
-    if den.is_const():
-        return poly_text(f)
-    den = den.scale(1 / den.lead_coeff())
-    num = f.scale(Scalar._poly(den))
-    num_text = scalar_text(num.scalar_value()) if num.is_scalar() else poly_text(num)
-    return f"({num_text}) / ({_tpoly_text(den)})"
-
-
 def _pair_lines(pairs, system):
     """One line per cross-derivative pair, each certificate re-verified first."""
     lines = []
@@ -121,7 +98,7 @@ def _pair_lines(pairs, system):
 
 
 def _point_text(pt):
-    return ", ".join(f"x{j} := {_tpoly_text(p)}" for j, p in sorted(pt.assignment.items()))
+    return ", ".join(f"x{j} := {tpoly_text(p)}" for j, p in sorted(pt.assignment.items()))
 
 
 def _ring_from(args):
@@ -139,12 +116,9 @@ def _load(path):
 
 def _ranking_from(args):
     try:
-        ranking = Ranking.parse(args.ranking)
+        return Ranking.parse(args.ranking, args.n)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if ranking.permutation and len(ranking.permutation) != args.n:
-        raise _UsageError(f"elimination ranking must permute 1..{args.n}")
-    return ranking
 
 
 def _system_polys(args):
@@ -165,7 +139,10 @@ def _parse_vars(text, ring):
         vs = p.variables()
         if len(vs) != 1 or len(p.terms) != 1:
             raise _UsageError(f"{chunk!r} is not a single variable")
-        out.append(next(iter(vs)))
+        (v,) = vs
+        if v in out:
+            raise _UsageError(f"{v.text()} is listed twice in {text!r}")
+        out.append(v)
     return tuple(out)
 
 
@@ -210,8 +187,8 @@ def _cmd_tau(args):
     if args.check_point:
         pt = _parse_model(args.check_point, ring)
         rep = d_compatibility_check(f, pt)
-        lines.append(f"tau value at (point, D point): {_scalar_out(rep.lhs)}")
-        lines.append(f"D of value at point:           {_scalar_out(rep.rhs)}")
+        lines.append(f"tau value at (point, D point): {scalar_text(rep.lhs)}")
+        lines.append(f"D of value at point:           {scalar_text(rep.rhs)}")
         lines.append(f"chain rule: {'ok' if rep.ok else 'VIOLATED'}")
         trailer["chain_rule"] = "ok" if rep.ok else "violated"
         code = EXIT_OK if rep.ok else EXIT_REJECTED
@@ -286,7 +263,7 @@ def _cmd_member(args):
     ideal = buchberger(_algideal_from(args, ring))
     f = parse_poly(args.expr, ring)
     cert = ideal_member(f, ideal)
-    nf = _poly_out(cert.normal_form)
+    nf = poly_text(cert.normal_form)
     lines = [f"member: {'yes' if cert.member else 'no'}", f"normal form: {nf}"]
     trailer = {"status": "member" if cert.member else "not-member", "normal_form": nf}
     return _emit(lines, trailer, args, EXIT_OK if cert.member else EXIT_REJECTED)
@@ -309,7 +286,6 @@ def _primality_config(args):
         factor_degree=_bound("factor_degree", args.degree_bound),
         factor_height=_bound("factor_height", args.height_bound),
         seed=args.seed or 0,
-        assert_prime=args.assert_prime,
     )
 
 
@@ -379,7 +355,7 @@ def _cmd_axiom(args):
     if report.status == "found":
         lines.append(f"witness: {_point_text(report.witness)}")
         for c in report.checks:
-            lines.append(f"check {c.label} -> {_scalar_out(c.value)} ({'ok' if c.ok else 'FAIL'})")
+            lines.append(f"check {c.label} -> {scalar_text(c.value)} ({'ok' if c.ok else 'FAIL'})")
         trailer = {"status": "found", "witness": _point_text(report.witness),
                    "examined": str(report.examined)}
         return _emit(lines, trailer, args, EXIT_OK)
@@ -409,7 +385,7 @@ def _cmd_demo(args):
         pt, ypt = report.point
         lines.append(f"point: {_point_text(pt)}; y-side {_point_text(ypt).replace('x', 'y')}")
         lines.append(f"violated member: {poly_text(report.violated_member)}")
-        lines.append(f"prolonged value: {_scalar_out(report.violated_value)}")
+        lines.append(f"prolonged value: {scalar_text(report.violated_value)}")
     lines.append(f"open-set samples checked: {report.samples_checked}, "
                  f"violations: {len(report.sample_failures)}")
     trailer = {
@@ -491,7 +467,6 @@ def build_parser():
         if name == "prime":
             sp.add_argument("--degree-bound", type=int, default=2)
             sp.add_argument("--height-bound", type=int, default=2)
-            sp.add_argument("--assert-prime", action="store_true")
         _add_common(sp)
         sp.set_defaults(fn=fn)
 

@@ -107,13 +107,9 @@ def parse_instance_text(text):
                     raise InstanceFormatError(f"line {lineno}: {exc}") from None
                 if "ranking" in kv:
                     try:
-                        ranking = Ranking.parse(kv["ranking"])
+                        ranking = Ranking.parse(kv["ranking"], n)
                     except ValueError as exc:
                         raise InstanceFormatError(f"line {lineno}: {exc}") from None
-                    if ranking.permutation and len(ranking.permutation) != n:
-                        raise InstanceFormatError(
-                            f"line {lineno}: elimination ranking must permute 1..{n}"
-                        )
                 current = None
             elif name == "bounds":
                 kv = _parse_kv(rest, name, lineno)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .poly import DiffPoly, mono_degree
 from .ranking import Ranking
 from .ring import RATIONAL_T, DerivVar
-from .scalars import Scalar, TPoly
+from .scalars import Scalar, common_den
 from .sparse import deglex
 
 
@@ -220,11 +220,8 @@ def _tterm_text(e, q):
     return f"{q}*{mono}"
 
 
-def scalar_text(s):
-    """Render a polynomial scalar (constant denominator only)."""
-    if not s.is_poly():
-        raise ValueError("scalar has a non-constant denominator; clear denominators first")
-    p = s.num
+def tpoly_text(p):
+    """Render a polynomial in the t-symbols."""
     if p.is_zero():
         return "0"
     parts = []
@@ -237,6 +234,13 @@ def scalar_text(s):
     return "".join(parts)
 
 
+def scalar_text(s):
+    """Render a scalar; one with a t-denominator prints as (num) / (den)."""
+    if s.is_poly():
+        return tpoly_text(s.num)
+    return f"({tpoly_text(s.num)}) / ({tpoly_text(s.den)})"
+
+
 def _scalar_sign_split(s):
     """Return (is_negative, magnitude) using the deg-lex leading coefficient."""
     if s.num.lead_coeff() < 0:
@@ -245,17 +249,15 @@ def _scalar_sign_split(s):
 
 
 def _scalar_factor_text(s):
-    """Scalar rendered for use as a multiplicative factor."""
-    txt = scalar_text(s)
+    """Polynomial scalar rendered for use as a multiplicative factor."""
+    txt = tpoly_text(s.num)
     if len(s.num.terms) > 1:
         return f"({txt})"
     return txt
 
 
-def poly_text(f):
-    """Canonical deterministic rendering; re-parses to the identical value."""
-    if f.is_zero():
-        return "0"
+def _terms_text(f):
+    """The terms of a nonzero polynomial whose coefficients all lie in Q[t]."""
     out = []
     for mono in sorted(f.terms, key=_print_mono_key, reverse=True):
         c = f.terms[mono]
@@ -275,3 +277,22 @@ def poly_text(f):
         else:
             out.append((" - " if neg else " + ") + body)
     return "".join(out)
+
+
+def poly_text(f):
+    """Canonical deterministic rendering.
+
+    With every coefficient in Q[t] it re-parses to the identical value.
+    Otherwise it prints as (numerator) / (denominator) over the least common
+    t-denominator, made monic; that form does not re-parse.
+    """
+    if f.is_zero():
+        return "0"
+    coeffs = f.terms.values()
+    if all(c.is_poly() for c in coeffs):
+        return _terms_text(f)
+    den = common_den(f.ring.nt, coeffs)
+    den = den.scale(1 / den.lead_coeff())
+    num = f.scale(Scalar._poly(den))
+    num_text = tpoly_text(num.scalar_value().num) if num.is_scalar() else _terms_text(num)
+    return f"({num_text}) / ({tpoly_text(den)})"

@@ -219,8 +219,5 @@ class DiffPoly:
     def __repr__(self):
         from .parser import poly_text
 
-        try:
-            return f"DiffPoly({poly_text(self)})"
-        except ValueError:
-            return f"DiffPoly(<{len(self.terms)} terms, rational-function coefficients>)"
+        return f"DiffPoly({poly_text(self)})"
 

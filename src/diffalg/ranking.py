@@ -31,8 +31,9 @@ class Ranking:
                 raise ValueError("elimination ranking needs a permutation of 1..n")
 
     @classmethod
-    def parse(cls, spec):
-        """Ranking from "orderly" or "elimination:i,j,..."; raises ValueError."""
+    def parse(cls, spec, n):
+        """Ranking of n variables from "orderly" or "elimination:i,j,...";
+        raises ValueError."""
         if spec == ORDERLY:
             return cls()
         kind, _, perm = spec.partition(":")
@@ -46,7 +47,10 @@ class Ranking:
             raise ValueError(
                 f"elimination ranking needs comma-separated indices, got {perm!r}"
             ) from None
-        return cls(ELIMINATION, indices)
+        ranking = cls(ELIMINATION, indices)
+        if len(indices) != n:
+            raise ValueError(f"elimination ranking must permute 1..{n}")
+        return ranking
 
     def key(self, v: DerivVar):
         fam = 0 if v.family == "x" else 1

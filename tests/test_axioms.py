@@ -100,7 +100,7 @@ class TestCertify:
 
         cert = charset_certify(
             [P("x1^3 + d1x1^3 + 1", R11)], Ranking(),
-            PrimalityConfig(factor_degree=0, probe_trials=2),
+            PrimalityConfig(factor_degree=0),
         )
         assert cert.status == "conditional"
 

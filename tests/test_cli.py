@@ -348,6 +348,35 @@ class TestRankingSpec:
             "error: line 1: elimination ranking must permute 1..2\n")
 
 
+class TestPrime:
+    def test_t_denominator_witness_prints(self, capsys):
+        code, out = run(capsys, "prime", "2 + t1*x2 + 2*x1; x1^2", "--vars", "x1, x2",
+                        "--m", "1", "--n", "2", "--field", "rational_t")
+        assert code == 2
+        assert "witness: ((t1*x2 + 2) / (t1)) * (t1*x2 + 2)" in out.splitlines()
+
+    def test_primality_cannot_be_asserted(self, capsys):
+        argv = ["prime", "(x1^3+x1+1)*(x1^3+2)", "--vars", "x1", "--m", "0"]
+        assert main([*argv, "--assert-prime"]) == 1
+        assert "unrecognized arguments: --assert-prime" in capsys.readouterr().err
+        code, out = run(capsys, *argv)
+        assert code == 2 and out.splitlines()[0] == "status: unknown"
+
+
+class TestVars:
+    @pytest.mark.parametrize("argv, message", [
+        (["groebner", "x1 - x2^2; x1*x2 - 1", "--vars", "x2, x1, x2", "--order", "lex"],
+         "x2 is listed twice in 'x2, x1, x2'"),
+        (["eliminate", "x1*x2 - 1; x1", "--vars", "x1, x2", "--drop", "x2 x2"],
+         "x2 is listed twice in 'x2 x2'"),
+    ])
+    def test_repeated_entry_is_usage_error(self, capsys, argv, message):
+        assert main([*argv, "--m", "0", "--n", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+
 class TestCheckPoint:
     @pytest.mark.parametrize("point, message", [
         ("xa=t2", "model assignments look like x1=t2, got 'xa=t2'"),

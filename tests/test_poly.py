@@ -17,6 +17,7 @@ from diffalg import (
     eval_at_model_point,
     parse_poly,
     poly_text,
+    scalar_text,
 )
 from diffalg.ring import RATIONAL_T, DerivVar, xvar
 
@@ -159,3 +160,17 @@ def test_printing_is_deterministic(rng):
     f = rand_poly(rng, RT, allow_t=True)
     g = DiffPoly(RT, dict(reversed(list(f.terms.items()))))
     assert poly_text(f) == poly_text(g)
+
+
+class TestDenominatorPrinting:
+    """A t-denominator prints as (numerator) / (denominator); nothing raises."""
+
+    def test_poly_over_common_denominator(self):
+        f = P("x1 + t1").scale(Scalar.one(3) / P("t1 + 1").scalar_value())
+        assert poly_text(f) == "(x1 + t1) / (t1 + 1)"
+        assert repr(f) == "DiffPoly((x1 + t1) / (t1 + 1))"
+
+    def test_scalar_over_denominator(self):
+        s = P("t2 - 1").scalar_value() / P("2*t1").scalar_value()
+        assert scalar_text(s) == "(1/2*t2 - 1/2) / (t1)"
+        assert poly_text(DiffPoly.const(RT, s)) == scalar_text(s)

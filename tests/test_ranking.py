@@ -28,13 +28,15 @@ def test_orderly_examples():
 
 
 def test_parse_spec():
-    assert Ranking.parse("orderly") == Ranking()
-    assert Ranking.parse("elimination:2,1,3") == Ranking(ELIMINATION, (2, 1, 3))
+    assert Ranking.parse("orderly", 3) == Ranking()
+    assert Ranking.parse("elimination:2,1,3", 3) == Ranking(ELIMINATION, (2, 1, 3))
     for bad in ("lex", "elimination", "elimination:1,1", "elimination:a", "eliminationX:1"):
         with pytest.raises(ValueError):
-            Ranking.parse(bad)
+            Ranking.parse(bad, 2)
     with pytest.raises(ValueError, match="needs comma-separated indices, got '2,b'"):
-        Ranking.parse("elimination:2,b")
+        Ranking.parse("elimination:2,b", 2)
+    with pytest.raises(ValueError, match=r"^elimination ranking must permute 1\.\.3$"):
+        Ranking.parse("elimination:2,1", 3)
 
 
 def test_elimination_permutation_required():
