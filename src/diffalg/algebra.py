@@ -150,23 +150,16 @@ def _buchberger(gens, key):
 
 
 def _interreduce(G, key):
+    """The reduced basis of a Groebner basis: drop every element whose leading
+    monomial another's divides (of equal leads the first stays), reduce each
+    kept element by the others, then normalize and sort."""
     G = [g for g in G if g]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(G)):
-            others = G[:i] + G[i + 1 :]
-            if not others:
-                continue
-            rem, _ = _nf(G[i], others, key)
-            if rem != G[i]:
-                changed = True
-                if rem:
-                    G[i] = rem
-                else:
-                    G.pop(i)
-                break
-    G = [_normalize(g, key) for g in G]
+    leads = [lead(g, key)[0] for g in G]
+    kept = [
+        g for i, (g, e) in enumerate(zip(G, leads))
+        if not any(divides(f, e) and (f != e or j < i) for j, f in enumerate(leads) if j != i)
+    ]
+    G = [_normalize(_nf(g, kept[:i] + kept[i + 1 :], key)[0], key) for i, g in enumerate(kept)]
     G.sort(key=lambda g: key(lead(g, key)[0]))
     return G
 

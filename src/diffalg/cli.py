@@ -289,6 +289,11 @@ def _primality_config(args):
     )
 
 
+def _seeded_config(args):
+    """The primality oracle's default bounds with the --seed given."""
+    return PrimalityConfig(seed=args.seed or 0)
+
+
 def _cmd_prime(args):
     ring = _ring_from(args)
     ideal = _algideal_from(args, ring)
@@ -305,8 +310,7 @@ def _cmd_prime(args):
 
 def _cmd_certify(args):
     data = _load(args.file)
-    config = PrimalityConfig(seed=args.seed or 0)
-    cert = charset_certify(data.lam, data.ranking, config)
+    cert = charset_certify(data.lam, data.ranking, _seeded_config(args))
     lines = [f"status: {cert.status}", f"stage: {cert.stage}", f"reason: {cert.reason}"]
     if cert.coherence is not None:
         lines += _pair_lines(cert.coherence.pairs, cert.system)
@@ -324,7 +328,8 @@ def _cmd_axiom(args):
     data = _load(args.file)
     inst = build_axiom_instance(data)
     degree, height = _grid_bounds(args, data.bounds)
-    validation = instance_validate(inst, degree=degree, height=height)
+    validation = instance_validate(inst, degree=degree, height=height,
+                                   primality_config=_seeded_config(args))
     if args.what == "validate":
         lines = [f"status: {validation.status}"]
         if validation.failed:
@@ -371,8 +376,7 @@ def _cmd_demo(args):
     data = _load(args.file)
     if not data.naive:
         raise _UsageError("demo file needs a [naive] section")
-    config = PrimalityConfig(seed=args.seed or 0)
-    cert = charset_certify(data.lam, data.ranking, config)
+    cert = charset_certify(data.lam, data.ranking, _seeded_config(args))
     if cert.status == "rejected":
         return _emit([f"rejected: {cert.reason}"], {"status": "rejected"}, args, EXIT_REJECTED)
     degree, height = _grid_bounds(args, data.bounds)
@@ -502,7 +506,9 @@ def _quiet_stdout():
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):
         return  # captured in process: nothing flushes it at exit
-    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _run(argv):

@@ -17,8 +17,8 @@ line. Blank lines and lines starting with '#' are ignored. An optional
 ranking key on the [ring] line selects "orderly" (default) or
 "elimination:i,j,..." with a permutation of the variable indices. [ring]
 takes only m, n, field and ranking; [bounds] only order, degree and height,
-each an integer. Any other key, a repeated key or a non-integer value is a
-format error naming the line.
+each an integer. Any other key, a repeated key, a non-integer value or a
+second [ring] or [bounds] line is a format error naming the line.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ def parse_instance_text(text):
     ranking = Ranking()
     sections = {name: [] for name in _POLY_SECTIONS}
     bounds = {}
+    headers = {}  # header section name -> line it appears on
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -95,6 +96,12 @@ def parse_instance_text(text):
                 raise InstanceFormatError(f"line {lineno}: unterminated section header")
             name = line[1:end].strip().lower()
             rest = line[end + 1 :].strip()
+            if name in _HEADER_KEYS:
+                if name in headers:
+                    raise InstanceFormatError(
+                        f"line {lineno}: [{name}] already given on line {headers[name]}"
+                    )
+                headers[name] = lineno
             if name == "ring":
                 kv = _parse_kv(rest, name, lineno)
                 for k in ("m", "n"):

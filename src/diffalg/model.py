@@ -61,14 +61,6 @@ class ModelPoint:
         return f"ModelPoint({inner})"
 
 
-def _theta_value(base, theta):
-    p = base
-    for i, k in enumerate(theta, start=1):
-        for _ in range(k):
-            p = p.diff(i)
-    return p
-
-
 def eval_poly(f, point, y_point=None):
     """Evaluate f at the point; y-variables read from y_point when given."""
     nt = f.ring.nt
@@ -86,7 +78,7 @@ def eval_poly(f, point, y_point=None):
                     if y_point is None:
                         raise ValueError(f"y-variable {v.text()} present but no y-assignment given")
                     base = y_point.get(v.index)
-                got = cache[v] = _theta_value(base, v.theta)
+                got = cache[v] = sparse.iterate(base, v.theta, TPoly.diff)
             for _ in range(e):
                 val = got.terms if val is None else sparse.mul(val, got.terms)
         if c.is_poly():

@@ -160,31 +160,25 @@ class DiffPoly:
             c = Scalar.from_fraction(self.ring.nt, c)
         return DiffPoly._raw(self.ring, sparse.scale(self.terms, c))
 
-    def map_coeffs(self, fn):
-        t = {}
-        for m, c in self.terms.items():
-            sparse.acc(t, m, fn(c))
-        return DiffPoly._raw(self.ring, t)
-
-    def derive(self, i):
-        """Apply the derivation delta_i (Leibniz over monomials, d/dt_i on coefficients)."""
-        if not 1 <= i <= self.ring.m:
-            raise ValueError(f"no derivation d{i} (m={self.ring.m})")
+    def leibniz(self, i, image):
+        """The derivation that is d/dt_i on coefficients and sends each variable
+        v to the variable image(v), extended to monomials by the Leibniz rule."""
         out = {}
         for mono, c in self.terms.items():
             sparse.acc(out, mono, c.diff(i))
             for v, e in mono:
-                rest = mono_drop(mono, v, 1)
-                bumped = mono_mul(rest, ((v.derived(i), 1),))
+                bumped = mono_mul(mono_drop(mono, v, 1), ((image(v), 1),))
                 sparse.acc(out, bumped, c.scale(e))
         return DiffPoly._raw(self.ring, out)
 
+    def derive(self, i):
+        """Apply the derivation delta_i: theta x_j goes to delta_i theta x_j."""
+        if not 1 <= i <= self.ring.m:
+            raise ValueError(f"no derivation d{i} (m={self.ring.m})")
+        return self.leibniz(i, lambda v: v.derived(i))
+
     def derive_theta(self, theta):
-        p = self
-        for i, k in enumerate(theta, start=1):
-            for _ in range(k):
-                p = p.derive(i)
-        return p
+        return sparse.iterate(self, theta, DiffPoly.derive)
 
     def formal_partial(self, v):
         """Formal polynomial partial derivative in the single variable v."""

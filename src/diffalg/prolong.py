@@ -1,11 +1,14 @@
 """The prolongation operator: f(x) -> tau f(x, y), linear in the y-family.
 
-tau f = f with every coefficient differentiated in the D-direction, plus the
-sum over occurring derivatives theta x_i of (formal partial of f) * theta y_i.
-Evaluating tau f at a model point paired with its D-companion reproduces the
-D-derivative of the value of f; that chain-rule contract is checkable exactly.
-Repeated application is intentionally unsupported: no identity is claimed for
-iterating the operator.
+tau is the derivation D, extended to monomials by the same Leibniz rule as
+the delta_i (DiffPoly.leibniz): D acts on coefficients as d/dt_{m+1}, the
+last t-symbol, and sends each derivative theta x_i to theta y_i. So tau f is
+f with every coefficient D-differentiated, plus the sum over occurring
+theta x_i of (formal partial of f) * theta y_i. Evaluating tau f at a model
+point paired with its D-companion reproduces the D-derivative of the value
+of f; that chain-rule contract is checkable exactly. Repeated application is
+intentionally unsupported: no identity is claimed for iterating the operator,
+and in general tau V(f_1, ..., f_s) is not V(f_1, ..., f_s, tau f_1, ..., tau f_s).
 """
 
 from __future__ import annotations
@@ -33,27 +36,12 @@ class TauPoly:
     def ring(self):
         return self.value.ring
 
-    def y_part_zeroed(self):
-        """Drop all y-terms; recovers the coefficientwise D-derivative."""
-        kept = {
-            m: c
-            for m, c in self.value.terms.items()
-            if all(v.family != "y" for v, _ in m)
-        }
-        return DiffPoly._raw(self.value.ring, dict(kept))
-
 
 def tau(f):
     """Prolong an x-polynomial."""
     if f.has_family("y"):
         raise ValueError("prolongation input must not contain y-variables")
-    ring = f.ring
-    out = f.map_coeffs(lambda c: c.diff(ring.nt))
-    for v in sorted(f.variables(), key=lambda w: w.sort_key):
-        part = f.formal_partial(v)
-        if not part.is_zero():
-            out = out + part * DiffPoly.var(ring, v.shadow("y"))
-    return TauPoly(out)
+    return TauPoly(f.leibniz(f.ring.nt, lambda v: v.shadow("y")))
 
 
 def tau_set(polys):

@@ -13,7 +13,10 @@ divisibility, unit vectors), which DerivVar's derivative operators use too,
 and the one enumeration of all monomials up to a degree.
 Functions that return a polynomial return a fresh dict and leave their
 arguments alone; acc updates the dict it is given. power works on any value
-with a *, so TPoly, DiffPoly and Scalar share it.
+with a *, so TPoly, DiffPoly and Scalar share it. iterate is the
+theta-iterate: it applies a derivative operator theta = (e1, ..., em) with
+any one-step derivation, so derivatives of DiffPolys (derive_theta) and of
+model-point assignments (eval_poly) share it.
 """
 
 from __future__ import annotations
@@ -143,6 +146,14 @@ def power(x, k, one):
         if k:
             x = x * x
     return r
+
+
+def iterate(x, theta, d):
+    """The theta-iterate of x: the derivation d(., i) applied theta[i-1] times for each i."""
+    for i, k in enumerate(theta, start=1):
+        for _ in range(k):
+            x = d(x, i)
+    return x
 
 
 def exact_div(p, d):

@@ -40,6 +40,11 @@ class TestBuchberger:
         I = buchberger(ideal("x1^2 - 1", "x1*x2 - 1", order="lex"))
         assert set(I.basis) == {P("x1 - x2"), P("x2^2 - 1")}
 
+    def test_repeated_and_redundant_leads(self):
+        # x1^2 leads twice, and x1^3 - x1*x2 = x1*(x1^2 - x2) is redundant
+        I = buchberger(ideal("x1^2 - x2", "x1^2 + x2^2", "x1^3 - x1*x2"))
+        assert [poly_text(g) for g in I.basis] == ["x2^2 + x2", "x1^2 - x2"]
+
     def test_zero_ideal(self):
         I = buchberger(ideal("0"))
         assert I.basis == ()

@@ -126,6 +126,27 @@ class TestReports:
         assert code == 0
         assert "seed: 17" in out
 
+    def test_axiom_validate_honours_seed(self, tmp_path, capsys):
+        # the zero-divisor probe of seed 4 finds (-x1 + 1) * (-2*x1 - 2); seed 0 does not
+        path = tmp_path / "seeded.axiom"
+        path.write_text(
+            "[ring] m=1 n=2 field=rational_t\n"
+            "[lambda]\nx1^2 - 1\nx2^2 - x1\n"
+            "[W]\nx1^2 - 1\nx2^2 - x1\n2*x1*y1\n2*x2*y2 - y1\n"
+            "[bounds] order=1 degree=1 height=1\n",
+            encoding="utf-8",
+        )
+        code, out = run(capsys, "certify", str(path), "--seed", "4")
+        assert code == 2
+        assert "zero-divisor witness: (-x1 + 1) * (-2*x1 - 2)" in out
+        code, out = run(capsys, "axiom", "validate", str(path), "--seed", "4")
+        assert code == 2
+        assert out.startswith("status: rejected\n")
+        assert "seed: 4" in out
+        code, out = run(capsys, "axiom", "validate", str(path))
+        assert code == 0
+        assert out.startswith("status: valid\n")
+
     def test_coherent_report(self, capsys):
         code, out = run(capsys, "coherent", "--system-file", FIX["incoherent-pair.sys"])
         assert code == 2
@@ -245,11 +266,16 @@ class TestHeaderKeys:
          "line 2: elimination ranking needs comma-separated indices, got 'a'"),
         ("m=1 n=1 field=rational_t", "m=1 n=1 field=rational_t ranking=elimination:2,1",
          "line 2: elimination ranking must permute 1..1"),
+        ("order=2 degree=1 height=1", "order=2 degree=2\n[bounds] height=1",
+         "line 11: [bounds] already given on line 10"),
+        ("m=1 n=1 field=rational_t", "m=1 n=1 field=rational_t\n[ring] m=1 n=1",
+         "line 3: [ring] already given on line 2"),
     ], ids=["bounds-unknown-key", "bounds-not-int", "bounds-repeat", "bounds-no-value",
             "ring-unknown-key", "ring-not-int", "ring-missing-m", "ring-bad-field",
-            "ring-ranking-not-int", "ring-ranking-short"])
+            "ring-ranking-not-int", "ring-ranking-short", "bounds-second-header",
+            "ring-second-header"])
     def test_bad_header_is_one_line_error(self, tmp_path, capsys, old, new, message):
-        text = open(FIX["basic.axiom"], encoding="utf-8").read()
+        text = Path(FIX["basic.axiom"]).read_text(encoding="utf-8")
         assert old in text
         path = tmp_path / "bad.axiom"
         path.write_text(text.replace(old, new), encoding="utf-8")
@@ -284,7 +310,7 @@ class TestSearchBounds:
         ("order=2 degree=1 height=-1", "height"),
     ])
     def test_file_bound_below_one_is_usage_error(self, tmp_path, capsys, bounds, name):
-        text = open(FIX["basic.axiom"], encoding="utf-8").read()
+        text = Path(FIX["basic.axiom"]).read_text(encoding="utf-8")
         path = tmp_path / "bad.axiom"
         path.write_text(text.replace("order=2 degree=1 height=1", bounds), encoding="utf-8")
         for flags in ([], ["--degree", "1", "--height", "1"]):
@@ -476,7 +502,8 @@ class TestOutputAndInput:
         )
         head = [proc.stdout.readline() for _ in range(2)]
         proc.stdout.close()
-        err = proc.stderr.read()
+        with proc.stderr:
+            err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
         assert head == [b"status: exhausted\n", b"candidates examined: 15625\n"]
         assert err == b""

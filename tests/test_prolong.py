@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffalg import (
+    DiffPoly,
     ModelPoint,
     RingContext,
     Scalar,
@@ -65,8 +66,20 @@ class TestTauInvariants:
     def test_zero_y_recovers_coefficient_derivative(self, rng):
         for _ in range(30):
             f = rand_poly(rng, RT, allow_t=True)
-            t = tau(f)
-            assert t.y_part_zeroed() == f.map_coeffs(lambda c: c.diff(RT.nt))
+            y_free = {
+                m: c for m, c in tau(f).value.terms.items()
+                if all(v.family != "y" for v, _ in m)
+            }
+            assert y_free == DiffPoly(RT, {m: c.diff(RT.nt) for m, c in f.terms.items()}).terms
+
+    def test_defining_formula(self, rng):
+        # tau f = (coefficients of f differentiated in t3) + sum_v (df/dv) * shadow(v)
+        for _ in range(200):
+            f = rand_poly(rng, RT, allow_t=True)
+            want = DiffPoly(RT, {m: c.diff(RT.nt) for m, c in f.terms.items()})
+            for v in f.variables():
+                want = want + f.formal_partial(v) * DiffPoly.var(RT, v.shadow("y"))
+            assert tau(f).value == want
 
     def test_product_rule(self, rng):
         for _ in range(60):
