@@ -45,6 +45,7 @@ from .reduction import (
 CERTIFIED = "certified"
 REJECTED = "rejected"
 CONDITIONAL = "conditional"
+_MEMBER_ORDER = 6  # saturation_members first derives the system up to this order
 
 
 def _frozen_variables(polys, ranking):
@@ -115,7 +116,7 @@ def sat_ideal_member(f, cert):
     return c.remainder.is_zero(), c
 
 
-def saturation_members(cert, count, max_order=6):
+def saturation_members(cert, count):
     """Deterministic supply of distinct verified saturation-ideal members."""
     system = cert.system
     out, seen = [], set()
@@ -129,7 +130,7 @@ def saturation_members(cert, count, max_order=6):
             out.append(g)
 
     m = len(system.leaders[0].theta)
-    for theta in t_monomials(m, max_order):
+    for theta in t_monomials(m, _MEMBER_ORDER):
         for f in system.elements:
             push(f.derive_theta(theta))
             if len(out) >= count:
@@ -171,14 +172,19 @@ def _open_set(system, extra=()):
             + [(g, False) for g in extra])
 
 
-def _fails(checks, pt, ypt=None):
-    """Index of the first check that fails at (pt, ypt), or None if all pass.
+def _values(checks, pt, ypt=None):
+    """The value of each check at (pt, ypt), in order, computed as consumed.
 
     Without ypt a check must be free of y-variables."""
-    for i, (p, want_zero) in enumerate(checks):
-        val = eval_at_model_point(p, pt) if ypt is None else eval_poly(p, pt, ypt)
+    for p, _ in checks:
+        yield eval_at_model_point(p, pt) if ypt is None else eval_poly(p, pt, ypt)
+
+
+def _fails(checks, pt, ypt=None):
+    """(index, value) of the first check that fails at (pt, ypt), or None."""
+    for i, ((_, want_zero), val) in enumerate(zip(checks, _values(checks, pt, ypt))):
         if val.is_zero() != want_zero:
-            return i
+            return i, val
     return None
 
 
@@ -222,8 +228,7 @@ def naive_vs_tau_demo(raw_gens, cert, *, degree=1, height=1, members=10, samples
     """Search the naive prolongation variety for a point missing the corrected
     one, then confirm the corrected data is clean on sampled open-set points."""
     members_list = saturation_members(cert, members)
-    tau_members = [(g, tau(g).value) for g in members_list]
-    member_checks = [(tg, True) for _, tg in tau_members]
+    member_checks = [(tau(g).value, True) for g in members_list]
 
     point = member = value = None
     examined = 0
@@ -231,17 +236,16 @@ def naive_vs_tau_demo(raw_gens, cert, *, degree=1, height=1, members=10, samples
                             [(f, True) for f in raw_gens], [tau(f).value for f in raw_gens])
     for pt, ypt in naive:
         examined += 1
-        i = _fails(member_checks, pt, ypt)
-        if i is not None:
-            member, tg = tau_members[i]
-            point, value = (pt, ypt), eval_poly(tg, pt, ypt)
+        failed = _fails(member_checks, pt, ypt)
+        if failed is not None:
+            i, value = failed
+            point, member = (pt, ypt), members_list[i]
             break
 
     sample_pairs = doubled_samples(cert.system, samples, degree=max(degree, 2), height=height)
     failures = []
     for pt, ypt in sample_pairs:
-        for g, tg in tau_members:
-            val = eval_poly(tg, pt, ypt)
+        for g, val in zip(members_list, _values(member_checks, pt, ypt)):
             if not val.is_zero():
                 failures.append((pt, ypt, g, val))
 
@@ -272,16 +276,17 @@ def open_set_equality_check(cert, g, samples):
     lhs = tau(h_l * g).value
     rhs = h_l * tg + g * tau(h_l).value
     symbolic_ok = lhs == rhs
-    taus = [tau(f).value for f in system.elements]
+    open_checks = _open_set(system)
+    prolonged = [(tau(f).value, True) for f in system.elements]
     failures = []
     for idx, (pt, ypt) in enumerate(samples):
-        for f, tf in zip(system.elements, taus):
-            if not eval_at_model_point(f, pt).is_zero():
-                raise ValueError(f"sample {idx} does not satisfy the system")
-            if not eval_poly(tf, pt, ypt).is_zero():
-                raise ValueError(f"sample {idx} does not satisfy the prolonged system")
-        if eval_at_model_point(system.h, pt).is_zero():
-            raise ValueError(f"sample {idx} lies on the zero set of H")
+        failed = _fails(open_checks, pt)
+        if failed is not None:
+            on_h = failed[0] == len(system.elements)
+            why = "lies on the zero set of H" if on_h else "does not satisfy the system"
+            raise ValueError(f"sample {idx} {why}")
+        if _fails(prolonged, pt, ypt) is not None:
+            raise ValueError(f"sample {idx} does not satisfy the prolonged system")
         val = eval_poly(tg, pt, ypt)
         if not val.is_zero():
             failures.append((idx, val))
@@ -410,10 +415,10 @@ def witness_search(inst, validation, *, degree=1, height=1):
     for pt in _grid(inst.system.ring, degree, height):
         examined += 1
         dpt = pt.d_companion()
-        i = _fails(checks, pt, dpt)
-        if i is None:
-            transcript = [CheckLine(label, eval_poly(p, pt, dpt), want_zero)
-                          for label, (p, want_zero) in zip(labels, checks)]
+        failed = _fails(checks, pt, dpt)
+        if failed is None:
+            transcript = [CheckLine(label, val, want_zero) for label, (_, want_zero), val
+                          in zip(labels, checks, _values(checks, pt, dpt))]
             return WitnessReport("found", pt, transcript, examined, (degree, height), trail)
-        trail.append((pt, labels[i]))
+        trail.append((pt, labels[failed[0]]))
     return WitnessReport("exhausted", None, [], examined, (degree, height), trail)

@@ -40,7 +40,7 @@ from .instances import (
     load_instance_file,
 )
 from .model import ModelPoint
-from .parser import ParseError, parse_poly, parse_tpoly, poly_text, scalar_text, tpoly_text
+from .parser import ParseError, parse_poly, parse_tpoly, point_text, poly_text, scalar_text
 from .prolong import d_compatibility_check, tau
 from .ranking import ORDERLY, Ranking
 from .reduction import (
@@ -97,10 +97,6 @@ def _pair_lines(pairs, system):
     return lines
 
 
-def _point_text(pt):
-    return ", ".join(f"x{j} := {tpoly_text(p)}" for j, p in sorted(pt.assignment.items()))
-
-
 def _ring_from(args):
     mode = RATIONAL_T if args.field == "rational_t" else CONSTANTS
     return RingContext(m=args.m, n=args.n, field_mode=mode)
@@ -122,12 +118,10 @@ def _ranking_from(args):
 
 
 def _system_polys(args):
-    ring = _ring_from(args)
-    if args.system_file:
+    if args.system is None:
         data = _load(args.system_file)
         return data.lam, data.ring, data.ranking
-    if not args.system:
-        raise _UsageError("provide --system or --system-file")
+    ring = _ring_from(args)
     polys = [parse_poly(chunk, ring) for chunk in args.system.split(";") if chunk.strip()]
     return polys, ring, _ranking_from(args)
 
@@ -241,10 +235,9 @@ def _cmd_hprod(args):
     return _emit([h], {"status": "ok", "h": h}, args, EXIT_OK)
 
 
-def _algideal_from(args, ring):
+def _algideal_from(args, ring, order=GREVLEX):
     variables = _parse_vars(args.vars, ring)
     gens = tuple(parse_poly(chunk, ring) for chunk in args.gens.split(";") if chunk.strip())
-    order = LEX if args.order == "lex" else GREVLEX
     return AlgIdeal(ring, variables, gens, order)
 
 
@@ -254,13 +247,13 @@ def _emit_polys(polys, args, **trailer):
 
 
 def _cmd_groebner(args):
-    ideal = buchberger(_algideal_from(args, _ring_from(args)))
+    ideal = buchberger(_algideal_from(args, _ring_from(args), args.order))
     return _emit_polys(ideal.basis, args, order=ideal.order)
 
 
 def _cmd_member(args):
     ring = _ring_from(args)
-    ideal = buchberger(_algideal_from(args, ring))
+    ideal = buchberger(_algideal_from(args, ring, args.order))
     f = parse_poly(args.expr, ring)
     cert = ideal_member(f, ideal)
     nf = poly_text(cert.normal_form)
@@ -296,7 +289,7 @@ def _seeded_config(args):
 
 def _cmd_prime(args):
     ring = _ring_from(args)
-    ideal = _algideal_from(args, ring)
+    ideal = _algideal_from(args, ring, args.order)
     verdict = primality_oracle(ideal, _primality_config(args))
     lines = [f"status: {verdict.status}", f"method: {verdict.method}"]
     if verdict.witness:
@@ -335,7 +328,7 @@ def _cmd_axiom(args):
         if validation.failed:
             lines.append(f"reason: {validation.failed}")
         if validation.o_point is not None:
-            lines.append(f"open-set point: {_point_text(validation.o_point)}")
+            lines.append(f"open-set point: {point_text(validation.o_point)}")
         trailer = {"status": validation.status, "order_bound": str(validation.order_bound)}
         code = EXIT_OK if validation.status == "valid" else EXIT_REJECTED
         return _emit(lines, trailer, args, code)
@@ -358,15 +351,15 @@ def _cmd_axiom(args):
     report = witness_search(inst, validation, degree=degree, height=height)
     lines = [f"status: {report.status}", f"candidates examined: {report.examined}"]
     if report.status == "found":
-        lines.append(f"witness: {_point_text(report.witness)}")
+        lines.append(f"witness: {point_text(report.witness)}")
         for c in report.checks:
             lines.append(f"check {c.label} -> {scalar_text(c.value)} ({'ok' if c.ok else 'FAIL'})")
-        trailer = {"status": "found", "witness": _point_text(report.witness),
+        trailer = {"status": "found", "witness": point_text(report.witness),
                    "examined": str(report.examined)}
         return _emit(lines, trailer, args, EXIT_OK)
     # Rendered only if _emit prints it: --machine shows the trailer alone.
     lines = itertools.chain(
-        lines, (f"candidate {_point_text(pt)}: failed {why}" for pt, why in report.trail))
+        lines, (f"candidate {point_text(pt)}: failed {why}" for pt, why in report.trail))
     trailer = {"status": report.status, "examined": str(report.examined),
                "degree": str(degree), "height": str(height)}
     return _emit(lines, trailer, args, EXIT_REJECTED)
@@ -387,7 +380,7 @@ def _cmd_demo(args):
     lines = [f"status: {report.status}"]
     if report.status == "found":
         pt, ypt = report.point
-        lines.append(f"point: {_point_text(pt)}; y-side {_point_text(ypt).replace('x', 'y')}")
+        lines.append(f"point: {point_text(pt)}; y-side {point_text(ypt, 'y')}")
         lines.append(f"violated member: {poly_text(report.violated_member)}")
         lines.append(f"prolonged value: {scalar_text(report.violated_value)}")
     lines.append(f"open-set samples checked: {report.samples_checked}, "
@@ -408,17 +401,20 @@ def _add_ring_opts(sp):
 
 
 def _add_system_opts(sp):
-    sp.add_argument("--system", default=None, help='semicolon-separated, e.g. "d1 x1 - 1; d2 x1"')
-    sp.add_argument("--system-file", default=None)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--system", help='semicolon-separated, e.g. "d1 x1 - 1; d2 x1"')
+    source.add_argument("--system-file", help="its [ring] line sets m, n, field and ranking")
     sp.add_argument("--ranking", default=ORDERLY,
                     help="orderly (default) or elimination:i,j,...; ignored with --system-file")
 
 
-def _add_common(sp, ring=True):
+def _add_common(sp, ring=True, seed=False):
     if ring:
         _add_ring_opts(sp)
     sp.add_argument("--machine", action="store_true", help="print only the trailer block")
-    sp.add_argument("--seed", type=int, default=None)
+    if seed:
+        sp.add_argument("--seed", type=int, default=None,
+                        help="seed of the primality oracle's zero-divisor probes")
 
 
 @functools.cache
@@ -467,16 +463,17 @@ def build_parser():
                 sp.add_argument(arg)
         sp.add_argument("gens", help="semicolon-separated generators")
         sp.add_argument("--vars", required=True, help='e.g. "x1, d1x1, y1"')
-        sp.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
+        if name in ("groebner", "member", "prime"):
+            sp.add_argument("--order", choices=[GREVLEX, LEX], default=GREVLEX)
         if name == "prime":
             sp.add_argument("--degree-bound", type=int, default=2)
             sp.add_argument("--height-bound", type=int, default=2)
-        _add_common(sp)
+        _add_common(sp, seed=name == "prime")
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("certify", help="characteristic-set certification pipeline")
     sp.add_argument("file")
-    _add_common(sp, ring=False)
+    _add_common(sp, ring=False, seed=True)
     sp.set_defaults(fn=_cmd_certify)
 
     sp = sub.add_parser("axiom", help="axiom-instance checks")
@@ -484,7 +481,7 @@ def build_parser():
     sp.add_argument("file")
     sp.add_argument("--degree", type=int, default=None)
     sp.add_argument("--height", type=int, default=None)
-    _add_common(sp, ring=False)
+    _add_common(sp, ring=False, seed=True)
     sp.set_defaults(fn=_cmd_axiom)
 
     sp = sub.add_parser("demo", help="comparison demos")
@@ -494,7 +491,7 @@ def build_parser():
     sp.add_argument("--height", type=int, default=None)
     sp.add_argument("--members", type=int, default=10)
     sp.add_argument("--samples", type=int, default=50)
-    _add_common(sp, ring=False)
+    _add_common(sp, ring=False, seed=True)
     sp.set_defaults(fn=_cmd_demo)
 
     return p

@@ -30,7 +30,7 @@ from .axioms import AxiomInstance
 from .parser import parse_poly
 from .ranking import Ranking
 from .reduction import autoreduced_check
-from .ring import CONSTANTS, RATIONAL_T, RingContext
+from .ring import CONSTANTS, RingContext
 
 
 class InstanceFormatError(ValueError):

@@ -149,28 +149,20 @@ class _Parser:
             p = self.poly()
             self.expect_op(")")
             return p
-        if kind == "let" and val == "d":
+        if kind == "let" and val in "dxy":
             theta = [0] * self.ring.m
-            while True:
+            while val == "d":
                 idx, p = self.index_after("d", pos)
                 if not 1 <= idx <= self.ring.m:
                     raise ParseError(f"derivation index d{idx} out of range (m={self.ring.m})", p)
                 theta[idx - 1] += 1
                 kind, val, pos = self.take()
-                if kind == "let" and val == "d":
-                    continue
-                break
-            if kind != "let" or val not in "xy":
-                raise ParseError("expected a variable after derivation prefixes", pos)
+                if kind != "let" or val not in "dxy":
+                    raise ParseError("expected a variable after derivation prefixes", pos)
             idx, p = self.index_after(val, pos)
             if not 1 <= idx <= self.ring.n:
                 raise ParseError(f"variable index {val}{idx} out of range (n={self.ring.n})", p)
             return DiffPoly.var(self.ring, DerivVar(val, idx, tuple(theta)))
-        if kind == "let" and val in "xy":
-            idx, p = self.index_after(val, pos)
-            if not 1 <= idx <= self.ring.n:
-                raise ParseError(f"variable index {val}{idx} out of range (n={self.ring.n})", p)
-            return DiffPoly.var(self.ring, DerivVar(val, idx, (0,) * self.ring.m))
         if kind == "let" and val == "t":
             idx, p = self.index_after("t", pos)
             if self.ring.field_mode != RATIONAL_T:
@@ -232,6 +224,11 @@ def tpoly_text(p):
         else:
             parts.append((" + " if q > 0 else " - ") + _tterm_text(e, abs(q)))
     return "".join(parts)
+
+
+def point_text(pt, family="x"):
+    """Render a model point as "x1 := t2, x2 := 1", naming the given family."""
+    return ", ".join(f"{family}{j} := {tpoly_text(p)}" for j, p in sorted(pt.assignment.items()))
 
 
 def scalar_text(s):

@@ -201,7 +201,6 @@ class DeltaPairEvidence:
 
     hi: int
     lo: int
-    delta_poly: DiffPoly
     certificate: ReductionCertificate
 
     @property
@@ -236,7 +235,7 @@ def coherence_check(system):
             b_shift = system.elements[lo].derive_theta(ediv(theta, ub.theta))
             delta = system.separants[lo] * a_shift - system.separants[hi] * b_shift
             cert = full_reduce(delta, system)
-            evidence.append(DeltaPairEvidence(hi, lo, delta, cert))
+            evidence.append(DeltaPairEvidence(hi, lo, cert))
             if not cert.remainder.is_zero():
                 coherent = False
     return CoherenceReport(coherent, evidence)

@@ -156,6 +156,15 @@ class TestOpenSetEquality:
             open_set_equality_check(cert, P("x1^2 - t1", R11),
                                     [(bad, ModelPoint(R11, {1: TPoly.zero(2)}))])
 
+    def test_sample_on_zero_set_of_h_rejected(self):
+        # H = x2^2 vanishes at x1 = x2 = 0, where the system and its prolongation do
+        ring = RingContext(m=1, n=2, field_mode=RATIONAL_T)
+        cert = cert_for("x2*d1x1 - x1", ring=ring)
+        assert cert.status == "conditional" and poly_text(cert.system.h) == "x2^2"
+        zero = ModelPoint(ring, {1: TPoly.zero(2), 2: TPoly.zero(2)})
+        with pytest.raises(ValueError, match="sample 0 lies on the zero set of H"):
+            open_set_equality_check(cert, P("x2*d1x1 - x1", ring), [(zero, zero)])
+
     def test_nonmember_rejected(self):
         cert = cert_for("d1 x1 - 1", ring=R11)
         with pytest.raises(ValueError):

@@ -186,10 +186,12 @@ class TestReports:
         assert code == 2
         assert "normal form: ((t1^2 + t1)*x3 + 3) / (t1^2 + t1)" in out
 
-    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("source", ["flag", "empty-flag", "file"])
     def test_hprod_of_empty_system_is_one(self, tmp_path, capsys, source):
         if source == "flag":
             argv = ["hprod", "--system", ";", "--m", "1", "--n", "1"]
+        elif source == "empty-flag":
+            argv = ["hprod", "--system", "", "--m", "1", "--n", "1"]
         else:
             path = tmp_path / "empty.sys"
             path.write_text("[ring] m=1 n=1\n", encoding="utf-8")
@@ -209,6 +211,54 @@ class TestReports:
         assert code == 0 and "status: valid" in out
         code, out = run(capsys, "axiom", "project", FIX["basic.axiom"])
         assert code == 0 and "projection covers the open set" in out
+
+
+class TestFlagSurface:
+    """Every flag a command accepts can change its run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tau", "x1^2", "--m", "1", "--n", "1", "--seed", "9"],
+        ["reduce", "x1", "--system", "d1 x1", "--seed", "9"],
+        ["coherent", "--system", "d1 x1", "--seed", "9"],
+        ["hprod", "--system", "x1^2 - 1", "--seed", "9"],
+        ["groebner", "x1", "--vars", "x1", "--m", "0", "--seed", "9"],
+        ["member", "x1", "x1", "--vars", "x1", "--m", "0", "--seed", "9"],
+        ["eliminate", "x1*x2 - 1", "--vars", "x1, x2", "--drop", "x2", "--m", "0", "--n", "2",
+         "--seed", "9"],
+        ["saturate", "x1*x2", "--vars", "x1, x2", "--by", "x1", "--m", "0", "--n", "2",
+         "--seed", "9"],
+        ["eliminate", "x1*x2 - 1", "--vars", "x1, x2", "--drop", "x2", "--m", "0", "--n", "2",
+         "--order", "lex"],
+        ["saturate", "x1*x2", "--vars", "x1, x2", "--by", "x1", "--m", "0", "--n", "2",
+         "--order", "lex"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_removed_flag_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: unrecognized arguments: {argv[-2]} {argv[-1]}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", FIX["coherent-pair.sys"], "--seed", "3"],
+        ["demo", "naive-vs-tau", FIX["square-naive.demo"], "--seed", "3"],
+    ])
+    def test_seeded_commands_echo_seed(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.endswith("seed: 3\n")
+
+    def test_system_and_system_file_exclude_each_other(self, capsys):
+        assert main(["hprod", "--system", "x1", "--system-file",
+                     FIX["coherent-pair.sys"]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    def test_system_source_is_required(self, capsys):
+        assert main(["coherent", "--m", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "one of the arguments --system --system-file is required" in err
 
 
 class TestInstanceFiles:
