@@ -2,15 +2,23 @@
 
 Polynomials are frozen to exponent vectors over an ordered variable tuple,
 as sparse term dicts (see sparse.py). Every call, the primality oracle
-included, picks its coefficient domain from its data in _freeze: plain
-Fractions when every coefficient of every polynomial it works on is a rational
-constant, exact Scalars otherwise. Both domains share one arithmetic path;
-results thaw back to DiffPolys over Scalars either way.
+included, picks its coefficient domain from its data in _freeze. When every
+coefficient of every polynomial it works on is a rational constant, each
+polynomial is scaled to its primitive integer form and the work runs on plain
+ints, fraction-free (Bareiss, Math. Comp. 1968): a division step scales the
+work by bc/g and subtracts c/g times the divisor, g = gcd(c, bc), and `/` is
+never applied to an int coefficient. Otherwise it runs on exact Scalars with
+the field step c/bc. Both domains share one arithmetic path; _ratio,
+_primitive and _normalize are the only places that tell them apart. Results
+thaw back to DiffPolys over Scalars with Fraction constants, normal forms and
+quotients divided by the scale the integer run picked up, so both domains
+give the same values.
 Buchberger runs the normal strategy with pairs selected by lcm order, and
 the emitted basis is inter-reduced and normalized to denominator-free,
 integer-primitive elements with a positive leading coefficient. buchberger,
 eliminate and saturate each re-check that all S-polynomials of the basis
-they compute reduce to zero, and raise RuntimeError otherwise.
+they compute reduce to zero and that every input generator does, and raise
+RuntimeError otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import modp
 from .poly import DiffPoly, mono_from
@@ -57,43 +66,99 @@ def to_algpoly(f, variables):
 
 
 def _freeze(polys, variables):
-    """Term dicts over Fraction if every coefficient is constant, else over
-    Scalar; and the map taking a rational into that domain."""
+    """Term dicts over int if every coefficient is constant, each polynomial
+    scaled to its primitive integer form, else over Scalar; the map taking an
+    integer into that domain; and the rational each polynomial was scaled by
+    (1 when unscaled)."""
     frozen = [to_algpoly(f, variables) for f in polys]
     coeffs = [c for p in frozen for c in p.values()]
     if all(c.is_const() for c in coeffs):
-        return [{e: c.num.const_value() for e, c in p.items()} for p in frozen], Fraction
-    return frozen, functools.partial(Scalar.from_fraction, coeffs[0].nvars)
+        out, scales = [], []
+        for p in frozen:
+            rats = [next(iter(c.num.terms.values())) for c in p.values()]  # the constant term
+            den = lcm(*(q.denominator for q in rats))
+            nums = [q.numerator * (den // q.denominator) for q in rats]
+            g = gcd(*nums) or 1
+            out.append(dict(zip(p, nums)) if g == 1 else {e: n // g for e, n in zip(p, nums)})
+            scales.append(1 if den == g else Fraction(den, g))
+        return out, int, scales
+    return frozen, functools.partial(Scalar.from_fraction, coeffs[0].nvars), [1] * len(frozen)
 
 
-def from_algpoly(p, variables, ring):
+def from_algpoly(p, variables, ring, scale=1):
+    """Thaw a term dict, each coefficient times the rational scale, to a
+    DiffPoly; int coefficients become exact Fractions."""
     terms = {}
     for e, c in p.items():
-        mono = mono_from((variables[i], k) for i, k in enumerate(e) if k)
-        terms[mono] = c
+        if scale != 1:
+            c = c * scale
+        if not isinstance(c, (int, Fraction, Scalar)):
+            raise RuntimeError(f"inexact coefficient {c!r} in the Groebner backend")
+        terms[mono_from((variables[i], k) for i, k in enumerate(e) if k)] = c
     return DiffPoly(ring, terms)
 
 
+def _ratio(c, bc):
+    """The step (s, r) with s*c == r*bc that cancels the coefficient c by bc.
+
+    Over ints s = bc/g and r = c/g with g = gcd(c, bc), signed so that s > 0;
+    over Scalars the field step s = 1, r = c/bc.
+    """
+    if type(c) is int:
+        g = gcd(c, bc)
+        if bc < 0:
+            g = -g
+        return bc // g, c // g
+    return 1, c / bc
+
+
+def _step(work, s, r, m, b):
+    """work := s*work - r*x^m*b, in place."""
+    if s != 1:
+        for e in work:
+            work[e] *= s
+    nr = -r
+    for be, bc in b.items():
+        acc(work, emul(m, be), nr * bc)
+
+
 def _nf(p, basis, key):
-    """Normal form with quotients: p = sum(q_i * basis_i) + remainder."""
+    """Normal form with quotients: scale*p = sum(q_i * basis_i) + remainder.
+
+    The scale is the product of the integer steps' s, and 1 over Scalars.
+    """
     leads = [lead(b, key) for b in basis]
     rem = {}
     quots = [{} for _ in basis]
+    scale = 1
     work = dict(p)
     while work:
         e, c = lead(work, key)
         for q, b, (be, bc) in zip(quots, basis, leads):
             if divides(be, e):
-                qe, qc = ediv(e, be), c / bc
-                acc(q, qe, qc)
-                nqc = -qc
-                for me, mc in b.items():
-                    acc(work, emul(qe, me), nqc * mc)
+                s, r = _ratio(c, bc)
+                if s != 1:
+                    scale *= s
+                    for t in (rem, *quots):
+                        for te in t:
+                            t[te] *= s
+                qe = ediv(e, be)
+                acc(q, qe, r)
+                _step(work, s, r, qe, b)
                 break
         else:
             rem[e] = c
             del work[e]
-    return rem, quots
+    return rem, quots, scale
+
+
+def _primitive(p):
+    """p over ints divided by the gcd of its coefficients; p over Scalars as it is."""
+    c0 = next(iter(p.values()))
+    if type(c0) is not int:
+        return p
+    g = gcd(*p.values())
+    return p if g == 1 else {e: c // g for e, c in p.items()}
 
 
 def _normalize(p, key):
@@ -101,9 +166,8 @@ def _normalize(p, key):
     if not p:
         return p
     c0 = next(iter(p.values()))
-    if isinstance(c0, Fraction):
-        scale = _int_scale(list(p.values()))
-        result = {e: c * scale for e, c in p.items()}
+    if type(c0) is int:
+        result = _primitive(p)
         negative = lead(result, key)[1] < 0
     else:
         den = Scalar._poly(common_den(c0.nvars, p.values()))
@@ -119,10 +183,15 @@ def _normalize(p, key):
 
 
 def _spoly(f, g, key):
+    """The S-polynomial of f and g up to a nonzero constant factor: the lcm
+    shifts of f and g, cross-multiplied by their leading coefficients."""
     fe, fc = lead(f, key)
     ge, gc = lead(g, key)
     l = elcm(fe, ge)
-    return sub(mul(f, {ediv(l, fe): fc ** -1}), mul(g, {ediv(l, ge): gc ** -1}))
+    shift = ediv(l, fe)
+    work = {emul(shift, e): c for e, c in f.items()}
+    _step(work, *_ratio(fc, gc), ediv(l, ge), g)
+    return work
 
 
 def _buchberger(gens, key):
@@ -141,8 +210,9 @@ def _buchberger(gens, key):
         _, _, i, j = heapq.heappop(pairs)
         if elcm(leads[i], leads[j]) == emul(leads[i], leads[j]):
             continue  # disjoint leading supports reduce to zero
-        rem, _ = _nf(_spoly(G[i], G[j], key), G, key)
+        rem = _nf(_spoly(G[i], G[j], key), G, key)[0]
         if rem:
+            rem = _primitive(rem)
             G.append(rem)
             leads.append(lead(rem, key)[0])
             push(len(G) - 1)
@@ -164,12 +234,16 @@ def _interreduce(G, key):
     return G
 
 
-def _self_check(G, key):
+def _self_check(G, gens, key):
+    """Raise RuntimeError unless every S-polynomial of G reduces to zero by G
+    (G is a Groebner basis of (G)) and then every input generator does (so
+    (G) contains the input ideal)."""
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            rem, _ = _nf(_spoly(G[i], G[j], key), G, key)
-            if rem:
+            if _nf(_spoly(G[i], G[j], key), G, key)[0]:
                 raise RuntimeError("S-polynomial self-check failed on emitted basis")
+    if any(_nf(g, G, key)[0] for g in gens):
+        raise RuntimeError("an input generator does not reduce to zero by the emitted basis")
 
 
 @dataclass
@@ -188,8 +262,9 @@ class AlgIdeal:
 def buchberger(ideal):
     """Attach the reduced, self-checked basis; deterministic for fixed input."""
     key = _order_key(ideal.order)
-    G = _buchberger(_freeze(ideal.generators, ideal.variables)[0], key)
-    _self_check(G, key)
+    gens = _freeze(ideal.generators, ideal.variables)[0]
+    G = _buchberger(gens, key)
+    _self_check(G, gens, key)
     basis = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in G)
     return AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order, basis)
 
@@ -212,15 +287,18 @@ def ideal_member(f, ideal):
     """Normal-form membership test; the division identity is re-verified."""
     ideal = _with_basis(ideal)
     key = _order_key(ideal.order)
-    (p, *basis), _ = _freeze((f, *ideal.basis), ideal.variables)
-    rem, quots = _nf(p, basis, key)
+    (p, *basis), _, (p_scale, *b_scales) = _freeze((f, *ideal.basis), ideal.variables)
+    rem, quots, scale = _nf(p, basis, key)
     recomposed = rem
     for q, b in zip(quots, basis):
         recomposed = add(recomposed, mul(q, b))
-    if recomposed != p:
+    if recomposed != (p if scale == 1 else {e: scale * c for e, c in p.items()}):
         raise RuntimeError("division certificate failed re-verification")
-    nf = from_algpoly(rem, ideal.variables, ideal.ring)
-    qs = [from_algpoly(q, ideal.variables, ideal.ring) for q in quots]
+    # scale*p_scale*f = rem + sum(q_i * b_scale_i * basis_i)
+    den = scale * p_scale
+    nf = from_algpoly(rem, ideal.variables, ideal.ring, Fraction(1, den))
+    qs = [from_algpoly(q, ideal.variables, ideal.ring, Fraction(bs) / den)
+          for q, bs in zip(quots, b_scales)]
     return MembershipCertificate(not rem, nf, qs)
 
 
@@ -229,7 +307,7 @@ def _lex_eliminate(gens, k):
     free of the first k variables, with those k slots struck out."""
     key = _order_key(LEX)
     G = _buchberger(gens, key)
-    _self_check(G, key)
+    _self_check(G, gens, key)
     return [{e[k:]: c for e, c in g.items()} for g in G if not any(any(e[:k]) for e in g)]
 
 
@@ -242,7 +320,7 @@ def eliminate(ideal, drop):
         return AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order)
     first = tuple(v for v in ideal.variables if v in drop)
     rest = tuple(v for v in ideal.variables if v not in drop)
-    gens, _ = _freeze(ideal.generators, first + rest)
+    gens = _freeze(ideal.generators, first + rest)[0]
     kept = _lex_eliminate(gens, len(first))
     return AlgIdeal(ideal.ring, rest, tuple(from_algpoly(g, rest, ideal.ring) for g in kept),
                     GREVLEX)
@@ -250,7 +328,7 @@ def eliminate(ideal, drop):
 
 def saturate(ideal, h):
     """I : h^infinity via the extra-variable trick: eliminate z from I + (1 - z*h)."""
-    (hp, *gens), lift = _freeze((h, *ideal.generators), ideal.variables)
+    (hp, *gens), lift, _ = _freeze((h, *ideal.generators), ideal.variables)
     gens = [{(0,) + e: c for e, c in g.items()} for g in gens]
     gens.append(sub({(0,) * (len(ideal.variables) + 1): lift(1)}, {(1,) + e: c for e, c in hp.items()}))
     out = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in _lex_eliminate(gens, 1))
@@ -275,7 +353,7 @@ def macaulay_member(f, ideal, bound):
 
     Sound for membership at the given bound; a miss refutes only up to it.
     """
-    (p, *gens), lift = _freeze((f, *ideal.generators), ideal.variables)
+    (p, *gens), lift, _ = _freeze((f, *ideal.generators), ideal.variables)
     if total_degree(p) > bound:
         return MacaulayResult("bound_too_small", bound)
     nv = len(ideal.variables)
@@ -287,6 +365,7 @@ def macaulay_member(f, ideal, bound):
     # Echelonize the products, then reduce f against the pivots.
     pivots = {}
     key = _order_key(GREVLEX)
+    no_shift = (0,) * nv
 
     def reduce_vec(vec):
         vec = dict(vec)
@@ -295,15 +374,13 @@ def macaulay_member(f, ideal, bound):
             piv = pivots.get(e)
             if piv is None:
                 return vec, e
-            factor = c / piv[e]
-            for pe, pc in piv.items():
-                acc(vec, pe, -(factor * pc))
+            _step(vec, *_ratio(c, piv[e]), no_shift, piv)
         return vec, None
 
     for row in rows:
         red, lead_e = reduce_vec(row)
         if lead_e is not None:
-            pivots[lead_e] = red
+            pivots[lead_e] = _primitive(red)
     residual, _ = reduce_vec(p)
     return MacaulayResult("not_at_bound" if residual else "member", bound)
 
@@ -344,13 +421,13 @@ _PROOF_PRIMES = tuple(q for q in range(2, 100) if all(q % d for d in range(2, q)
 
 
 def _irreducibility_prime(p):
-    """A prime proving p, frozen over Fraction, irreducible over Q, or None
-    when none below 100 does.
+    """A prime proving p, frozen to a primitive integer polynomial,
+    irreducible over Q, or None when none below 100 does.
 
-    Only a univariate p is tried. Scaled to a primitive integer polynomial,
-    a factorization of p over Q is one over Z (Gauss's lemma); if the prime
-    does not divide the leading coefficient, both factors keep their degrees
-    mod the prime, so a p irreducible mod the prime is irreducible over Q.
+    Only a univariate p is tried. As p is primitive, a factorization of p
+    over Q is one over Z (Gauss's lemma); if the prime does not divide the
+    leading coefficient, both factors keep their degrees mod the prime, so a
+    p irreducible mod the prime is irreducible over Q.
     Q is algebraically closed in Q(t), so it stays irreducible over the
     rational-function field too.
     """
@@ -359,8 +436,7 @@ def _irreducibility_prime(p):
         return None
     (j,) = occ
     q = {e[j]: c for e, c in p.items()}
-    scale = _int_scale(list(q.values()))
-    coeffs = [int(q.get(k, 0) * scale) for k in range(max(q) + 1)]
+    coeffs = [q.get(k, 0) for k in range(max(q) + 1)]
     for prime in _PROOF_PRIMES:
         if coeffs[-1] % prime and modp.irreducible(
             modp.trim([c % prime for c in coeffs]), prime
@@ -381,24 +457,25 @@ def _principal(ideal, f, config):
 
     if f.total_degree() == 1:
         return PrimalityVerdict("prime", "principal-irreducible", None, "principal linear generator")
-    (p,), lift = _freeze((f,), ideal.variables)
+    (p,), lift, _ = _freeze((f,), ideal.variables)
     max_deg = min(config.factor_degree, total_degree(p) - 1)
     if max_deg < 1:
         return unknown("factor-degree bound below 1; search not attempted")
-    if lift is not Fraction:
+    if lift is not int:
         return unknown(
             "principal generator has non-constant coefficients; factor search not attempted")
     monos = monomials(len(ideal.variables), max_deg)
     ladder = list(range(-config.factor_height, config.factor_height + 1))
     if len(ladder) ** len(monos) > FACTOR_BUDGET:
         return unknown(f"factor search space above budget {FACTOR_BUDGET}")
+    rational = {e: Fraction(c) for e, c in p.items()}  # exact_div divides with `/`
     for coeffs in itertools.product(ladder, repeat=len(monos)):
         if next((c for c in coeffs if c), 0) <= 0:
             continue  # skip zero and sign duplicates
         if all(sum(e) == 0 or c == 0 for e, c in zip(monos, coeffs)):
             continue  # constant candidate
-        cand = {e: lift(c) for e, c in zip(monos, coeffs) if c}
-        quot = exact_div(p, cand)
+        cand = {e: Fraction(c) for e, c in zip(monos, coeffs) if c}
+        quot = exact_div(rational, cand)
         if quot is not None and total_degree(quot) >= 1:
             a = from_algpoly(cand, ideal.variables, ideal.ring)
             b = from_algpoly(quot, ideal.variables, ideal.ring)
@@ -443,19 +520,18 @@ def primality_oracle(ideal, config=None):
         return _principal(ideal, basis[0], config)
     rng = random.Random(config.seed)
     key = _order_key(ideal.order)
-    alg_basis, lift = _freeze(basis, ideal.variables)
+    alg_basis, lift, _ = _freeze(basis, ideal.variables)
     monos = monomials(len(ideal.variables), PROBE_DEGREE)
     for _ in range(PROBE_TRIALS):
         a = _random_algpoly(rng, monos, lift)
         b = _random_algpoly(rng, monos, lift)
-        ra, _ = _nf(a, alg_basis, key)
-        rb, _ = _nf(b, alg_basis, key)
+        ra, _, sa = _nf(a, alg_basis, key)
+        rb, _, sb = _nf(b, alg_basis, key)
         if not ra or not rb:
             continue
-        rab, _ = _nf(mul(ra, rb), alg_basis, key)
-        if not rab:
-            fa = from_algpoly(ra, ideal.variables, ring)
-            fb = from_algpoly(rb, ideal.variables, ring)
+        if not _nf(mul(ra, rb), alg_basis, key)[0]:
+            fa = from_algpoly(ra, ideal.variables, ring, Fraction(1, sa))
+            fb = from_algpoly(rb, ideal.variables, ring, Fraction(1, sb))
             if not _verify_zero_divisor(ideal, fa, fb):
                 raise RuntimeError("probe witness failed re-verification")
             return PrimalityVerdict("not_prime", "counterexample", (fa, fb), "zero-divisor probe")

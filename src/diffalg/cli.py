@@ -98,8 +98,13 @@ def _pair_lines(pairs, system):
 
 
 def _ring_from(args):
-    mode = RATIONAL_T if args.field == "rational_t" else CONSTANTS
-    return RingContext(m=args.m, n=args.n, field_mode=mode)
+    """The ring of --m, --n and --field; each unset flag takes its default
+    (m = 1, n = 1, constants)."""
+    return RingContext(
+        m=1 if args.m is None else args.m,
+        n=1 if args.n is None else args.n,
+        field_mode=RATIONAL_T if args.field == RATIONAL_T else CONSTANTS,
+    )
 
 
 def _load(path):
@@ -110,20 +115,25 @@ def _load(path):
         raise InstanceFormatError(str(exc)) from None
 
 
-def _ranking_from(args):
+def _ranking_from(args, ring):
     try:
-        return Ranking.parse(args.ranking, args.n)
+        return Ranking.parse(ORDERLY if args.ranking is None else args.ranking, ring.n)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
 def _system_polys(args):
     if args.system is None:
+        given = [flag for flag in ("m", "n", "field", "ranking") if getattr(args, flag) is not None]
+        if given:
+            flags = ", ".join(f"--{flag}" for flag in given)
+            raise _UsageError(
+                f"{flags}: not allowed with --system-file, whose [ring] line sets them")
         data = _load(args.system_file)
         return data.lam, data.ring, data.ranking
     ring = _ring_from(args)
     polys = [parse_poly(chunk, ring) for chunk in args.system.split(";") if chunk.strip()]
-    return polys, ring, _ranking_from(args)
+    return polys, ring, _ranking_from(args, ring)
 
 
 def _parse_vars(text, ring):
@@ -395,17 +405,19 @@ def _cmd_demo(args):
 
 
 def _add_ring_opts(sp):
-    sp.add_argument("--m", type=int, default=1, help="number of delta-derivations")
-    sp.add_argument("--n", type=int, default=1, help="number of x-indeterminates")
-    sp.add_argument("--field", choices=[CONSTANTS, RATIONAL_T], default=CONSTANTS)
+    # None marks a flag not given; _ring_from applies the defaults.
+    sp.add_argument("--m", type=int, help="number of delta-derivations (default 1)")
+    sp.add_argument("--n", type=int, help="number of x-indeterminates (default 1)")
+    sp.add_argument("--field", choices=[CONSTANTS, RATIONAL_T],
+                    help=f"coefficient field (default {CONSTANTS})")
 
 
 def _add_system_opts(sp):
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--system", help='semicolon-separated, e.g. "d1 x1 - 1; d2 x1"')
     source.add_argument("--system-file", help="its [ring] line sets m, n, field and ranking")
-    sp.add_argument("--ranking", default=ORDERLY,
-                    help="orderly (default) or elimination:i,j,...; ignored with --system-file")
+    sp.add_argument("--ranking",
+                    help="orderly (default) or elimination:i,j,...; not with --system-file")
 
 
 def _add_common(sp, ring=True, seed=False):

@@ -200,7 +200,7 @@ class TestMacaulay:
 
 
 class TestCoefficientDomain:
-    """Constant ideals run over Fractions, others over Scalars, with one meaning."""
+    """Constant ideals run over ints, others over Scalars, with one meaning."""
 
     RINGS = (RingContext(m=0, n=3), RingContext(m=0, n=3, field_mode="rational_t"))
     TEXTS = (
@@ -213,16 +213,19 @@ class TestCoefficientDomain:
         variables = tuple(xvar(ring, j) for j in (1, 2, 3))
         return AlgIdeal(ring, variables, tuple(parse_poly(t, ring) for t in texts), order)
 
-    def test_constant_ideals_take_fraction_path(self):
+    def test_constant_ideals_take_int_path(self):
         from fractions import Fraction
 
         from diffalg.algebra import _freeze
 
         for ring in self.RINGS:
             I = self._ideal(ring, self.TEXTS[0])
-            frozen, lift = _freeze(I.generators, I.variables)
-            assert lift is Fraction
-            assert all(isinstance(c, Fraction) for p in frozen for c in p.values())
+            frozen, lift, scales = _freeze(I.generators, I.variables)
+            assert lift is int
+            assert all(type(c) is int for p in frozen for c in p.values())
+            # x1^2 - 1/2 -> 2*x1^2 - 1 and x1*x2 - 3/4 -> 4*x1*x2 - 3
+            assert scales == [Fraction(2), Fraction(4)]
+            assert [sorted(p.values()) for p in frozen] == [[-1, 2], [-3, 4]]
 
     def test_bases_agree_across_rings(self):
         for texts in self.TEXTS:
@@ -239,7 +242,8 @@ class TestCoefficientDomain:
 
         ring = self.RINGS[1]
         I = AlgIdeal(ring, X[:2], (parse_poly("t1*x1 - 1", ring), parse_poly("x1^2 - x2", ring)))
-        frozen, lift = _freeze(I.generators, I.variables)
+        frozen, lift, scales = _freeze(I.generators, I.variables)
+        assert scales == [1, 1]
         assert lift(1) == Scalar.one(ring.nt) and isinstance(lift(1), Scalar)
         assert all(isinstance(c, Scalar) for p in frozen for c in p.values())
         basis = [poly_text(g) for g in buchberger(I).basis]
@@ -309,3 +313,152 @@ def test_member_agrees_with_macaulay_on_random_ideals(rng):
             assert ideal_member(probe, I).member
             checked += 1
     assert checked > 10
+
+
+class TestSelfCheckCoversTheInput:
+    """The emitted basis must generate an ideal containing every input generator."""
+
+    def _drop_first_basis_element(self, monkeypatch):
+        from diffalg import algebra
+
+        interreduce = algebra._interreduce
+        monkeypatch.setattr(algebra, "_interreduce", lambda G, key: interreduce(G, key)[1:])
+
+    def test_buchberger_catches_a_dropped_element(self, monkeypatch):
+        self._drop_first_basis_element(monkeypatch)
+        with pytest.raises(RuntimeError, match="input generator"):
+            buchberger(ideal("x1", "x2"))
+
+    def test_eliminate_catches_a_dropped_element(self, monkeypatch):
+        self._drop_first_basis_element(monkeypatch)
+        with pytest.raises(RuntimeError, match="input generator"):
+            eliminate(ideal("x1 - x2", "x2^2 - 1"), {X[0]})
+
+
+def test_from_algpoly_rejects_a_float():
+    from diffalg.algebra import from_algpoly
+
+    with pytest.raises(RuntimeError, match="inexact coefficient"):
+        from_algpoly({(1, 0): 0.5}, X[:2], R)
+
+
+ZERO_DIVISOR_PAIR = ("2*x1*x2 - x2", "x2^2")
+
+
+def _random_ideals(rng, count):
+    """Seeded (ring, variables, generators) in both field modes, constant and
+    t-dependent coefficients, plus two fixed ideals with zero divisors."""
+    from conftest import rand_poly
+
+    out = []
+    for i in range(count):
+        nv = rng.choice((2, 3))
+        ring = RingContext(m=0, n=nv, field_mode=("constants", "rational_t")[i % 2])
+        variables = tuple(xvar(ring, j) for j in range(1, nv + 1))
+        gens = [
+            rand_poly(rng, ring, max_degree=2, max_terms=3, height=3, allow_t=i % 4 == 3,
+                      nonzero=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        out.append((ring, variables, gens))
+    for mode in ("constants", "rational_t"):
+        ring = RingContext(m=0, n=2, field_mode=mode)
+        variables = tuple(xvar(ring, j) for j in (1, 2))
+        out.append((ring, variables, [parse_poly("x1^2 - 1/4", ring)]))
+        out.append((ring, variables, [parse_poly(t, ring) for t in ZERO_DIVISOR_PAIR]))
+    return out
+
+
+def _combination(rng, ring, gens):
+    """A member of (gens) by construction: sum of gens times random multipliers."""
+    from conftest import rand_poly
+
+    from diffalg import DiffPoly
+
+    combo = DiffPoly.zero(ring)
+    for g in gens:
+        combo = combo + g * rand_poly(rng, ring, max_degree=2, max_terms=2, height=2)
+    return combo
+
+
+def test_every_coefficient_is_exact(rng):
+    """No float or int leaks out of the integer path: every coefficient of
+    every basis, normal form, quotient, eliminant, saturation and primality
+    witness is a Scalar over exact Fractions."""
+    from fractions import Fraction
+
+    from conftest import rand_poly
+
+    from diffalg import Scalar
+
+    def exact(polys):
+        return all(
+            isinstance(c, Scalar)
+            and all(type(v) is Fraction for t in (c.num, c.den) for v in t.terms.values())
+            for p in polys for c in p.terms.values()
+        )
+
+    witnesses = 0
+    for k, (ring, variables, gens) in enumerate(_random_ideals(rng, 16)):
+        raw = AlgIdeal(ring, variables, tuple(gens))
+        I = buchberger(raw)
+        assert exact(I.basis)
+        probe = _combination(rng, ring, gens) + rand_poly(rng, ring, max_degree=2, max_terms=2)
+        cert = ideal_member(probe, I)
+        assert exact([cert.normal_form, *cert.quotients])
+        assert exact(eliminate(raw, {variables[0]}).generators)
+        h = rand_poly(rng, ring, max_degree=1, max_terms=2, height=2, nonzero=True)
+        assert exact(saturate(raw, h).generators)
+        verdict = macaulay_member(probe, raw, 4)
+        assert verdict.status in ("member", "not_at_bound", "bound_too_small")
+        oracle = primality_oracle(I, PrimalityConfig(seed=k))
+        if oracle.witness is not None:
+            assert exact(oracle.witness)
+            witnesses += 1
+    assert witnesses >= 4
+
+
+def test_membership_reexpands_with_diffpoly_arithmetic(rng):
+    """f == nf + sum(q_i * g_i), recomputed in DiffPoly arithmetic over Scalars
+    rather than the backend's own exponent-vector loop, in both field modes;
+    and every constructed combination that ideal_member accepts is a member
+    of the degree-6 span that macaulay_member searches."""
+    from fractions import Fraction
+
+    from conftest import rand_poly
+
+    from diffalg import DiffPoly
+
+    accepted = 0
+    for ring, variables, gens in _random_ideals(rng, 16):
+        raw = AlgIdeal(ring, variables, tuple(gens))
+        I = buchberger(raw)
+        # a basis that is not integer-primitive divides the same way
+        scaled = AlgIdeal(ring, variables, I.generators,
+                          basis=tuple(g.scale(Fraction(2, 3)) for g in I.basis))
+        combo = _combination(rng, ring, gens)
+        for f in (combo, combo + rand_poly(rng, ring, max_degree=2, max_terms=2)):
+            cert = ideal_member(f, I)
+            for J in (I, scaled):
+                c = ideal_member(f, J)
+                recomposed = c.normal_form
+                for q, g in zip(c.quotients, J.basis):
+                    recomposed = recomposed + q * g
+                assert recomposed == f
+                assert c.normal_form == cert.normal_form
+            assert cert.member == (cert.normal_form == DiffPoly.zero(ring))
+        if ideal_member(combo, I).member:
+            assert macaulay_member(combo, raw, 6).status == "member"
+            accepted += 1
+    assert accepted >= 16
+
+
+def test_probe_witness_is_divided_by_the_integer_scale():
+    """The probes reduce over ints; the witness prints as the field normal form."""
+    for mode in ("constants", "rational_t"):
+        ring = RingContext(m=0, n=2, field_mode=mode)
+        variables = tuple(xvar(ring, j) for j in (1, 2))
+        I = AlgIdeal(ring, variables, tuple(parse_poly(t, ring) for t in ZERO_DIVISOR_PAIR))
+        verdict = primality_oracle(I, PrimalityConfig(seed=1))
+        assert verdict.status == "not_prime"
+        assert [poly_text(w) for w in verdict.witness] == ["1/2*x2", "x2"]

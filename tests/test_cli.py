@@ -91,6 +91,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("internal error:")
 
+    def test_dropped_basis_element_is_three(self, capsys, monkeypatch):
+        from diffalg import algebra
+
+        interreduce = algebra._interreduce
+        monkeypatch.setattr(algebra, "_interreduce", lambda G, key: interreduce(G, key)[1:])
+        code = main(["groebner", "x1; x2", "--vars", "x1, x2", "--m", "0", "--n", "2"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("internal error: an input generator does not reduce to zero "
+                       "by the emitted basis\n")
+
     def test_deep_nesting_is_input_error(self, capsys):
         assert main(["tau", "(" * 3000 + "x1" + ")" * 3000, "--m", "1", "--n", "1"]) == 1
         assert capsys.readouterr().err == (
@@ -253,6 +265,23 @@ class TestFlagSurface:
         out, err = capsys.readouterr()
         assert out == ""
         assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--m", "5"], ["--n", "2"], ["--field", "rational_t"], ["--ranking", "elimination:1"],
+        ["--m", "1", "--field", "constants"],
+    ], ids=lambda flags: "".join(flags[::2]))
+    def test_ring_flags_are_rejected_with_system_file(self, capsys, flags):
+        assert main(["hprod", "--system-file", FIX["coherent-pair.sys"], *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        given = ", ".join(flags[::2])
+        assert err == (f"usage error: {given}: not allowed with --system-file, "
+                       "whose [ring] line sets them\n")
+
+    def test_ring_flag_defaults_hold_without_them(self, capsys):
+        assert run(capsys, "hprod", "--system", "x1^2 - 1") == run(
+            capsys, "hprod", "--system", "x1^2 - 1", "--m", "1", "--n", "1",
+            "--field", "constants", "--ranking", "orderly")
 
     def test_system_source_is_required(self, capsys):
         assert main(["coherent", "--m", "1"]) == 1
