@@ -29,11 +29,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import modp
 from .poly import DiffPoly, mono_from
-from .scalars import Scalar, TPoly, _int_scale, common_den, tpoly_gcd
+from .scalars import Scalar, TPoly, _int_scale, _over_z, common_den, tpoly_gcd
 from .sparse import (
     acc, add, divides, ediv, elcm, emul, exact_div, lead, monomials, mul, neg, sub, total_degree,
 )
@@ -75,11 +75,10 @@ def _freeze(polys, variables):
     if all(c.is_const() for c in coeffs):
         out, scales = [], []
         for p in frozen:
-            rats = [next(iter(c.num.terms.values())) for c in p.values()]  # the constant term
-            den = lcm(*(q.denominator for q in rats))
-            nums = [q.numerator * (den // q.denominator) for q in rats]
-            g = gcd(*nums) or 1
-            out.append(dict(zip(p, nums)) if g == 1 else {e: n // g for e, n in zip(p, nums)})
+            # each coefficient's constant term
+            nums, den = _over_z({e: next(iter(c.num.terms.values())) for e, c in p.items()})
+            g = gcd(*nums.values()) or 1
+            out.append(nums if g == 1 else {e: n // g for e, n in nums.items()})
             scales.append(1 if den == g else Fraction(den, g))
         return out, int, scales
     return frozen, functools.partial(Scalar.from_fraction, coeffs[0].nvars), [1] * len(frozen)
@@ -176,7 +175,7 @@ def _normalize(p, key):
         for c in scaled.values():
             content = tpoly_gcd(content, c.num)
         cleaned = {e: c.num.exact_div(content) for e, c in scaled.items()}
-        scale = _int_scale([fc for q in cleaned.values() for fc in q.terms.values()])
+        scale = _int_scale({(e, f): fc for e, q in cleaned.items() for f, fc in q.terms.items()})
         result = {e: Scalar._poly(q.scale(scale)) for e, q in cleaned.items()}
         negative = lead(result, key)[1].num.lead_coeff() < 0
     return neg(result) if negative else result

@@ -8,7 +8,7 @@ through model evaluation as the derivative in the last t-symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .sparse import emul, unit
 
@@ -38,19 +38,29 @@ class RingContext:
 
 @dataclass(frozen=True)
 class DerivVar:
-    """A derivative theta x_j (or theta y_j in prolongation output)."""
+    """A derivative theta x_j (or theta y_j in prolongation output).
+
+    theta may be given as any sequence; it is stored as a tuple. The hash is
+    computed once, here, since every monomial product hashes its variables.
+    """
 
     family: str
     index: int
     theta: tuple  # derivative-operator exponents (e1, ..., em)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "theta", tuple(self.theta))
+        object.__setattr__(self, "_hash", hash((self.family, self.index, self.theta)))
         if self.family not in ("x", "y"):
             raise ValueError(f"unknown variable family {self.family!r}")
         if self.index < 1:
             raise ValueError("variable index must be at least 1")
         if any(k < 0 for k in self.theta):
             raise ValueError("negative derivative exponent")
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def order(self):

@@ -11,6 +11,14 @@ univariate images mod a 61-bit prime (see _coprime_mod_p, and modp.py); only
 when that proof fails does it run the exact primitive PRS. Sums and
 differences over one shared denominator add numerators and skip the product
 of denominators, and polynomial scalars share one unit denominator.
+
+TPoly coefficients are Fractions, but a product of two operands with several
+terms each runs over the integers: each operand's denominators are cleared
+once (_over_z), sparse.mul multiplies the int terms, and one Fraction is
+built per output term, over the product of the two common denominators.
+Which Fractions are stored, and so every printed byte, is unchanged; only
+the Fraction arithmetic per pair of terms is saved. A float coefficient is
+refused (_exact): its binary value is not the decimal it was written as.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ class TPoly:
             for e, c in terms.items():
                 if len(e) != nvars or any(k < 0 for k in e):
                     raise ValueError(f"bad exponent vector {e!r} for {nvars} t-variables")
-                q = Fraction(c)
+                q = _exact(c)
                 if q:
                     clean[tuple(e)] = q
         self.terms = clean
@@ -51,7 +59,7 @@ class TPoly:
 
     @classmethod
     def const(cls, nvars, q):
-        q = Fraction(q)
+        q = _exact(q)
         return cls._raw(nvars, {(0,) * nvars: q} if q else {})
 
     @classmethod
@@ -106,8 +114,16 @@ class TPoly:
         return TPoly._raw(self.nvars, sparse.neg(self.terms))
 
     def __mul__(self, other):
+        """The product over Z: each operand's denominators are cleared once,
+        and one Fraction is built per output term instead of one per pair."""
         self._check(other)
-        return TPoly._raw(self.nvars, sparse.mul(self.terms, other.terms))
+        p, q = self.terms, other.terms
+        if len(p) < 2 or len(q) < 2:
+            return TPoly._raw(self.nvars, sparse.mul(p, q))
+        ip, dp = _over_z(p)
+        iq, dq = _over_z(q)
+        d = dp * dq
+        return TPoly._raw(self.nvars, {e: Fraction(c, d) for e, c in sparse.mul(ip, iq).items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -115,7 +131,7 @@ class TPoly:
         return sparse.power(self, k, TPoly.one(self.nvars))
 
     def scale(self, q):
-        return TPoly._raw(self.nvars, sparse.scale(self.terms, Fraction(q)))
+        return TPoly._raw(self.nvars, sparse.scale(self.terms, _exact(q)))
 
     def diff(self, i):
         """Partial derivative with respect to t_i (1-based)."""
@@ -180,10 +196,25 @@ class TPoly:
 _ONES = {}
 
 
-def _int_scale(coeffs):
-    """The positive rational that scales nonzero Fractions to coprime integers."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return Fraction(den, gcd(*(c.numerator * (den // c.denominator) for c in coeffs)))
+def _exact(q):
+    """q as a Fraction. A float is refused: its binary value is not the
+    decimal it was written as, and every coefficient here is exact."""
+    if isinstance(q, float):
+        raise TypeError(f"inexact coefficient {q!r}; use an int or a Fraction")
+    return Fraction(q)
+
+
+def _over_z(terms):
+    """(int terms, d) with terms == {key: c/d}: d is the lcm of the Fraction
+    coefficients' denominators. The one place denominators are cleared."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _int_scale(terms):
+    """The positive rational that scales a dict of nonzero Fractions to coprime integers."""
+    ints, d = _over_z(terms)
+    return Fraction(d, gcd(*ints.values()))
 
 
 def common_den(nvars, scalars):
@@ -198,7 +229,7 @@ def _int_normalize(p):
     """Scale to coprime integer coefficients with positive deg-lex lead."""
     if p.is_zero():
         return p
-    q = p.scale(_int_scale(list(p.terms.values())))
+    q = p.scale(_int_scale(p.terms))
     if q.lead_coeff() < 0:
         q = -q
     return q
@@ -427,7 +458,7 @@ class Scalar:
         return sparse.power(self, k, Scalar.one(self.nvars))
 
     def scale(self, q):
-        q = Fraction(q)
+        q = _exact(q)
         if not q:
             return Scalar.zero(self.nvars)
         s = Scalar.__new__(Scalar)

@@ -6,8 +6,9 @@ combine: cancellation drops a key instead of storing zero, so two dicts hold
 the same polynomial exactly when they are equal. Coefficients are ints,
 Fractions or Scalars; all define +, -, * and test false exactly when zero.
 Fractions and Scalars also define /, which exact_div uses: in Python an int
-divided by an int is a float, so the Groebner backend's constants mode, which
-runs on ints, never passes an int coefficient to exact_div.
+divided by an int is a float, so the two callers that run on ints, the
+Groebner backend's constants mode and TPoly's product, never pass an int
+coefficient to exact_div.
 
 Monomial keys are exponent vectors (TPoly and the Groebner backend) unless
 the caller passes its own monomial product, as DiffPoly does with mono_mul.

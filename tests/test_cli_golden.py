@@ -322,6 +322,42 @@ CASES = [
             'exit: 2\n'
         ),
     ),
+    (
+        # t-dependent initials and separants: the rational_t reduction path
+        ['reduce', '(t1 + 2*t3 - 1)*d1d2x1*d1x2 + x2',
+         '--system', '(t1 - t2 + 3)*d1x1^2 + (t3 + 1)*x2 - 1; (t2 + 2)*d2x2 - t1*x1',
+         '--m', '2', '--n', '2', '--field', 'rational_t'],
+        0,
+        (
+            'mode: full\n'
+            'remainder: -(t1*t2*t3 + 2*t2*t3^2 + t1*t2 + 2*t1*t3 + t2*t3 + 4*t3^2 + 2*t1 - t2 + 2*t3 - 2)*x2*d1x2 - (t1^3*t3 - t1^2*t2*t3 + 2*t1^2*t3^2 - 2*t1*t2*t3^2 + t1^3 - t1^2*t2 + 4*t1^2*t3 - t1*t2*t3 + 6*t1*t3^2 + 2*t1^2 + t1*t2 + 3*t1*t3 - 3*t1)*x1*d1x2 + (2*t1^2*t2 - 4*t1*t2^2 + 2*t2^3 + 4*t1^2 + 4*t1*t2 - 8*t2^2 + 24*t1 - 6*t2 + 36)*x2*d1x1 + (t1*t2 + 2*t2*t3 + 2*t1 - t2 + 4*t3 - 2)*d1x2\n'
+            'premultiplier: (2*t1^2*t2 - 4*t1*t2^2 + 2*t2^3 + 4*t1^2 + 4*t1*t2 - 8*t2^2 + 24*t1 - 6*t2 + 36)*d1x1\n'
+            'steps: 3\n'
+            'cofactor[id applied to element 1]: (t1*t2 + 2*t2*t3 + 2*t1 - t2 + 4*t3 - 2)*d1x2\n'
+            'cofactor[d2 applied to element 1]: (t1^2*t2 - t1*t2^2 + 2*t1*t2*t3 - 2*t2^2*t3 + 2*t1^2 + 4*t1*t3 + t2^2 + 2*t2*t3 + 4*t1 - t2 + 12*t3 - 6)*d1x2\n'
+            'cofactor[id applied to element 2]: -(t1^2*t3 - t1*t2*t3 + 2*t1*t3^2 - 2*t2*t3^2 + t1^2 - t1*t2 + 4*t1*t3 - t2*t3 + 6*t3^2 + 2*t1 + t2 + 3*t3 - 3)*d1x2\n'
+            '---\n'
+            'status: ok\n'
+            'remainder: -(t1*t2*t3 + 2*t2*t3^2 + t1*t2 + 2*t1*t3 + t2*t3 + 4*t3^2 + 2*t1 - t2 + 2*t3 - 2)*x2*d1x2 - (t1^3*t3 - t1^2*t2*t3 + 2*t1^2*t3^2 - 2*t1*t2*t3^2 + t1^3 - t1^2*t2 + 4*t1^2*t3 - t1*t2*t3 + 6*t1*t3^2 + 2*t1^2 + t1*t2 + 3*t1*t3 - 3*t1)*x1*d1x2 + (2*t1^2*t2 - 4*t1*t2^2 + 2*t2^3 + 4*t1^2 + 4*t1*t2 - 8*t2^2 + 24*t1 - 6*t2 + 36)*x2*d1x1 + (t1*t2 + 2*t2*t3 + 2*t1 - t2 + 4*t3 - 2)*d1x2\n'
+            'premultiplier: (2*t1^2*t2 - 4*t1*t2^2 + 2*t2^3 + 4*t1^2 + 4*t1*t2 - 8*t2^2 + 24*t1 - 6*t2 + 36)*d1x1\n'
+            'steps: 3\n'
+            'verified: true\n'
+            'exit: 0\n'
+        ),
+    ),
+    (
+        ['coherent', '--system', '(t1 + 1)*d1x1 - t2*x2; (t2 - 2)*d2x1 + x1*x2',
+         '--m', '2', '--n', '2', '--field', 'rational_t'],
+        2,
+        (
+            'pair (elements 2, 1): remainder -(t1^2 + 2*t1 + 1)*x1*d1x2 - (t1*t2 + t2)*x2^2 - (t1*t2^2 - 2*t1*t2 + t2^2 - 2*t2)*d2x2 - (t1*t2 - 2*t1 + t2 - 2)*x2\n'
+            'incoherent\n'
+            '---\n'
+            'status: incoherent\n'
+            'pairs: 1\n'
+            'exit: 2\n'
+        ),
+    ),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from diffalg import Ranking, RingContext, compare_vars, leader_initial_separant, parse_poly
 from diffalg.ranking import ELIMINATION
-from diffalg.ring import DerivVar
+from diffalg.ring import DerivVar, xvar
 from diffalg.sparse import emul
 
 from conftest import rand_var
@@ -87,3 +87,24 @@ def test_leader_initial_separant_examples():
 def test_leader_of_constant_rejected():
     with pytest.raises(ValueError):
         leader_initial_separant(P("5"), Ranking())
+
+
+def test_equal_variables_hash_equal_however_built():
+    d1x1 = DerivVar("x", 1, (1, 0))
+    ways = [
+        DerivVar("x", 1, [1, 0]),
+        xvar(R, 1).derived(1),
+        DerivVar("y", 1, (1, 0)).shadow("x"),
+        xvar(R, 1, [1, 0]),
+    ]
+    for v in ways:
+        assert type(v.theta) is tuple
+        assert v == d1x1 and hash(v) == hash(d1x1)
+        assert repr(v) == "DerivVar(family='x', index=1, theta=(1, 0))"
+        assert v.sort_key == ("x", 1, (1, 0))
+        assert compare_vars(v, d1x1, Ranking()) == 0
+    assert len(set(ways)) == 1
+    assert DerivVar("x", 1, [0, 1]) != d1x1
+    assert compare_vars(DerivVar("x", 1, [0, 1]), d1x1, Ranking()) == -1
+    with pytest.raises(ValueError):
+        DerivVar("x", 1, [-1, 0])

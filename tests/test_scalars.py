@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffalg import (
+    DiffPoly,
     Ranking,
     RingContext,
     autoreduced_check,
@@ -196,3 +199,73 @@ def test_unit_denominator_is_shared():
     a, b = Scalar.t(3, 1), Scalar.from_fraction(3, 5)
     assert a.den is b.den is TPoly.one(3)
     assert TPoly.one(2) == TPoly.const(2, 1) and TPoly.one(2) is not TPoly.one(3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TPoly(1, {(0,): 0.5}),
+    lambda: TPoly.const(1, 0.1),
+    lambda: TPoly.var(1, 1).scale(0.1),
+    lambda: Scalar.one(1).scale(0.1),
+    lambda: DiffPoly.one(RingContext(m=0, n=1, field_mode=RATIONAL_T)).scale(0.1),
+], ids=["TPoly", "TPoly.const", "TPoly.scale", "Scalar.scale", "DiffPoly.scale"])
+def test_a_float_coefficient_is_refused(build):
+    with pytest.raises(TypeError, match="inexact coefficient 0.(1|5)"):
+        build()
+
+
+def test_ints_and_fractions_stay_exact():
+    assert TPoly.const(1, 2).scale(Fraction(1, 3)) == TPoly(1, {(0,): Fraction(2, 3)})
+    assert Scalar.one(1).scale(3) == Scalar.from_fraction(1, 3)
+
+
+def _naive_product(a, b):
+    """The Fraction double loop the integer product kernel must agree with."""
+    t = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            t[e] = t.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in t.items() if c}
+
+
+_COEFFS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 1, 2, 3, 4, 6, 35]))
+
+
+@st.composite
+def _tpoly_pairs(draw):
+    """Two TPolys of one arity 1-3, zero and single-term ones included; a
+    third of the pairs are (p, p with one sign flipped), whose products cancel."""
+    nt = draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nt), _COEFFS, max_size=4)
+    a = TPoly(nt, draw(terms))
+    if a.terms and draw(st.integers(0, 2)) == 0:
+        flip = draw(st.sampled_from(sorted(a.terms)))
+        return a, TPoly(nt, {e: -c if e == flip else c for e, c in a.terms.items()})
+    return a, TPoly(nt, draw(terms))
+
+
+def _exact_fractions(p):
+    return all(type(c) is Fraction and c for c in p.terms.values())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tpoly_pairs())
+def test_integer_product_matches_the_fraction_double_loop(pair):
+    a, b = pair
+    product = a * b
+    assert product.terms == _naive_product(a.terms, b.terms)
+    assert _exact_fractions(product)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpoly_pairs(), _tpoly_pairs())
+def test_scalar_products_keep_a_monic_denominator(p, q):
+    (n1, d1), (n2, d2) = p, q
+    if d1.is_zero() or d2.is_zero() or n1.nvars != n2.nvars:
+        return
+    x = Scalar(n1, d1) * Scalar(n2, d2)
+    assert x.den.lead_coeff() == 1
+    assert _exact_fractions(x.num) and _exact_fractions(x.den)
+    # num/den == (n1*n2)/(d1*d2), checked by cross-multiplying with the naive loop
+    lhs = _naive_product(x.num.terms, _naive_product(d1.terms, d2.terms))
+    assert lhs == _naive_product(_naive_product(n1.terms, n2.terms), x.den.terms)
