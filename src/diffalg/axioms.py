@@ -12,6 +12,14 @@ x-indices in the documented order, and tests each candidate against a list of
 checks ``(polynomial, want_zero)``. The open set's checks come in a fixed
 order: the system elements vanish, then H and each inequation do not. A
 candidate stops at its first failing check, and that check names the failure.
+
+Each search compiles its check list once (_checks): every coefficient
+becomes its residue mod P61 at model's fixed t-point. At a grid point a
+check whose residue is nonzero is decided mod p, since that proves the exact
+value nonzero: a want-zero check fails and a want-nonzero check passes. A
+zero or undefined residue, and every point not from the grid, goes to the
+exact eval_poly. Both shortcuts give the exact answer, so the first failing
+check, every witness, count and trail are those of the exact loop.
 """
 
 from __future__ import annotations
@@ -28,7 +36,15 @@ from .algebra import (
     ideal_member,
     primality_oracle,
 )
-from .model import ModelPoint, eval_at_model_point, eval_poly, model_points, t_monomials
+from .model import (
+    ModelPoint,
+    _residue,
+    _residue_terms,
+    eval_at_model_point,
+    eval_poly,
+    model_points,
+    t_monomials,
+)
 from .parser import poly_text
 from .poly import DiffPoly
 from .prolong import tau, tau_set
@@ -165,33 +181,47 @@ def _grid(ring, degree, height):
     return model_points(ring, range(1, ring.n + 1), degree, height)
 
 
+def _checks(pairs):
+    """A check list (polynomial, want_zero, residue terms), compiled once per search."""
+    return [(p, want_zero, _residue_terms(p)) for p, want_zero in pairs]
+
+
 def _open_set(system, extra=()):
     """Checks of the open set: each system element vanishes, H and each extra
     inequation do not."""
-    return ([(f, True) for f in system.elements] + [(system.h, False)]
-            + [(g, False) for g in extra])
+    return _checks([(f, True) for f in system.elements] + [(system.h, False)]
+                   + [(g, False) for g in extra])
+
+
+def _exact(p, pt, ypt=None):
+    """The exact value of p at (pt, ypt); without ypt, p must be free of y-variables."""
+    return eval_at_model_point(p, pt) if ypt is None else eval_poly(p, pt, ypt)
 
 
 def _values(checks, pt, ypt=None):
-    """The value of each check at (pt, ypt), in order, computed as consumed.
-
-    Without ypt a check must be free of y-variables."""
-    for p, _ in checks:
-        yield eval_at_model_point(p, pt) if ypt is None else eval_poly(p, pt, ypt)
+    """The exact value of each check at (pt, ypt), in order, computed as consumed."""
+    for p, _, _ in checks:
+        yield _exact(p, pt, ypt)
 
 
 def _fails(checks, pt, ypt=None):
-    """(index, value) of the first check that fails at (pt, ypt), or None."""
-    for i, ((_, want_zero), val) in enumerate(zip(checks, _values(checks, pt, ypt))):
-        if val.is_zero() != want_zero:
-            return i, val
+    """Index of the first check that fails at (pt, ypt), or None.
+
+    A nonzero residue decides a check; a zero or undefined one (or a point
+    without residue tables) takes the exact value."""
+    for i, (p, want_zero, terms) in enumerate(checks):
+        if _residue(terms, pt, ypt):
+            if want_zero:
+                return i
+        elif _exact(p, pt, ypt).is_zero() != want_zero:
+            return i
     return None
 
 
 def _doubled_points(ring, degree, height, x_checks, y_zero):
-    """Grid pairs (a, b), a passing x_checks and every y_zero polynomial
-    vanishing at (a, b); a-major documented order, y-grid built once."""
-    y_checks = [(g, True) for g in y_zero]
+    """Grid pairs (a, b), a passing the compiled x_checks and every y_zero
+    polynomial vanishing at (a, b); a-major documented order, y-grid built once."""
+    y_checks = _checks((g, True) for g in y_zero)
     y_grid = None
     for pt in _grid(ring, degree, height):
         if _fails(x_checks, pt) is not None:
@@ -228,18 +258,19 @@ def naive_vs_tau_demo(raw_gens, cert, *, degree=1, height=1, members=10, samples
     """Search the naive prolongation variety for a point missing the corrected
     one, then confirm the corrected data is clean on sampled open-set points."""
     members_list = saturation_members(cert, members)
-    member_checks = [(tau(g).value, True) for g in members_list]
+    member_checks = _checks((tau(g).value, True) for g in members_list)
 
     point = member = value = None
     examined = 0
     naive = _doubled_points(cert.system.ring, degree, height,
-                            [(f, True) for f in raw_gens], [tau(f).value for f in raw_gens])
+                            _checks((f, True) for f in raw_gens),
+                            [tau(f).value for f in raw_gens])
     for pt, ypt in naive:
         examined += 1
-        failed = _fails(member_checks, pt, ypt)
-        if failed is not None:
-            i, value = failed
+        i = _fails(member_checks, pt, ypt)
+        if i is not None:
             point, member = (pt, ypt), members_list[i]
+            value = eval_poly(member_checks[i][0], pt, ypt)
             break
 
     sample_pairs = doubled_samples(cert.system, samples, degree=max(degree, 2), height=height)
@@ -277,12 +308,12 @@ def open_set_equality_check(cert, g, samples):
     rhs = h_l * tg + g * tau(h_l).value
     symbolic_ok = lhs == rhs
     open_checks = _open_set(system)
-    prolonged = [(tau(f).value, True) for f in system.elements]
+    prolonged = _checks((tau(f).value, True) for f in system.elements)
     failures = []
     for idx, (pt, ypt) in enumerate(samples):
         failed = _fails(open_checks, pt)
         if failed is not None:
-            on_h = failed[0] == len(system.elements)
+            on_h = failed == len(system.elements)
             why = "lies on the zero set of H" if on_h else "does not satisfy the system"
             raise ValueError(f"sample {idx} {why}")
         if _fails(prolonged, pt, ypt) is not None:
@@ -406,7 +437,8 @@ def witness_search(inst, validation, *, degree=1, height=1):
     """First grid point of the open set whose D-companion pair lands in W."""
     if validation.status != "valid":
         return WitnessReport("invalid_instance", None, [], 0, (degree, height))
-    checks = _open_set(inst.system, inst.open_extra) + [(w, True) for w in inst.w_gens]
+    open_checks = _open_set(inst.system, inst.open_extra)
+    w_checks = _checks((w, True) for w in inst.w_gens)
     labels = ([f"system: {poly_text(f)}" for f in inst.system.elements] + ["H"]
               + [f"inequation: {poly_text(g)}" for g in inst.open_extra]
               + [f"W: {poly_text(w)}" for w in inst.w_gens])
@@ -414,11 +446,16 @@ def witness_search(inst, validation, *, degree=1, height=1):
     trail = []
     for pt in _grid(inst.system.ring, degree, height):
         examined += 1
-        dpt = pt.d_companion()
-        failed = _fails(checks, pt, dpt)
+        failed = _fails(open_checks, pt)
         if failed is None:
-            transcript = [CheckLine(label, val, want_zero) for label, (_, want_zero), val
-                          in zip(labels, checks, _values(checks, pt, dpt))]
-            return WitnessReport("found", pt, transcript, examined, (degree, height), trail)
-        trail.append((pt, labels[failed[0]]))
+            # The exact D-companion, needed only past the open set.
+            dpt = pt.d_companion()
+            failed = _fails(w_checks, pt, dpt)
+            if failed is None:
+                checks = open_checks + w_checks
+                transcript = [CheckLine(label, val, want_zero) for label, (_, want_zero, _), val
+                              in zip(labels, checks, _values(checks, pt, dpt))]
+                return WitnessReport("found", pt, transcript, examined, (degree, height), trail)
+            failed += len(open_checks)
+        trail.append((pt, labels[failed]))
     return WitnessReport("exhausted", None, [], examined, (degree, height), trail)

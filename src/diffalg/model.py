@@ -7,21 +7,40 @@ by differentiating in the last t-symbol plays the role of the D-image.
 
 Evaluation runs in Q[t]: terms with polynomial coefficients are summed as
 exponent-vector dicts, and only terms whose coefficient has a t-denominator
-take rational-function arithmetic. The candidate polynomials of each degree
-layer are built once per process and shared, so they must never be changed.
+take rational-function arithmetic. eval_poly is the one exact evaluator.
+
+The candidate polynomials of each degree layer are built once per process
+and shared, so they must never be changed. Each comes with a residue table:
+the value mod P61 of every t-derivative that can be nonzero, at the fixed
+t-point modp.t_point. Grid points from model_points carry their tables, and
+a D-companion reads them one D-step up. _residue evaluates a polynomial mod
+P61 from the tables. Setting t to the point mod P61 is a ring homomorphism
+wherever the coefficients' denominators stay nonzero, so a nonzero residue
+proves the exact value nonzero; zero proves nothing, and only eval_poly
+decides that a value is zero. A coefficient whose denominator vanishes at
+the point, and a point that was not built by model_points, give no residue.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from math import perm
 
 from . import sparse
+from .modp import P61, residue, t_point
 from .scalars import Scalar, TPoly
 
 
 class ModelPoint:
-    __slots__ = ("ring", "assignment")
+    """An assignment x_j -> t-polynomial.
+
+    candidates is None, except on grid points, where it is the assignment
+    itself: grid candidates carry their residue tables. A grid point's
+    D-companion keeps it and reads the tables one D-step up (d_step 1).
+    """
+
+    __slots__ = ("ring", "assignment", "candidates", "d_step")
 
     def __init__(self, ring, assignment):
         self.ring = ring
@@ -33,6 +52,15 @@ class ModelPoint:
                 raise ValueError(f"assignment for x{j} must be a t-polynomial")
             clean[j] = p
         self.assignment = clean
+        self.candidates = None
+        self.d_step = 0
+
+    @classmethod
+    def _raw(cls, ring, assignment, candidates=None, d_step=0):
+        """A point from an assignment that is valid by construction."""
+        pt = cls.__new__(cls)
+        pt.ring, pt.assignment, pt.candidates, pt.d_step = ring, assignment, candidates, d_step
+        return pt
 
     def get(self, j):
         try:
@@ -41,10 +69,11 @@ class ModelPoint:
             raise ValueError(f"x{j} is not assigned") from None
 
     def d_companion(self):
-        """The point with every assignment differentiated in the D-direction."""
-        return ModelPoint(
-            self.ring, {j: p.diff(self.ring.nt) for j, p in self.assignment.items()}
-        )
+        """The point with every assignment differentiated in the D-direction;
+        a grid point's companion reads its tables one D-step up."""
+        nt = self.ring.nt
+        return ModelPoint._raw(self.ring, {j: p.diff(nt) for j, p in self.assignment.items()},
+                               None if self.d_step else self.candidates, 1)
 
     def __eq__(self, other):
         return (
@@ -91,6 +120,89 @@ def eval_poly(f, point, y_point=None):
     return value if rest is None else value + rest
 
 
+@functools.cache
+def _mono_derivatives(e):
+    """(theta, (d^theta t^e) mod P61 at the t-point) for every theta <= e:
+    the falling factorials of the exponents times the power that is left."""
+    point = t_point(len(e))
+    out = []
+    for theta in itertools.product(*(range(k + 1) for k in e)):
+        r = 1
+        for k, d, x in zip(e, theta, point):
+            r = r * perm(k, d) * pow(x, k - d, P61) % P61
+        out.append((theta, r))
+    return tuple(out)
+
+
+def _residue_table(p):
+    """{theta: (d^theta p) mod P61 at the t-point} for every theta at which
+    the derivative can be nonzero; None if a coefficient's denominator is a
+    multiple of P61."""
+    table = {}
+    get = table.get
+    for e, c in p.terms.items():
+        r = residue(c, P61)
+        if r is None:
+            return None
+        for theta, d in _mono_derivatives(e):
+            table[theta] = get(theta, 0) + r * d
+    return {theta: v % P61 for theta, v in table.items()}
+
+
+class _Candidate(TPoly):
+    """A grid candidate: a t-polynomial that carries its residue table."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, nvars, terms):
+        super().__init__(nvars, terms)
+        self.table = _residue_table(self)
+
+
+def _at_t_point(c):
+    """The scalar c mod P61 at the t-point (the zeroth entries of its tables);
+    None where that is undefined."""
+    zero = (0,) * c.nvars
+    num, den = _residue_table(c.num), _residue_table(c.den)
+    if num is None or den is None or not den.get(zero):
+        return None
+    return num.get(zero, 0) * pow(den[zero], -1, P61) % P61
+
+
+def _residue_terms(f):
+    """f compiled for _residue: (coefficient mod P61, factors) per term, a
+    factor (is_y, index, (key at the point, key one D-step up), exponent);
+    None when some coefficient is undefined at the t-point."""
+    out = []
+    for mono, c in f.terms.items():
+        r = _at_t_point(c)
+        if r is None:
+            return None
+        out.append((r, tuple((v.family == "y", v.index, (v.theta + (0,), v.theta + (1,)), e)
+                             for v, e in mono)))
+    return out
+
+
+def _residue(terms, point, y_point=None):
+    """The value mod P61 of the polynomial compiled to terms, read from the
+    residue tables of point and y_point; None when it is not defined there:
+    undefined terms, or a variable read from a point that is not from the
+    grid or from an undefined table."""
+    if terms is None:
+        return None
+    total = 0
+    for c, factors in terms:
+        for is_y, j, keys, e in factors:
+            pt = y_point if is_y else point
+            p = None if pt is None or pt.candidates is None else pt.candidates.get(j)
+            table = None if p is None else p.table
+            if table is None:
+                return None
+            c = c * pow(table.get(keys[pt.d_step], 0), e, P61) % P61
+        total += c
+    return total % P61
+
+
 def eval_at_model_point(f, point):
     """Exact scalar value of an x-polynomial at a model point."""
     if f.has_family("y"):
@@ -113,10 +225,11 @@ def coefficient_ladder(height):
 
 @functools.cache
 def _layer(nt, layer, height):
-    """The candidates whose highest used monomial degree is exactly layer.
+    """(layer, candidate) for each candidate whose highest used monomial
+    degree is exactly layer; each candidate carries its residue table.
 
-    Memoised: the tuple and its polynomials are shared by every caller, so
-    nothing may change them.
+    Memoised: the tuple, its polynomials and their tables are shared by
+    every caller, so nothing may change them.
     """
     ladder = coefficient_ladder(height)
     monos = t_monomials(nt, layer)
@@ -124,7 +237,7 @@ def _layer(nt, layer, height):
     for coeffs in itertools.product(ladder, repeat=len(monos)):
         used = max((sum(e) for e, c in zip(monos, coeffs) if c), default=0)
         if used == layer:
-            out.append(TPoly(nt, {e: c for e, c in zip(monos, coeffs) if c}))
+            out.append((layer, _Candidate(nt, {e: c for e, c in zip(monos, coeffs) if c})))
     return tuple(out)
 
 
@@ -136,7 +249,7 @@ def model_polys(ring, degree, height):
     the ladder order 0, 1, -1, 2, -2, ... per coordinate and the earlier
     (lower-degree) monomial coordinates varying slowest.
     """
-    return [p for layer in range(degree + 1) for p in _layer(ring.nt, layer, height)]
+    return [p for layer in range(degree + 1) for _, p in _layer(ring.nt, layer, height)]
 
 
 def model_points(ring, indices, degree, height):
@@ -144,13 +257,14 @@ def model_points(ring, indices, degree, height):
 
     Points are layered by the maximum assignment degree; within a layer the
     per-variable polynomial candidates run in the model_polys order with the
-    first index varying slowest.
+    first index varying slowest. The points are grid points: their
+    candidates carry residue tables.
     """
     indices = list(indices)
     pool = []
     for layer in range(degree + 1):
         pool.extend(_layer(ring.nt, layer, height))
         for combo in itertools.product(pool, repeat=len(indices)):
-            eff = max((max(p.total_degree(), 0) for p in combo), default=0)
-            if eff == layer:
-                yield ModelPoint(ring, dict(zip(indices, combo)))
+            if max((c[0] for c in combo), default=0) == layer:
+                assignment = {j: p for j, (_, p) in zip(indices, combo)}
+                yield ModelPoint._raw(ring, assignment, assignment)

@@ -6,7 +6,9 @@ returns a fresh list and leaves its arguments alone, except trim.
 
 scalars.tpoly_gcd uses these to prove that two t-polynomials are coprime
 from one modular image, and algebra to prove a univariate generator
-irreducible over Q from an irreducible image (Rabin's test).
+irreducible over Q from an irreducible image (Rabin's test). residue and
+t_point give those images, and model's residue tables, their values: a
+rational mod p, and the one fixed point at which the t-symbols are set.
 """
 
 from __future__ import annotations
@@ -14,6 +16,21 @@ from __future__ import annotations
 from itertools import zip_longest
 
 P61 = (1 << 61) - 1  # a Mersenne prime
+
+
+def residue(q, p):
+    """The rational q (an int or a Fraction) mod p; None when p divides its denominator."""
+    d = q.denominator
+    if d == 1:
+        return q.numerator % p
+    if d % p:
+        return q.numerator * pow(d, -1, p) % p
+    return None
+
+
+def t_point(n):
+    """The fixed point (3^40, 3^41, ...) mod P61 in n coordinates, all nonzero."""
+    return tuple(pow(3, 40 + j, P61) for j in range(n))
 
 
 def trim(f):

@@ -266,20 +266,17 @@ def _content_pp(p, i):
 
 
 # Fixed nonzero evaluation points of the coprimality filter, one per t-variable.
-_T_POINTS = tuple(pow(3, 40 + j, modp.P61) for j in range(32))
+_T_POINTS = modp.t_point(32)
 
 
 def _residues(f, p):
     """(exponent, coefficient mod p) pairs of f; None if a denominator vanishes mod p."""
     out = []
     for e, c in f.terms.items():
-        d = c.denominator
-        if d == 1:
-            out.append((e, c.numerator % p))
-        elif d % p:
-            out.append((e, c.numerator * pow(d, -1, p) % p))
-        else:
+        r = modp.residue(c, p)
+        if r is None:
             return None
+        out.append((e, r))
     return out
 
 

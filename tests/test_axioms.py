@@ -1,5 +1,8 @@
 """Certification pipeline, prolonged-variety comparisons and axiom instances."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from diffalg import (
@@ -7,6 +10,7 @@ from diffalg import (
     ModelPoint,
     Ranking,
     RingContext,
+    Scalar,
     TPoly,
     autoreduced_check,
     charset_certify,
@@ -24,7 +28,10 @@ from diffalg import (
     tau,
     witness_search,
 )
+from diffalg import modp
+from diffalg.axioms import _checks, _fails
 from diffalg.instances import build_axiom_instance, fixture_path, load_instance_file
+from diffalg.model import _layer, _mono_derivatives, _residue, model_points
 from diffalg.ring import RATIONAL_T
 
 R21 = RingContext(m=2, n=1, field_mode=RATIONAL_T)
@@ -297,3 +304,94 @@ class TestWitnessSearch:
         val = instance_validate(inst)
         rep = witness_search(inst, val)
         assert rep.status == "invalid_instance"
+
+
+class TestModularChecks:
+    """_fails decides a check mod P61 only on the side a residue can prove;
+    the exact-only loop is the reference."""
+
+    BLOCKS = ("x1", "d1x1", "d1x1 - 1", "x1 - 1", "x1^2 - t2^2", "y1", "d1y1", "y1 - x1",
+              "y1^2 - 1", "t2*d1x1 + x1", "1")
+
+    @staticmethod
+    def exact_fails(checks, pt, ypt):
+        for i, (p, want_zero, _) in enumerate(checks):
+            if eval_poly(p, pt, ypt).is_zero() != want_zero:
+                return i
+        return None
+
+    def coefficients(self):
+        nt = R11.nt
+        t1, t2, one = TPoly.var(nt, 1), TPoly.var(nt, 2), TPoly.one(nt)
+        vanishing = t1 - TPoly.const(nt, modp.t_point(nt)[0])
+        return [1, Fraction(3, 2), Scalar(t1 + one, t2 - one - one),
+                Fraction(1, modp.P61), Scalar(one, vanishing)]
+
+    def random_checks(self, rng, coeffs):
+        checks = []
+        for _ in range(rng.randint(1, 5)):
+            f = P(rng.choice(self.BLOCKS), R11)
+            if rng.random() < 0.5:
+                f = f * P(rng.choice(self.BLOCKS), R11)
+            if rng.random() < 0.3:
+                f = f + P(rng.choice(self.BLOCKS), R11)
+            c = rng.choice(coeffs)
+            checks.append((f.scale(c), rng.random() < 0.6))
+        return _checks(checks)
+
+    def test_fails_matches_the_exact_loop(self):
+        rng = random.Random(13)
+        coeffs = self.coefficients()
+        grids = {bounds: list(model_points(R11, [1], *bounds)) for bounds in ((1, 2), (2, 1))}
+        seen = {"mod p": 0, "exact": 0, "undefined": 0, "found": 0}
+        for k in range(16):
+            grid = grids[(2, 1)] if k % 4 == 0 else grids[(1, 2)]
+            checks = self.random_checks(rng, coeffs)
+            for pt in grid:
+                ypt = pt.d_companion() if rng.random() < 0.5 else rng.choice(grid)
+                got = _fails(checks, pt, ypt)
+                assert got == self.exact_fails(checks, pt, ypt), (checks, pt, ypt)
+                seen["found"] += got is None
+                for _, _, terms in checks[: len(checks) if got is None else got + 1]:
+                    r = _residue(terms, pt, ypt)
+                    seen["undefined" if r is None else "mod p" if r else "exact"] += 1
+        # Every path is taken: decided mod p, exact after a zero residue, undefined.
+        assert all(n >= 100 for n in seen.values()), seen
+
+    def test_the_two_undefined_coefficients(self):
+        coeffs = self.coefficients()[-2:]
+        for c in coeffs:
+            terms = _checks([(P("x1", R11).scale(c), False)])[0][2]
+            assert terms is None
+        # Undefined checks still take the exact path: x1 vanishes only at x1 := 0.
+        checks = _checks([(P("x1", R11).scale(c), True) for c in coeffs])
+        grid = list(model_points(R11, [1], 1, 1))
+        assert [_fails(checks, pt) for pt in grid] == [None] + [0] * (len(grid) - 1)
+
+    def test_demo_violated_value_is_the_exact_value(self):
+        cert = cert_for("x1", ring=R11)
+        rep = naive_vs_tau_demo([P("x1^2", R11)], cert, degree=1, height=1,
+                                members=3, samples=10)
+        pt, ypt = rep.point
+        exact = eval_poly(tau(rep.violated_member).value, pt, ypt)
+        assert rep.violated_value == exact and not exact.is_zero()
+
+
+def test_witness_search_leaves_the_grid_tables_alone():
+    _, inst = load_instance("exhaustion.axiom")
+    val = instance_validate(inst)
+    args = [(R11.nt, layer, 1) for layer in range(3)]
+
+    def state():
+        tables = {a: [(p, dict(p.table)) for _, p in _layer(*a)] for a in args}
+        return _layer.cache_info().currsize, _mono_derivatives.cache_info().currsize, tables
+
+    first = witness_search(inst, val, degree=2, height=1)
+    before = state()
+    second = witness_search(inst, val, degree=2, height=1)
+    after = state()
+    assert first.examined == second.examined == 729
+    assert before[:2] == after[:2]
+    for a in args:
+        assert [(id(p), t) for p, t in before[2][a]] == [(id(p), t) for p, t in after[2][a]]
+        assert all(p.table == t for p, t in after[2][a])

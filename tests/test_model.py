@@ -11,11 +11,18 @@ values cancel.
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from diffalg import DiffPoly, ModelPoint, RingContext, Scalar, TPoly, eval_poly
-from diffalg.model import model_points, model_polys
+from diffalg import DiffPoly, ModelPoint, RingContext, Scalar, TPoly, eval_poly, modp
+from diffalg.model import (
+    _Candidate,
+    _residue,
+    _residue_terms,
+    model_points,
+    model_polys,
+)
 from diffalg.ring import RATIONAL_T, DerivVar
 
 CASES = 1000
@@ -123,3 +130,87 @@ def test_model_polys_result_belongs_to_the_caller():
     assert model_polys(ring, 2, 1) == snapshot
     assert [pt.assignment for pt in model_points(ring, [1], 2, 1)] == points
     assert [pt.assignment[1] for pt in model_points(ring, [1], 2, 1)] == snapshot
+
+
+# -- residues mod P61 --------------------------------------------------------
+#
+# _residue must agree with the exact value mod P61 wherever it answers, and
+# must answer None (never a number) where a denominator vanishes at the
+# fixed t-point. The exact side below evaluates num and den over Q at the
+# t-point with Fractions and reduces once, sharing nothing with model's
+# modular code but the point itself.
+
+P = modp.P61
+
+
+def exact_mod_p(value, t):
+    def at(p):
+        return sum(c * prod(x ** k for x, k in zip(t, e)) for e, c in p.terms.items())
+
+    q = Fraction(at(value.num)) / Fraction(at(value.den))
+    return q.numerator * pow(q.denominator, -1, P) % P
+
+
+def tabled(ring, point):
+    """A hand-built point whose assignments carry residue tables, like a grid point's."""
+    candidates = {j: _Candidate(ring.nt, p.terms) for j, p in point.assignment.items()}
+    return ModelPoint._raw(ring, candidates, candidates)
+
+
+GRIDS = {}
+
+
+def grid_sample(ring, rng, k):
+    """k random grid points: degree 2 for m = n = 1 (729 points), else degree 1."""
+    grid = GRIDS.get(ring)
+    if grid is None:
+        degree = 2 if ring.m == ring.n == 1 else 1
+        grid = GRIDS[ring] = list(model_points(ring, range(1, ring.n + 1), degree, 1))
+    return [grid[rng.randrange(len(grid))] for _ in range(k)]
+
+
+def test_residue_matches_the_exact_value_mod_p():
+    rng = random.Random(61)
+    kinds = {"hand-built": 0, "grid": 0, "d-companion": 0, "rational": 0, "zero": 0}
+    for _ in range(400):
+        f, point, y_point = rand_case(rng)
+        ring = f.ring
+        terms = _residue_terms(f)
+        t = modp.t_point(ring.nt)
+        g1, g2 = grid_sample(ring, rng, 2)
+        pairs = [("hand-built", tabled(ring, point), tabled(ring, y_point)),
+                 ("grid", g1, g2),
+                 ("d-companion", g1, g1.d_companion()),
+                 ("d-companion", g1.d_companion(), g2)]
+        for kind, pt, ypt in pairs:
+            got = _residue(terms, pt, ypt)
+            want = eval_poly(f, pt, ypt)
+            assert got is not None
+            assert got == exact_mod_p(want, t), (kind, f, pt, ypt)
+            kinds[kind] += 1
+            kinds["zero"] += want.is_zero()
+        kinds["rational"] += any(not c.is_poly() for c in f.terms.values())
+        # A point the grid did not build answers nothing, once f reads it.
+        if any(f.terms):
+            assert _residue(terms, point, y_point) is None
+    assert all(n >= 40 for n in kinds.values()), kinds
+
+
+def test_residue_is_undefined_where_a_denominator_vanishes():
+    ring = RingContext(m=1, n=1, field_mode=RATIONAL_T)
+    nt = ring.nt
+    t1 = TPoly.var(nt, 1)
+    x = DiffPoly.var(ring, DerivVar("x", 1, (0,)))
+    pt = next(iter(model_points(ring, [1], 1, 1)))
+    # A coefficient with the denominator P61, and a t-denominator that vanishes at the point.
+    over_p = x.scale(Fraction(1, P))
+    vanishing = x.scale(Scalar(TPoly.one(nt), t1 - TPoly.const(nt, modp.t_point(nt)[0])))
+    assert _residue_terms(over_p) is None and _residue_terms(vanishing) is None
+    assert _residue(_residue_terms(over_p), pt) is None
+    # The same t-denominator shifted off the point is defined.
+    assert _residue_terms(x.scale(Scalar(TPoly.one(nt), t1 + TPoly.one(nt)))) is not None
+    # A hand-built assignment with a coefficient over P61 has no table.
+    bad = tabled(ring, ModelPoint(ring, {1: TPoly(nt, {(1, 0): Fraction(1, P)})}))
+    assert bad.assignment[1].table is None
+    assert _residue(_residue_terms(x), bad) is None
+    assert _residue(_residue_terms(x), bad.d_companion()) is None
