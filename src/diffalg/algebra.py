@@ -1,24 +1,37 @@
 """Commutative-algebra backend over the derivative variables actually occurring.
 
 Polynomials are frozen to exponent vectors over an ordered variable tuple,
-as sparse term dicts (see sparse.py). Every call, the primality oracle
-included, picks its coefficient domain from its data in _freeze. When every
-coefficient of every polynomial it works on is a rational constant, each
-polynomial is scaled to its primitive integer form and the work runs on plain
-ints, fraction-free (Bareiss, Math. Comp. 1968): a division step scales the
-work by bc/g and subtracts c/g times the divisor, g = gcd(c, bc), and `/` is
-never applied to an int coefficient. Otherwise it runs on exact Scalars with
-the field step c/bc. Both domains share one arithmetic path; _ratio,
-_primitive and _normalize are the only places that tell them apart. Results
-thaw back to DiffPolys over Scalars with Fraction constants, normal forms and
-quotients divided by the scale the integer run picked up, so both domains
-give the same values.
+as sparse term dicts (see sparse.py); to_algpoly and from_algpoly keep those
+tuple keys. Inside the backend every term dict is keyed by one int per
+monomial instead (sparse.Packing), so the leading term is max(p), a monomial
+product is an addition and a divisibility test one subtraction and a mask.
+Each call takes its field width from its input: room for four times the
+largest total degree (grevlex) or exponent (lex), at least 7 bits. Grevlex
+division never raises a degree, so packing the input and every S-pair lcm
+checks it; under lex a division step or an S-polynomial can raise one, and
+_nf checks each leading monomial before it uses it. A monomial that outgrows
+its fields raises sparse.Overflow, and the call is recomputed at double the
+width, with the same result.
+Every call, the primality oracle included, picks its coefficient domain from
+its data in _freeze. When every coefficient of every polynomial it works on
+is a rational constant, each polynomial is scaled to its primitive integer
+form and the work runs on plain ints, fraction-free (Bareiss, Math. Comp.
+1968): a division step scales the work by bc/g and subtracts c/g times the
+divisor, g = gcd(c, bc), and `/` is never applied to an int coefficient.
+Otherwise it runs on exact Scalars with the field step c/bc. Both domains
+share one arithmetic path; _ratio, _primitive and _normalize are the only
+places that tell them apart. Results thaw back to DiffPolys over Scalars
+with Fraction constants, normal forms and quotients divided by the scale the
+integer run picked up, so both domains give the same values.
 Buchberger runs the normal strategy with pairs selected by lcm order, and
 the emitted basis is inter-reduced and normalized to denominator-free,
 integer-primitive elements with a positive leading coefficient. buchberger,
 eliminate and saturate each re-check that all S-polynomials of the basis
 they compute reduce to zero and that every input generator does, and raise
-RuntimeError otherwise.
+RuntimeError otherwise. The AlgIdeal buchberger returns carries the packed
+basis with its domain, as _freeze would give it for that basis tuple;
+ideal_member then freezes only f, unless the basis has been replaced or the
+domains differ.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ import functools
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -35,19 +48,8 @@ from . import modp
 from .poly import DiffPoly, mono_from
 from .scalars import Scalar, TPoly, _int_scale, _over_z, common_den, tpoly_gcd
 from .sparse import (
-    acc, add, divides, ediv, elcm, emul, exact_div, lead, monomials, mul, neg, sub, total_degree,
+    GREVLEX, LEX, Overflow, Packing, acc, add, exact_div, monomials, neg, sub, total_degree,
 )
-
-GREVLEX = "grevlex"
-LEX = "lex"
-
-
-def _order_key(order):
-    if order == GREVLEX:  # a fresh memo per call: keys repeat across division steps
-        return functools.cache(lambda e: (sum(e), tuple(-k for k in reversed(e))))
-    if order == LEX:
-        return lambda e: e
-    raise ValueError(f"unknown monomial order {order!r}")
 
 
 def to_algpoly(f, variables):
@@ -84,6 +86,18 @@ def _freeze(polys, variables):
     return frozen, functools.partial(Scalar.from_fraction, coeffs[0].nvars), [1] * len(frozen)
 
 
+def _packed(order, n, polys, run, degree=0):
+    """The packing and run(packing, polys packed by it), at the width
+    Packing.fit picks for the exponent-vector polys and degree, doubled while
+    it overflows."""
+    codec = Packing.fit(order, n, polys, degree)
+    while True:
+        try:
+            return codec, run(codec, [codec.pack(p) for p in polys])
+        except Overflow:
+            codec = codec.wider()
+
+
 def from_algpoly(p, variables, ring, scale=1):
     """Thaw a term dict, each coefficient times the rational scale, to a
     DiffPoly; int coefficients become exact Fractions."""
@@ -111,39 +125,60 @@ def _ratio(c, bc):
     return 1, c / bc
 
 
-def _step(work, s, r, m, b):
-    """work := s*work - r*x^m*b, in place."""
+def _step(work, s, r, d, b):
+    """work := s*work - r*x^d*b, in place; d is added to each packed key of b
+    (d = m - one for the packed monomial m)."""
     if s != 1:
         for e in work:
             work[e] *= s
     nr = -r
+    get = work.get
     for be, bc in b.items():
-        acc(work, emul(m, be), nr * bc)
+        e = d + be
+        c = get(e)
+        c = nr * bc if c is None else c + nr * bc
+        if c:
+            work[e] = c
+        else:
+            work.pop(e, None)
 
 
-def _nf(p, basis, key):
+def _nf(p, basis, codec):
     """Normal form with quotients: scale*p = sum(q_i * basis_i) + remainder.
 
     The scale is the product of the integer steps' s, and 1 over Scalars.
+    A key of p may be the product of two packed monomials that outgrew the
+    fields (a lex division step can raise an exponent, and so can an
+    S-polynomial): such keys still compare in the monomial order, and one
+    raises Overflow when it leads, before it is divided or kept.
     """
-    leads = [lead(b, key) for b in basis]
-    rem = {}
+    sign, guard, dmask = codec.sign, codec.guard, codec.dmask
     quots = [{} for _ in basis]
+    divisors = []
+    for b, q in zip(basis, quots):
+        be = max(b)
+        # be divides e exactly when (sign*e - tag) & dmask == dmask (Packing.divides)
+        divisors.append((sign * be - guard, be, b, q))
+    rem = {}
     scale = 1
     work = dict(p)
     while work:
-        e, c = lead(work, key)
-        for q, b, (be, bc) in zip(quots, basis, leads):
-            if divides(be, e):
-                s, r = _ratio(c, bc)
+        e = max(work)
+        if e & guard:
+            raise Overflow
+        c = work[e]
+        se = sign * e
+        for tag, be, b, q in divisors:
+            if (se - tag) & dmask == dmask:
+                d = e - be
+                s, r = _ratio(c, b[be])
                 if s != 1:
                     scale *= s
                     for t in (rem, *quots):
                         for te in t:
                             t[te] *= s
-                qe = ediv(e, be)
-                acc(q, qe, r)
-                _step(work, s, r, qe, b)
+                acc(q, d + codec.one, r)
+                _step(work, s, r, d, b)
                 break
         else:
             rem[e] = c
@@ -160,14 +195,14 @@ def _primitive(p):
     return p if g == 1 else {e: c // g for e, c in p.items()}
 
 
-def _normalize(p, key):
+def _normalize(p):
     """Denominator-free, integer-primitive, positive leading coefficient."""
     if not p:
         return p
     c0 = next(iter(p.values()))
     if type(c0) is int:
         result = _primitive(p)
-        negative = lead(result, key)[1] < 0
+        negative = result[max(result)] < 0
     else:
         den = Scalar._poly(common_den(c0.nvars, p.values()))
         scaled = {e: c * den for e, c in p.items()}
@@ -177,72 +212,78 @@ def _normalize(p, key):
         cleaned = {e: c.num.exact_div(content) for e, c in scaled.items()}
         scale = _int_scale({(e, f): fc for e, q in cleaned.items() for f, fc in q.terms.items()})
         result = {e: Scalar._poly(q.scale(scale)) for e, q in cleaned.items()}
-        negative = lead(result, key)[1].num.lead_coeff() < 0
+        negative = result[max(result)].num.lead_coeff() < 0
     return neg(result) if negative else result
 
 
-def _spoly(f, g, key):
+def _spoly(f, g, codec):
     """The S-polynomial of f and g up to a nonzero constant factor: the lcm
-    shifts of f and g, cross-multiplied by their leading coefficients."""
-    fe, fc = lead(f, key)
-    ge, gc = lead(g, key)
-    l = elcm(fe, ge)
-    shift = ediv(l, fe)
-    work = {emul(shift, e): c for e, c in f.items()}
-    _step(work, *_ratio(fc, gc), ediv(l, ge), g)
+    shifts of f and g, cross-multiplied by their leading coefficients. Under
+    lex a key may outgrow the fields; _nf catches it."""
+    fe, ge = max(f), max(g)
+    l = codec.lcm(fe, ge)
+    work = {l - fe + e: c for e, c in f.items()}
+    _step(work, *_ratio(f[fe], g[ge]), l - ge, g)
     return work
 
 
-def _buchberger(gens, key):
+def _buchberger(gens, codec):
     G = [g for g in gens if g]
-    leads = [lead(g, key)[0] for g in G]
+    leads = [max(g) for g in G]
     # Pairs leave the heap by lcm order, ties in insertion order.
     pairs, seq = [], itertools.count()
 
     def push(j):
         for i in range(j):
-            heapq.heappush(pairs, (key(elcm(leads[i], leads[j])), next(seq), i, j))
+            heapq.heappush(pairs, (codec.lcm(leads[i], leads[j]), next(seq), i, j))
 
     for j in range(len(G)):
         push(j)
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        if elcm(leads[i], leads[j]) == emul(leads[i], leads[j]):
+        l, _, i, j = heapq.heappop(pairs)
+        if l == codec.mul(leads[i], leads[j]):
             continue  # disjoint leading supports reduce to zero
-        rem = _nf(_spoly(G[i], G[j], key), G, key)[0]
+        rem = _nf(_spoly(G[i], G[j], codec), G, codec)[0]
         if rem:
             rem = _primitive(rem)
             G.append(rem)
-            leads.append(lead(rem, key)[0])
+            leads.append(max(rem))
             push(len(G) - 1)
-    return _interreduce(G, key)
+    return _interreduce(G, codec)
 
 
-def _interreduce(G, key):
+def _interreduce(G, codec):
     """The reduced basis of a Groebner basis: drop every element whose leading
     monomial another's divides (of equal leads the first stays), reduce each
     kept element by the others, then normalize and sort."""
     G = [g for g in G if g]
-    leads = [lead(g, key)[0] for g in G]
+    leads = [max(g) for g in G]
     kept = [
         g for i, (g, e) in enumerate(zip(G, leads))
-        if not any(divides(f, e) and (f != e or j < i) for j, f in enumerate(leads) if j != i)
+        if not any(codec.divides(f, e) and (f != e or j < i) for j, f in enumerate(leads) if j != i)
     ]
-    G = [_normalize(_nf(g, kept[:i] + kept[i + 1 :], key)[0], key) for i, g in enumerate(kept)]
-    G.sort(key=lambda g: key(lead(g, key)[0]))
+    G = [_normalize(_nf(g, kept[:i] + kept[i + 1 :], codec)[0]) for i, g in enumerate(kept)]
+    G.sort(key=max)
     return G
 
 
-def _self_check(G, gens, key):
+def _self_check(G, gens, codec):
     """Raise RuntimeError unless every S-polynomial of G reduces to zero by G
     (G is a Groebner basis of (G)) and then every input generator does (so
     (G) contains the input ideal)."""
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            if _nf(_spoly(G[i], G[j], key), G, key)[0]:
+            if _nf(_spoly(G[i], G[j], codec), G, codec)[0]:
                 raise RuntimeError("S-polynomial self-check failed on emitted basis")
-    if any(_nf(g, G, key)[0] for g in gens):
+    if any(_nf(g, G, codec)[0] for g in gens):
         raise RuntimeError("an input generator does not reduce to zero by the emitted basis")
+
+
+def _checked_basis(codec, gens):
+    """The reduced basis of (gens), after _self_check."""
+    G = _buchberger(gens, codec)
+    _self_check(G, gens, codec)
+    return G
 
 
 @dataclass
@@ -252,6 +293,8 @@ class AlgIdeal:
     generators: tuple
     order: str = GREVLEX
     basis: tuple | None = None
+    # (basis, variables, packing, packed basis, lift) from buchberger; see _cached
+    _frozen: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -260,16 +303,29 @@ class AlgIdeal:
 
 def buchberger(ideal):
     """Attach the reduced, self-checked basis; deterministic for fixed input."""
-    key = _order_key(ideal.order)
-    gens = _freeze(ideal.generators, ideal.variables)[0]
-    G = _buchberger(gens, key)
-    _self_check(G, gens, key)
-    basis = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in G)
-    return AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order, basis)
+    gens, lift, _ = _freeze(ideal.generators, ideal.variables)
+    codec, G = _packed(ideal.order, len(ideal.variables), gens, _checked_basis)
+    basis = tuple(from_algpoly(codec.unpack(g), ideal.variables, ideal.ring) for g in G)
+    if lift is not int and all(c.is_const() for g in G for c in g.values()):
+        # a t-free basis of a t-ideal: keep the integer form _freeze gives it
+        G, lift, _ = _freeze(basis, ideal.variables)
+        G = [codec.pack(g) for g in G]
+    return AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order, basis,
+                    (basis, ideal.variables, codec, G, lift))
 
 
 def _with_basis(ideal):
     return ideal if ideal.basis is not None else buchberger(ideal)
+
+
+def _cached(ideal):
+    """(packing, packed basis, lift) that buchberger attached, equal to what
+    _freeze and packing would make of ideal.basis; None without one, or once
+    basis, variables or order are no longer those it was made from."""
+    c = ideal._frozen
+    if c is None or c[0] is not ideal.basis or c[1] is not ideal.variables:
+        return None
+    return c[2:] if c[2].order == ideal.order else None
 
 
 @dataclass
@@ -285,28 +341,43 @@ class MembershipCertificate:
 def ideal_member(f, ideal):
     """Normal-form membership test; the division identity is re-verified."""
     ideal = _with_basis(ideal)
-    key = _order_key(ideal.order)
-    (p, *basis), _, (p_scale, *b_scales) = _freeze((f, *ideal.basis), ideal.variables)
-    rem, quots, scale = _nf(p, basis, key)
+    (p,), lift, (p_scale,) = _freeze((f,), ideal.variables)
+    cached = _cached(ideal)
+    if cached is not None and (lift is int) == (cached[2] is int):
+        codec, basis, _ = cached
+        try:
+            return _member(ideal, codec, [codec.pack(p), *basis], [p_scale] + [1] * len(basis))
+        except Overflow:
+            pass  # f outgrows the cached packing
+    polys, _, scales = _freeze((f, *ideal.basis), ideal.variables)
+    return _packed(ideal.order, len(ideal.variables), polys,
+                   lambda codec, polys: _member(ideal, codec, polys, scales))[1]
+
+
+def _member(ideal, codec, polys, scales):
+    """The certificate for polys[0] divided by the basis polys[1:], scales
+    as _freeze returns them."""
+    (p, *basis), (p_scale, *b_scales) = polys, scales
+    rem, quots, scale = _nf(p, basis, codec)
     recomposed = rem
     for q, b in zip(quots, basis):
-        recomposed = add(recomposed, mul(q, b))
+        recomposed = add(recomposed, codec.product(q, b))
     if recomposed != (p if scale == 1 else {e: scale * c for e, c in p.items()}):
         raise RuntimeError("division certificate failed re-verification")
     # scale*p_scale*f = rem + sum(q_i * b_scale_i * basis_i)
     den = scale * p_scale
-    nf = from_algpoly(rem, ideal.variables, ideal.ring, Fraction(1, den))
-    qs = [from_algpoly(q, ideal.variables, ideal.ring, Fraction(bs) / den)
+    nf = from_algpoly(codec.unpack(rem), ideal.variables, ideal.ring, Fraction(1, den))
+    qs = [from_algpoly(codec.unpack(q), ideal.variables, ideal.ring, Fraction(bs) / den)
           for q, bs in zip(quots, b_scales)]
     return MembershipCertificate(not rem, nf, qs)
 
 
-def _lex_eliminate(gens, k):
-    """The self-checked reduced lex basis of gens, restricted to the elements
-    free of the first k variables, with those k slots struck out."""
-    key = _order_key(LEX)
-    G = _buchberger(gens, key)
-    _self_check(G, gens, key)
+def _lex_eliminate(gens, n, k):
+    """The self-checked reduced lex basis of gens (exponent vectors in n
+    variables), restricted to the elements free of the first k variables,
+    with those k slots struck out."""
+    codec, G = _packed(LEX, n, gens, _checked_basis)
+    G = [codec.unpack(g) for g in G]
     return [{e[k:]: c for e, c in g.items()} for g in G if not any(any(e[:k]) for e in g)]
 
 
@@ -320,7 +391,7 @@ def eliminate(ideal, drop):
     first = tuple(v for v in ideal.variables if v in drop)
     rest = tuple(v for v in ideal.variables if v not in drop)
     gens = _freeze(ideal.generators, first + rest)[0]
-    kept = _lex_eliminate(gens, len(first))
+    kept = _lex_eliminate(gens, len(ideal.variables), len(first))
     return AlgIdeal(ideal.ring, rest, tuple(from_algpoly(g, rest, ideal.ring) for g in kept),
                     GREVLEX)
 
@@ -328,9 +399,10 @@ def eliminate(ideal, drop):
 def saturate(ideal, h):
     """I : h^infinity via the extra-variable trick: eliminate z from I + (1 - z*h)."""
     (hp, *gens), lift, _ = _freeze((h, *ideal.generators), ideal.variables)
+    n = len(ideal.variables) + 1
     gens = [{(0,) + e: c for e, c in g.items()} for g in gens]
-    gens.append(sub({(0,) * (len(ideal.variables) + 1): lift(1)}, {(1,) + e: c for e, c in hp.items()}))
-    out = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in _lex_eliminate(gens, 1))
+    gens.append(sub({(0,) * n: lift(1)}, {(1,) + e: c for e, c in hp.items()}))
+    out = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in _lex_eliminate(gens, n, 1))
     return AlgIdeal(ideal.ring, ideal.variables, out, ideal.order)
 
 
@@ -352,35 +424,40 @@ def macaulay_member(f, ideal, bound):
 
     Sound for membership at the given bound; a miss refutes only up to it.
     """
-    (p, *gens), lift, _ = _freeze((f, *ideal.generators), ideal.variables)
-    if total_degree(p) > bound:
+    polys = _freeze((f, *ideal.generators), ideal.variables)[0]
+    if total_degree(polys[0]) > bound:
         return MacaulayResult("bound_too_small", bound)
     nv = len(ideal.variables)
-    one = lift(1)
-    rows = []
-    for g in gens:
-        if g:
-            rows.extend(mul(g, {mono: one}) for mono in monomials(nv, bound - total_degree(g)))
-    # Echelonize the products, then reduce f against the pivots.
-    pivots = {}
-    key = _order_key(GREVLEX)
-    no_shift = (0,) * nv
+    room = [bound - total_degree(g) for g in polys[1:]]
 
-    def reduce_vec(vec):
-        vec = dict(vec)
-        while vec:
-            e, c = lead(vec, key)
-            piv = pivots.get(e)
-            if piv is None:
-                return vec, e
-            _step(vec, *_ratio(c, piv[e]), no_shift, piv)
-        return vec, None
+    def run(codec, polys):
+        p, *gens = polys
+        # m times a packed monomial is that monomial plus m - one
+        shifts = [(k, m - codec.one) for k, m in codec.monomials(bound)]
+        rows = []
+        for g, r in zip(gens, room):
+            if g:
+                rows.extend({d + e: c for e, c in g.items()} for k, d in shifts if k <= r)
+        # Echelonize the products, then reduce f against the pivots.
+        pivots = {}
 
-    for row in rows:
-        red, lead_e = reduce_vec(row)
-        if lead_e is not None:
-            pivots[lead_e] = _primitive(red)
-    residual, _ = reduce_vec(p)
+        def reduce_vec(vec):
+            vec = dict(vec)
+            while vec:
+                e = max(vec)
+                piv = pivots.get(e)
+                if piv is None:
+                    return vec, e
+                _step(vec, *_ratio(vec[e], piv[e]), 0, piv)
+            return vec, None
+
+        for row in rows:
+            red, lead_e = reduce_vec(row)
+            if lead_e is not None:
+                pivots[lead_e] = _primitive(red)
+        return reduce_vec(p)[0]
+
+    residual = _packed(GREVLEX, nv, polys, run, bound)[1]
     return MacaulayResult("not_at_bound" if residual else "member", bound)
 
 
@@ -517,24 +594,28 @@ def primality_oracle(ideal, config=None):
         return PrimalityVerdict("prime", "linear", note="affine-linear generators cut a subspace")
     if len(basis) == 1:
         return _principal(ideal, basis[0], config)
-    rng = random.Random(config.seed)
-    key = _order_key(ideal.order)
     alg_basis, lift, _ = _freeze(basis, ideal.variables)
-    monos = monomials(len(ideal.variables), PROBE_DEGREE)
-    for _ in range(PROBE_TRIALS):
-        a = _random_algpoly(rng, monos, lift)
-        b = _random_algpoly(rng, monos, lift)
-        ra, _, sa = _nf(a, alg_basis, key)
-        rb, _, sb = _nf(b, alg_basis, key)
-        if not ra or not rb:
-            continue
-        if not _nf(mul(ra, rb), alg_basis, key)[0]:
-            fa = from_algpoly(ra, ideal.variables, ring, Fraction(1, sa))
-            fb = from_algpoly(rb, ideal.variables, ring, Fraction(1, sb))
-            if not _verify_zero_divisor(ideal, fa, fb):
-                raise RuntimeError("probe witness failed re-verification")
-            return PrimalityVerdict("not_prime", "counterexample", (fa, fb), "zero-divisor probe")
-    return PrimalityVerdict(
-        "unknown", "probe-exhausted", None,
-        f"no zero divisor found in {PROBE_TRIALS} probes",
-    )
+
+    def probe(codec, alg_basis):
+        rng = random.Random(config.seed)
+        monos = [m for _, m in codec.monomials(PROBE_DEGREE)]
+        for _ in range(PROBE_TRIALS):
+            a = _random_algpoly(rng, monos, lift)
+            b = _random_algpoly(rng, monos, lift)
+            ra, _, sa = _nf(a, alg_basis, codec)
+            rb, _, sb = _nf(b, alg_basis, codec)
+            if not ra or not rb:
+                continue
+            if not _nf(codec.product(ra, rb), alg_basis, codec)[0]:
+                fa = from_algpoly(codec.unpack(ra), ideal.variables, ring, Fraction(1, sa))
+                fb = from_algpoly(codec.unpack(rb), ideal.variables, ring, Fraction(1, sb))
+                if not _verify_zero_divisor(ideal, fa, fb):
+                    raise RuntimeError("probe witness failed re-verification")
+                return PrimalityVerdict(
+                    "not_prime", "counterexample", (fa, fb), "zero-divisor probe")
+        return PrimalityVerdict(
+            "unknown", "probe-exhausted", None,
+            f"no zero divisor found in {PROBE_TRIALS} probes",
+        )
+
+    return _packed(ideal.order, len(ideal.variables), alg_basis, probe)[1]

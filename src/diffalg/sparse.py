@@ -10,11 +10,18 @@ divided by an int is a float, so the two callers that run on ints, the
 Groebner backend's constants mode and TPoly's product, never pass an int
 coefficient to exact_div.
 
-Monomial keys are exponent vectors (TPoly and the Groebner backend) unless
-the caller passes its own monomial product, as DiffPoly does with mono_mul.
-This module also owns exponent-vector arithmetic (product, quotient, lcm,
-divisibility, unit vectors), which DerivVar's derivative operators use too,
-and the one enumeration of all monomials up to a degree.
+Monomial keys are exponent vectors (TPoly and the Groebner backend's
+interface) unless the caller passes its own monomial product, as DiffPoly
+does with mono_mul. This module also owns exponent-vector arithmetic
+(product, quotient, lcm, divisibility, unit vectors), which DerivVar's
+derivative operators use too, and the one enumeration of all monomials up to
+a degree. Inside the Groebner backend each exponent vector is packed into one
+int (Packing): fixed-width fields whose int comparison is the monomial order
+(grevlex or lex), so a product is one addition and a divisibility test one
+subtraction and a mask. The width is chosen per call from the input; a
+packed product that outgrows it sets a guard bit, and the caller catches
+Overflow and starts again at double the width; tests check Packing against
+the exponent-vector functions.
 Functions that return a polynomial return a fresh dict and leave their
 arguments alone; acc updates the dict it is given. power works on any value
 with a *, so TPoly, DiffPoly and Scalar share it. iterate is the
@@ -69,9 +76,9 @@ def total_degree(p):
     return max((sum(e) for e in p), default=-1)
 
 
-def lead(p, key=deglex):
-    """Leading monomial and coefficient of a nonzero polynomial under key."""
-    e = max(p, key=key)
+def lead(p):
+    """Leading monomial and coefficient of a nonzero polynomial, degree-lexicographically."""
+    e = max(p, key=deglex)
     return e, p[e]
 
 
@@ -180,3 +187,108 @@ def exact_div(p, d):
         for e2, c2 in d.items():
             acc(r, emul(qe, e2), -(qc * c2))
     return q
+
+
+GREVLEX = "grevlex"
+LEX = "lex"
+
+
+class Overflow(ArithmeticError):
+    """A packed monomial outgrew its fields; the call is repeated at a wider width."""
+
+
+class Packing:
+    """Exponent vectors in n variables packed into one int per monomial.
+
+    Every field is `width` bits: width-1 value bits, at most `top`, under a
+    guard bit that no packed monomial sets. Int comparison is the order:
+    under lex the fields are e_1, ..., e_n, most significant first; under
+    grevlex they are the total degree, then top-e_n, ..., top-e_1.
+    So each exponent (lex), or the total degree (grevlex), is at most top,
+    and encode raises Overflow beyond it.
+
+    The empty monomial packs to `one` (0 under lex): a product is a + b - one
+    and a quotient a - b + one. A product of two packed monomials is exact
+    even where it outgrows the fields: no field reaches 2**width, distinct
+    products are distinct ints that compare in the monomial order, and one
+    sets a guard bit exactly when an exponent (lex) or its degree (grevlex)
+    exceeds top. divides is one subtraction and a mask: sign*(b - a) + guard
+    keeps a field's guard bit exactly where a's exponent is at most b's (sign
+    is -1 under grevlex, whose fields count down). The lcm decodes and
+    re-encodes; callers form it once per pair.
+    """
+
+    def __init__(self, order, n, width):
+        if order not in (GREVLEX, LEX):
+            raise ValueError(f"unknown monomial order {order!r}")
+        self.order, self.n, self.width = order, n, width
+        self.lex = order == LEX
+        self.top = (1 << (width - 1)) - 1
+        fields = n if self.lex else n + 1
+        self.guard = sum(1 << (i * width + width - 1) for i in range(fields))
+        if self.lex:
+            self.shifts = [(n - 1 - j) * width for j in range(n)]
+            self.units = [1 << s for s in self.shifts]
+            self.one, self.sign, self.dmask = 0, 1, self.guard
+        else:
+            self.shifts = [j * width for j in range(n)]
+            self.units = [(1 << (n * width)) - (1 << s) for s in self.shifts]
+            self.one = sum(self.top << s for s in self.shifts)
+            self.sign, self.dmask = -1, self.guard - (1 << (n * width + width - 1))
+
+    @classmethod
+    def fit(cls, order, n, polys, degree=0):
+        """A packing with room for four times the largest exponent (lex) or
+        total degree (grevlex) of the exponent-vector polys, and for degree;
+        at least 7 value bits."""
+        size = (lambda e: max(e, default=0)) if order == LEX else sum
+        reach = max((size(e) for p in polys for e in p), default=0)
+        return cls(order, n, 1 + max(7, (4 * max(reach, degree)).bit_length()))
+
+    def wider(self):
+        return Packing(self.order, self.n, 2 * self.width)
+
+    def encode(self, e):
+        if (max(e, default=0) if self.lex else sum(e)) > self.top:
+            raise Overflow
+        return self.one + sum(k * u for k, u in zip(e, self.units))
+
+    def decode(self, x):
+        top = self.top
+        if self.lex:
+            return tuple((x >> s) & top for s in self.shifts)
+        return tuple(top - ((x >> s) & top) for s in self.shifts)
+
+    def pack(self, p):
+        return {self.encode(e): c for e, c in p.items()}
+
+    def unpack(self, p):
+        return {self.decode(x): c for x, c in p.items()}
+
+    def monomials(self, degree):
+        """(total degree, packed monomial) of every monomial of total degree
+        at most degree, in the order of monomials(n, degree), built by adding
+        packed powers of the variables."""
+        if degree > self.top:
+            raise Overflow
+        out = [(0, self.one)]
+        for u in reversed(self.units):
+            out = [(k + j, m + k * u) for k in range(degree + 1) for j, m in out if k + j <= degree]
+        return out
+
+    def mul(self, a, b):
+        return a + b - self.one
+
+    def divides(self, a, b):
+        """Does the packed monomial a divide the packed monomial b?"""
+        return (self.sign * (b - a) + self.guard) & self.dmask == self.dmask
+
+    def lcm(self, a, b):
+        return self.encode(elcm(self.decode(a), self.decode(b)))
+
+    def product(self, p, q):
+        """p*q over packed monomials; Overflow if an exponent outgrows the fields."""
+        t = mul(p, q, self.mul)
+        if any(x & self.guard for x in t):
+            raise Overflow
+        return t

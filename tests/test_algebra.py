@@ -266,6 +266,75 @@ class TestCoefficientDomain:
             assert sats[0] == sats[1]
 
 
+class TestCachedBasis:
+    """buchberger leaves its packed basis on the AlgIdeal it returns;
+    ideal_member must answer exactly as on the same basis tuple in an
+    AlgIdeal built by hand, which carries none."""
+
+    T = RingContext(m=0, n=2, field_mode="rational_t")
+
+    @staticmethod
+    def _frozen_sizes(monkeypatch):
+        from diffalg import algebra
+
+        freeze, sizes = algebra._freeze, []
+        monkeypatch.setattr(algebra, "_freeze",
+                            lambda polys, vs: sizes.append(len(polys)) or freeze(polys, vs))
+        return sizes
+
+    def _agree(self, monkeypatch, I, texts, joint):
+        """Every f in texts gets the same certificate with and without the
+        cache; `joint` says whether ideal_member must freeze the basis again."""
+        bare = AlgIdeal(I.ring, I.variables, I.generators, I.order, basis=I.basis)
+        for text in texts:
+            f = parse_poly(text, I.ring)
+            sizes = self._frozen_sizes(monkeypatch)
+            got = ideal_member(f, I)
+            assert sizes == ([1, 1 + len(I.basis)] if joint else [1])
+            want = ideal_member(f, bare)
+            assert (got.member, got.normal_form, got.quotients) == (
+                want.member, want.normal_form, want.quotients)
+            assert [poly_text(q) for q in got.quotients] == [poly_text(q) for q in want.quotients]
+            monkeypatch.undo()
+        return bare
+
+    def _ideal(self, ring, *texts, order="grevlex"):
+        variables = tuple(xvar(ring, j) for j in (1, 2))
+        gens = tuple(parse_poly(t, ring) for t in texts)
+        return buchberger(AlgIdeal(ring, variables, gens, order))
+
+    def test_constants_basis(self, monkeypatch):
+        for order in ("grevlex", "lex"):
+            I = self._ideal(R, "x1^2 - 1/2*x2", "2/3*x1*x2 - 1", order=order)
+            texts = ["x1^3*x2 - 1/2*x1*x2^2", "3/4*x1^2 + x2", "0"]
+            self._agree(monkeypatch, I, texts, joint=False)
+
+    def test_rational_t_basis(self, monkeypatch):
+        I = self._ideal(self.T, "t1*x1 - 1", "x1^2 - x2")
+        assert [poly_text(g) for g in I.basis] == ["t1^2*x2 - 1", "t1*x1 - 1"]
+        self._agree(monkeypatch, I, ["t1^3*x1*x2 - 1", "x1 + t1*x2^2 - 1/3*t1"], joint=False)
+        # a constant f against a t-basis: frozen together, over Scalars
+        self._agree(monkeypatch, I, ["x1*x2 - 3"], joint=True)
+
+    def test_t_free_basis_of_a_t_ideal(self, monkeypatch):
+        I = self._ideal(self.T, "t1*x1 - t1", "(t1 + 1)*x2^2 - t1 - 1")
+        assert [poly_text(g) for g in I.basis] == ["x1 - 1", "x2^2 - 1"]
+        self._agree(monkeypatch, I, ["x1*x2^3 - 1/2", "x1^2 - 1"], joint=False)
+
+    def test_t_coefficients_against_a_constants_basis(self, monkeypatch):
+        I = self._ideal(self.T, "x1^2 - 1/2", "x1*x2 - x2")
+        self._agree(monkeypatch, I, ["t1*x1^2 - 1/2*t1", "t1*x1 + x2^2"], joint=True)
+
+    def test_replaced_basis_is_not_read_from_the_cache(self, monkeypatch):
+        I = self._ideal(R, "x1^2 - x2", "x1*x2 - 1")
+        J = self._ideal(R, "x1 - x2")
+        f = P("x1^2 - x2^2")
+        assert not ideal_member(f, I).member
+        I.basis = J.basis
+        bare = self._agree(monkeypatch, I, ["x1^2 - x2^2", "x1 + x2"], joint=True)
+        assert ideal_member(f, I).member and ideal_member(f, bare).member
+
+
 def _rand_gen(rng, max_terms=3, degree=3, height=2):
     import itertools
     from fractions import Fraction

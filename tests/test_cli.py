@@ -468,6 +468,45 @@ class TestPrime:
         assert code == 2 and out.splitlines()[0] == "status: unknown"
 
 
+class TestExponentWidth:
+    """The Groebner backend packs each monomial into one int whose field width
+    comes from the input and doubles when an exponent outgrows it. The texts
+    below were printed by the exponent-tuple backend it replaced."""
+
+    @staticmethod
+    def _count_widening(monkeypatch):
+        from diffalg import sparse
+
+        wider, widths = sparse.Packing.wider, []
+        monkeypatch.setattr(sparse.Packing, "wider",
+                            lambda self: widths.append(self.width) or wider(self))
+        return widths
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_huge_exponent_basis(self, capsys, order):
+        code, out = run(capsys, "groebner", "x1^99999999999 - x2; x2^2 - 1", "--vars", "x1, x2",
+                        "--n", "2", "--m", "0", "--order", order)
+        assert code == 0
+        assert out == ("x2^2 - 1\nx1^99999999999 - x2\n---\nstatus: ok\nsize: 2\n"
+                       f"order: {order}\nexit: 0\n")
+
+    def test_lex_elimination_outgrows_the_input_width(self, capsys, monkeypatch):
+        # exponents up to 12 get 7-bit fields; x1^12 -> x2^144 does not fit
+        widths = self._count_widening(monkeypatch)
+        code, out = run(capsys, "eliminate", "x1 - x2^12; x3 - x1^12", "--drop", "x1",
+                        "--vars", "x1, x2, x3", "--n", "3", "--m", "0")
+        assert (code, out) == (0, "x2^144 - x3\n---\nstatus: ok\nsize: 1\nexit: 0\n")
+        assert widths == [8]
+
+    def test_lex_normal_form_outgrows_the_basis_width(self, capsys, monkeypatch):
+        widths = self._count_widening(monkeypatch)
+        code, out = run(capsys, "member", "x1^7 - 1", "x1 - x2^40", "--order", "lex",
+                        "--vars", "x1, x2", "--n", "2", "--m", "0")
+        assert (code, out) == (2, "member: no\nnormal form: x2^280 - 1\n---\n"
+                                  "status: not-member\nnormal_form: x2^280 - 1\nexit: 2\n")
+        assert widths == [9]
+
+
 class TestVars:
     @pytest.mark.parametrize("argv, message", [
         (["groebner", "x1 - x2^2; x1*x2 - 1", "--vars", "x2, x1, x2", "--order", "lex"],
