@@ -48,7 +48,8 @@ from . import modp
 from .poly import DiffPoly, mono_from
 from .scalars import Scalar, TPoly, _int_scale, _over_z, common_den, tpoly_gcd
 from .sparse import (
-    GREVLEX, LEX, Overflow, Packing, acc, add, exact_div, monomials, neg, sub, total_degree,
+    GREVLEX, LEX, Overflow, Packing, add, exact_div, monomials, neg, sub, sub_shifted,
+    total_degree,
 )
 
 
@@ -125,65 +126,11 @@ def _ratio(c, bc):
     return 1, c / bc
 
 
-def _step(work, s, r, d, b):
-    """work := s*work - r*x^d*b, in place; d is added to each packed key of b
-    (d = m - one for the packed monomial m)."""
-    if s != 1:
-        for e in work:
-            work[e] *= s
-    nr = -r
-    get = work.get
-    for be, bc in b.items():
-        e = d + be
-        c = get(e)
-        c = nr * bc if c is None else c + nr * bc
-        if c:
-            work[e] = c
-        else:
-            work.pop(e, None)
-
-
 def _nf(p, basis, codec):
-    """Normal form with quotients: scale*p = sum(q_i * basis_i) + remainder.
-
-    The scale is the product of the integer steps' s, and 1 over Scalars.
-    A key of p may be the product of two packed monomials that outgrew the
-    fields (a lex division step can raise an exponent, and so can an
-    S-polynomial): such keys still compare in the monomial order, and one
-    raises Overflow when it leads, before it is divided or kept.
-    """
-    sign, guard, dmask = codec.sign, codec.guard, codec.dmask
-    quots = [{} for _ in basis]
-    divisors = []
-    for b, q in zip(basis, quots):
-        be = max(b)
-        # be divides e exactly when (sign*e - tag) & dmask == dmask (Packing.divides)
-        divisors.append((sign * be - guard, be, b, q))
-    rem = {}
-    scale = 1
-    work = dict(p)
-    while work:
-        e = max(work)
-        if e & guard:
-            raise Overflow
-        c = work[e]
-        se = sign * e
-        for tag, be, b, q in divisors:
-            if (se - tag) & dmask == dmask:
-                d = e - be
-                s, r = _ratio(c, b[be])
-                if s != 1:
-                    scale *= s
-                    for t in (rem, *quots):
-                        for te in t:
-                            t[te] *= s
-                acc(q, d + codec.one, r)
-                _step(work, s, r, d, b)
-                break
-        else:
-            rem[e] = c
-            del work[e]
-    return rem, quots, scale
+    """Normal form with quotients: (remainder, quotients, scale) with
+    scale*p = sum(q_i * basis_i) + remainder; the scale is the product of the
+    integer steps' s, and 1 over Scalars (sparse.Packing.divide)."""
+    return codec.divide(p, basis, _ratio)
 
 
 def _primitive(p):
@@ -222,8 +169,8 @@ def _spoly(f, g, codec):
     lex a key may outgrow the fields; _nf catches it."""
     fe, ge = max(f), max(g)
     l = codec.lcm(fe, ge)
-    work = {l - fe + e: c for e, c in f.items()}
-    _step(work, *_ratio(f[fe], g[ge]), l - ge, g)
+    work = codec.shifted(f, codec.offset(l, fe))
+    sub_shifted(work, *_ratio(f[fe], g[ge]), codec.offset(l, ge), g)
     return work
 
 
@@ -293,8 +240,8 @@ class AlgIdeal:
     generators: tuple
     order: str = GREVLEX
     basis: tuple | None = None
-    # (basis, variables, packing, packed basis, lift) from buchberger; see _cached
-    _frozen: tuple | None = field(default=None, compare=False, repr=False)
+    # (basis, variables, packing, packed basis, lift), set by buchberger; see _cached
+    _frozen: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -306,12 +253,9 @@ def buchberger(ideal):
     gens, lift, _ = _freeze(ideal.generators, ideal.variables)
     codec, G = _packed(ideal.order, len(ideal.variables), gens, _checked_basis)
     basis = tuple(from_algpoly(codec.unpack(g), ideal.variables, ideal.ring) for g in G)
-    if lift is not int and all(c.is_const() for g in G for c in g.values()):
-        # a t-free basis of a t-ideal: keep the integer form _freeze gives it
-        G, lift, _ = _freeze(basis, ideal.variables)
-        G = [codec.pack(g) for g in G]
-    return AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order, basis,
-                    (basis, ideal.variables, codec, G, lift))
+    out = AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order, basis)
+    out._frozen = (basis, ideal.variables, codec, G, lift)
+    return out
 
 
 def _with_basis(ideal):
@@ -319,9 +263,9 @@ def _with_basis(ideal):
 
 
 def _cached(ideal):
-    """(packing, packed basis, lift) that buchberger attached, equal to what
-    _freeze and packing would make of ideal.basis; None without one, or once
-    basis, variables or order are no longer those it was made from."""
+    """(packing, packed basis, lift) that buchberger attached; None without
+    one, or once basis, variables or order are no longer those it was made
+    from. ideal.basis is the packed basis thawed at scale 1, term for term."""
     c = ideal._frozen
     if c is None or c[0] is not ideal.basis or c[1] is not ideal.variables:
         return None
@@ -345,6 +289,7 @@ def ideal_member(f, ideal):
     cached = _cached(ideal)
     if cached is not None and (lift is int) == (cached[2] is int):
         codec, basis, _ = cached
+        # each basis element is ideal.basis's, unscaled
         try:
             return _member(ideal, codec, [codec.pack(p), *basis], [p_scale] + [1] * len(basis))
         except Overflow:
@@ -432,12 +377,11 @@ def macaulay_member(f, ideal, bound):
 
     def run(codec, polys):
         p, *gens = polys
-        # m times a packed monomial is that monomial plus m - one
-        shifts = [(k, m - codec.one) for k, m in codec.monomials(bound)]
+        shifts = [(k, codec.offset(m)) for k, m in codec.monomials(bound)]
         rows = []
         for g, r in zip(gens, room):
             if g:
-                rows.extend({d + e: c for e, c in g.items()} for k, d in shifts if k <= r)
+                rows.extend(codec.shifted(g, d) for k, d in shifts if k <= r)
         # Echelonize the products, then reduce f against the pivots.
         pivots = {}
 
@@ -448,7 +392,7 @@ def macaulay_member(f, ideal, bound):
                 piv = pivots.get(e)
                 if piv is None:
                     return vec, e
-                _step(vec, *_ratio(vec[e], piv[e]), 0, piv)
+                sub_shifted(vec, *_ratio(vec[e], piv[e]), 0, piv)
             return vec, None
 
         for row in rows:

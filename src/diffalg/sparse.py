@@ -18,7 +18,10 @@ derivative operators use too, and the one enumeration of all monomials up to
 a degree. Inside the Groebner backend each exponent vector is packed into one
 int (Packing): fixed-width fields whose int comparison is the monomial order
 (grevlex or lex), so a product is one addition and a divisibility test one
-subtraction and a mask. The width is chosen per call from the input; a
+subtraction and a mask. Packing alone knows the field layout: it gives the
+backend offsets (adding one to a packed key multiplies by a monomial),
+shifted copies and the division loop itself (Packing.divide), with the
+coefficient step passed in. The width is chosen per call from the input; a
 packed product that outgrows it sets a guard bit, and the caller catches
 Overflow and starts again at double the width; tests check Packing against
 the exponent-vector functions.
@@ -279,6 +282,15 @@ class Packing:
     def mul(self, a, b):
         return a + b - self.one
 
+    def offset(self, a, b=None):
+        """The int that, added to a packed monomial, multiplies it by a/b (by
+        a when b is None); b must divide a. Offsets add, and 0 multiplies by 1."""
+        return a - (self.one if b is None else b)
+
+    def shifted(self, p, d):
+        """p times the monomial of the offset d."""
+        return {e + d: c for e, c in p.items()}
+
     def divides(self, a, b):
         """Does the packed monomial a divide the packed monomial b?"""
         return (self.sign * (b - a) + self.guard) & self.dmask == self.dmask
@@ -292,3 +304,69 @@ class Packing:
         if any(x & self.guard for x in t):
             raise Overflow
         return t
+
+    def divide(self, p, basis, ratio):
+        """Division with quotients over packed monomials: (remainder,
+        quotients, scale) with scale*p = sum(q_i * basis_i) + remainder.
+
+        The leading term of what is left is cancelled by the first basis
+        element whose leading monomial divides it, else moved to the
+        remainder. ratio(c, bc) is the step (s, r), s*c == r*bc, that cancels
+        the coefficient c by that element's leading coefficient bc: the work
+        is scaled by s and r times the shifted element subtracted, and scale
+        is the product of the steps' s.
+        A key of p may be the product of two packed monomials that outgrew
+        the fields (a lex division step can raise an exponent, and so can an
+        S-polynomial): such keys still compare in the monomial order, and one
+        raises Overflow when it leads, before it is divided or kept.
+        """
+        sign, guard, dmask, one = self.sign, self.guard, self.dmask, self.one
+        quots = [{} for _ in basis]
+        divisors = []
+        for b, q in zip(basis, quots):
+            be = max(b)
+            # be divides e exactly when (sign*e - tag) & dmask == dmask (see divides)
+            divisors.append((sign * be - guard, be, b, q))
+        rem = {}
+        scale = 1
+        work = dict(p)
+        while work:
+            e = max(work)
+            if e & guard:
+                raise Overflow
+            c = work[e]
+            se = sign * e
+            for tag, be, b, q in divisors:
+                if (se - tag) & dmask == dmask:
+                    d = e - be
+                    s, r = ratio(c, b[be])
+                    if s != 1:
+                        scale *= s
+                        for t in (rem, *quots):
+                            for te in t:
+                                t[te] *= s
+                    acc(q, d + one, r)
+                    sub_shifted(work, s, r, d, b)
+                    break
+            else:
+                rem[e] = c
+                del work[e]
+        return rem, quots, scale
+
+
+def sub_shifted(work, s, r, d, b):
+    """work := s*work - r*(b shifted by d), in place, over packed monomials;
+    d is an offset (Packing.offset)."""
+    if s != 1:
+        for e in work:
+            work[e] *= s
+    nr = -r
+    get = work.get
+    for be, bc in b.items():
+        e = d + be
+        c = get(e)
+        c = nr * bc if c is None else c + nr * bc
+        if c:
+            work[e] = c
+        else:
+            work.pop(e, None)

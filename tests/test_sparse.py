@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+from math import gcd
+
 from diffalg.sparse import (
-    GREVLEX, LEX, Overflow, Packing, divides, ediv, elcm, emul, monomials,
+    GREVLEX, LEX, Overflow, Packing, add, divides, ediv, elcm, emul, monomials, mul, scale,
 )
 
 
@@ -53,8 +56,11 @@ def test_packing_matches_exponent_vectors(case):
     assert codec.decode(A) == a and codec.decode(B) == b
     assert (A < B) == (key(a) < key(b)) and (A == B) == (a == b)
     assert codec.divides(A, B) == divides(a, b)
+    assert A + codec.offset(B) == codec.mul(A, B) and A + codec.offset(codec.one) == A
     if divides(b, a):
         assert codec.decode(A - B + codec.one) == ediv(a, b)
+        assert codec.decode(codec.one + codec.offset(A, B)) == ediv(a, b)
+        assert codec.unpack(codec.shifted({B: 3}, codec.offset(A, B))) == {a: 3}
     if _fits(codec, elcm(a, b)):
         assert codec.decode(codec.lcm(A, B)) == elcm(a, b)
     else:
@@ -100,3 +106,46 @@ def test_fit_takes_the_width_from_the_input():
     assert Packing(LEX, 3, 8).wider().width == 16
     with pytest.raises(ValueError, match="unknown monomial order"):
         Packing("deglex", 2, 8)
+
+
+def _field_step(c, bc):
+    return 1, c / bc
+
+
+def _integer_step(c, bc):
+    g = gcd(c, bc) * (1 if bc > 0 else -1)
+    return bc // g, c // g
+
+
+@st.composite
+def _divisions(draw):
+    order, n = draw(st.sampled_from((GREVLEX, LEX))), draw(st.integers(1, 3))
+    monos = monomials(n, 3)
+    poly = st.dictionaries(st.sampled_from(monos), st.integers(-3, 3).filter(bool), max_size=4)
+    return order, n, draw(poly), draw(st.lists(poly.filter(bool), max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_divisions(), st.sampled_from((_field_step, _integer_step)))
+def test_divide_gives_a_division_identity(case, step):
+    """scale*p == sum(q_i * b_i) + rem, no remainder term divisible by a
+    basis leader, scale 1 for the field step; recomputed at a wider packing
+    when a lex step overflows, as the backend does."""
+    order, n, p, basis = case
+    if step is _field_step:
+        p = {e: Fraction(c) for e, c in p.items()}
+    codec = Packing.fit(order, n, [p, *basis])
+    while True:
+        try:
+            rem, quots, k = codec.divide(codec.pack(p), [codec.pack(b) for b in basis], step)
+            break
+        except Overflow:
+            codec = codec.wider()
+    assert k == 1 or step is _integer_step
+    rem, quots = codec.unpack(rem), [codec.unpack(q) for q in quots]
+    total = rem
+    for q, b in zip(quots, basis):
+        total = add(total, mul(q, b))
+    assert total == scale(p, k)
+    leads = [codec.decode(max(codec.pack(b))) for b in basis]
+    assert not any(divides(le, e) for e in rem for le in leads)
