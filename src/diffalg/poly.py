@@ -3,12 +3,23 @@
 A polynomial is a map from monomials (multisets of derivative variables) to
 nonzero scalars. Values are immutable after construction and every operation
 returns a fresh canonical value, so sharing is always safe.
+
+A product of two polynomials with at least two terms each, all of whose
+coefficients are polynomials in t, runs over Z[t] (_mul_over_z): each
+operand's Fraction denominators are cleared once, the t-exponents are packed
+into ints (sparse.Packing, lex, fitted to both operands, so a t-monomial
+product is one addition and never overflows), each pair of terms is one int
+double loop, and one Fraction is built per output t-term. Every other
+product, one with a one-term operand or a rational-function coefficient,
+multiplies Scalars term by term (sparse.mul); both give the same terms.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import sparse
-from .scalars import Scalar
+from .scalars import Scalar, TPoly, _over_z
 
 # A monomial is a tuple of (DerivVar, exponent) pairs with positive exponents,
 # sorted by the canonical variable key.
@@ -147,8 +158,14 @@ class DiffPoly:
         return DiffPoly._raw(self.ring, sparse.neg(self.terms))
 
     def __mul__(self, other):
+        """The product; over Z[t] when both operands have several terms and
+        polynomial coefficients (_mul_over_z), else term by term."""
         self._check(other)
-        return DiffPoly._raw(self.ring, sparse.mul(self.terms, other.terms, mono_mul))
+        p, q = self.terms, other.terms
+        if (len(p) < 2 or len(q) < 2 or not all(c.is_poly() for c in p.values())
+                or not all(c.is_poly() for c in q.values())):
+            return DiffPoly._raw(self.ring, sparse.mul(p, q, mono_mul))
+        return DiffPoly._raw(self.ring, _mul_over_z(p, q, self.ring.nt))
 
     def __pow__(self, k):
         if k < 0:
@@ -215,3 +232,45 @@ class DiffPoly:
 
         return f"DiffPoly({poly_text(self)})"
 
+
+def _int_terms(p, code):
+    """([(monomial, [(packed t-exponent, int)])], d): p's coefficients as
+    int t-polynomials over d, the lcm of all their Fraction denominators
+    (scalars._over_z); code maps each t-exponent to its packed int."""
+    ints, d = _over_z({(m, e): c for m, s in p.items() for e, c in s.num.terms.items()})
+    grouped = {}
+    for (m, e), c in ints.items():
+        grouped.setdefault(m, []).append((code[e], c))
+    return list(grouped.items()), d
+
+
+def _mul_over_z(p, q, nt):
+    """p*q for term dicts with polynomial coefficients: denominators cleared
+    once per operand, t-exponents packed (lex; q's as offsets) so a
+    t-monomial product is one int addition, one int double loop per pair of
+    terms, and one Fraction per output t-term."""
+    exps = {e for s in (*p.values(), *q.values()) for e in s.num.terms}
+    packing = sparse.Packing.fit(sparse.LEX, nt, [exps])
+    code = {e: packing.encode(e) for e in exps}
+    ip, dp = _int_terms(p, code)
+    iq, dq = _int_terms(q, {e: packing.offset(k) for e, k in code.items()})
+    out = {}
+    for m1, t1 in ip:
+        for m2, t2 in iq:
+            m = mono_mul(m1, m2)
+            acc = out.get(m)
+            if acc is None:
+                acc = out[m] = {}
+            get = acc.get
+            for a, x in t1:
+                for b, y in t2:
+                    k = a + b
+                    acc[k] = get(k, 0) + x * y
+    d = dp * dq
+    decode = packing.decode
+    terms = {}
+    for m, acc in out.items():
+        t = {decode(k): Fraction(c, d) for k, c in acc.items() if c}
+        if t:
+            terms[m] = Scalar._poly(TPoly._raw(nt, t))
+    return terms

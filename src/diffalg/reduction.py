@@ -11,6 +11,18 @@ multiplies by one separant (proper-derivative elimination) or one initial
 variables are fixed from the top down; an elimination step only touches
 variables ranked at or below the one being removed, so the highest offender
 descends strictly and the loop terminates.
+
+No arithmetic is repeated. The r steps that remove one offender build that
+reducer's new cofactor by Horner's rule; the other cofactors and the
+premultiplier are multiplied by ini**r once, afterwards, not by ini at every
+step. Each theta(g) is derived once per system and kept on the RankedSystem
+(RankedSystem._theta; the cache is not part of the system's value). An f whose coefficients have
+t-denominators is reduced as den * f, den their least common multiple, with
+each coefficient formed by exact division; every step is linear in p and den
+is a scalar, so the steps and premultiplier are those of f, and dividing the
+remainder and the cofactors by den once gives f's certificate exactly.
+verify re-derives every theta(g) with derive_theta and reads no cache, so
+it stays an independent check.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from dataclasses import dataclass, field
 
 from .poly import DiffPoly
 from .ranking import Ranking, leader_initial_separant
+from .scalars import Scalar, TPoly, common_den
 from .sparse import divides, ediv, elcm
 
 PARTIAL = "partial"
@@ -50,6 +63,8 @@ class RankedSystem:
     initials: tuple
     separants: tuple
     h: DiffPoly
+    # theta(g) by (index of g, theta), filled on demand; not part of the value
+    _thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -57,6 +72,21 @@ class RankedSystem:
     @property
     def ring(self):
         return self.elements[0].ring if self.elements else None
+
+    def _theta(self, gi, theta):
+        """theta applied to element gi, derived once per system: each theta(g)
+        is one derivation of the cached theta(g) one step below it."""
+        key = (gi, theta)
+        out = self._thetas.get(key)
+        if out is None:
+            i = max((j for j, k in enumerate(theta) if k), default=None)
+            if i is None:
+                out = self.elements[gi]
+            else:
+                lower = theta[:i] + (theta[i] - 1,) + theta[i + 1:]
+                out = self._theta(gi, lower).derive(i + 1)
+            self._thetas[key] = out
+        return out
 
 
 def autoreduced_check(polys, ranking):
@@ -145,9 +175,23 @@ def _violation(p, ranking, leaders, degrees, mode):
     return None if best is None else (best[1], best[2], best[3])
 
 
+def _polynomial_multiple(f):
+    """(den * f, den) with den the least common t-denominator of f's
+    coefficients, each coefficient of den * f formed by exact division; None
+    when every coefficient is already a polynomial."""
+    coeffs = f.terms.values()
+    if all(c.is_poly() for c in coeffs):
+        return None
+    den = common_den(f.ring.nt, [c for c in coeffs if not c.is_poly()])
+    terms = {m: Scalar._poly(c.num * (den if c.is_poly() else den.exact_div(c.den)))
+             for m, c in f.terms.items()}
+    return DiffPoly._raw(f.ring, terms), den
+
+
 def _reduce(f, system, mode):
     ring = f.ring
-    p = f
+    cleared = _polynomial_multiple(f)
+    p = f if cleared is None else cleared[0]
     premult = DiffPoly.one(ring)
     cof = {}
     steps = 0
@@ -157,26 +201,35 @@ def _reduce(f, system, mode):
             break
         v, gi, theta = viol
         if any(theta):
-            divisor = system.elements[gi].derive_theta(theta)
+            divisor = system._theta(gi, theta)
             ini = system.separants[gi]
             dmin = 1
         else:
             divisor = system.elements[gi]
             ini = system.initials[gi]
             dmin = system.leader_degrees[gi]
+        # r steps p := ini*p - mult_j*divisor; q = sum_j ini^(r-j) * mult_j by Horner
+        q = None
+        r = 0
         while not p.is_zero():
             e = p.degree_in(v)
             if e < dmin:
                 break
-            c = p.coeff_power(v, e)
-            mult = c * DiffPoly.var(ring, v, e - dmin)
+            mult = p.coeff_power(v, e) * DiffPoly.var(ring, v, e - dmin)
             p = ini * p - mult * divisor
-            premult = ini * premult
-            for k in list(cof):
-                cof[k] = ini * cof[k]
-            key = (gi, theta)
-            cof[key] = cof[key] + mult if key in cof else mult
-            steps += 1
+            q = mult if q is None else ini * q + mult
+            r += 1
+        power = ini ** r
+        premult = power * premult
+        for k in cof:
+            cof[k] = power * cof[k]
+        key = (gi, theta)
+        cof[key] = cof[key] + q if key in cof else q
+        steps += r
+    if cleared is not None:
+        inverse = Scalar(TPoly.one(ring.nt), cleared[1])
+        p = p.scale(inverse)
+        cof = {k: c.scale(inverse) for k, c in cof.items()}
     return ReductionCertificate(mode, f, p, premult, cof, steps)
 
 
@@ -231,8 +284,8 @@ def coherence_check(system):
             hi, lo = j, i  # elements are sorted ascending; j has the higher leader
             ua, ub = system.leaders[hi], system.leaders[lo]
             theta = elcm(ua.theta, ub.theta)
-            a_shift = system.elements[hi].derive_theta(ediv(theta, ua.theta))
-            b_shift = system.elements[lo].derive_theta(ediv(theta, ub.theta))
+            a_shift = system._theta(hi, ediv(theta, ua.theta))
+            b_shift = system._theta(lo, ediv(theta, ub.theta))
             delta = system.separants[lo] * a_shift - system.separants[hi] * b_shift
             cert = full_reduce(delta, system)
             evidence.append(DeltaPairEvidence(hi, lo, cert))

@@ -10,7 +10,9 @@ almost all of those gcds are 1. tpoly_gcd first tries to prove that from
 univariate images mod a 61-bit prime (see _coprime_mod_p, and modp.py); only
 when that proof fails does it run the exact primitive PRS. Sums and
 differences over one shared denominator add numerators and skip the product
-of denominators, and polynomial scalars share one unit denominator.
+of denominators. Polynomial scalars share one unit denominator, TPoly.one of
+their arity: every constructor hands out that instance, also when a gcd or
+a constant scaled to 1 leaves a unit, so is_poly is an identity test.
 
 TPoly coefficients are Fractions, but a product of two operands with several
 terms each runs over the integers: each operand's denominators are cleared
@@ -348,8 +350,11 @@ def tpoly_gcd(a, b):
 
 
 def _reduce_pair(num, den):
-    if num.is_zero():
-        return num, TPoly.one(num.nvars)
+    """num/den in lowest terms with a monic denominator; a unit denominator
+    is always the shared TPoly.one."""
+    one = TPoly.one(num.nvars)
+    if num.is_zero() or den is one:
+        return num, one
     if not den.is_const():
         g = tpoly_gcd(num, den)
         if not (g.is_const() and g.const_value() == 1):
@@ -359,8 +364,9 @@ def _reduce_pair(num, den):
     lc = den.lead_coeff()
     if lc != 1:
         num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
-    return num, den
+    if den.is_const():
+        return num, one
+    return num, den if lc == 1 else den.scale(1 / lc)
 
 
 class Scalar:
@@ -413,24 +419,25 @@ class Scalar:
         return self.num.is_const() and self.den.is_const()
 
     def is_poly(self):
-        t = self.den.terms
-        return len(t) == 1 and t.get((0,) * self.den.nvars) == 1
+        return self.den is _ONES.get(self.den.nvars)
 
     def __bool__(self):
         return bool(self.num.terms)
 
     def __add__(self, other):
-        if self.is_poly() and other.is_poly():
+        den = self.den
+        if den is other.den and den is _ONES.get(den.nvars):
             return Scalar._poly(self.num + other.num)
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
+        if den == other.den:
+            return Scalar(self.num + other.num, den)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
-        if self.is_poly() and other.is_poly():
+        den = self.den
+        if den is other.den and den is _ONES.get(den.nvars):
             return Scalar._poly(self.num - other.num)
-        if self.den == other.den:
-            return Scalar(self.num - other.num, self.den)
+        if den == other.den:
+            return Scalar(self.num - other.num, den)
         return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self):
@@ -440,7 +447,8 @@ class Scalar:
         return s
 
     def __mul__(self, other):
-        if self.is_poly() and other.is_poly():
+        den = self.den
+        if den is other.den and den is _ONES.get(den.nvars):
             return Scalar._poly(self.num * other.num)
         return Scalar(self.num * other.num, self.den * other.den)
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from diffalg import (
     poly_text,
     scalar_text,
 )
-from diffalg.ring import RATIONAL_T, DerivVar, xvar
+from diffalg import poly, sparse
+from diffalg.poly import mono_from, mono_mul
+from diffalg.ring import CONSTANTS, RATIONAL_T, DerivVar, xvar
 
 from conftest import rand_model_point, rand_poly
 
@@ -174,3 +177,87 @@ class TestDenominatorPrinting:
         s = P("t2 - 1").scalar_value() / P("2*t1").scalar_value()
         assert scalar_text(s) == "(1/2*t2 - 1/2) / (t1)"
         assert poly_text(DiffPoly.const(RT, s)) == scalar_text(s)
+
+
+RC = RingContext(m=2, n=2, field_mode=CONSTANTS)
+_X1, _X2, _D1X1 = DerivVar("x", 1, (0, 0)), DerivVar("x", 2, (0, 0)), DerivVar("x", 1, (1, 0))
+_MONOS = [mono_from(m) for m in ((), [(_X1, 1)], [(_X1, 2)], [(_X1, 1), (_X2, 1)], [(_D1X1, 1)])]
+# t-exponents on both sides of Packing.fit's two smallest widths (4*31 < 2**7 <= 4*32,
+# 4*127 < 2**9 <= 4*128)
+_T_EXPONENTS = st.sampled_from([0, 0, 1, 2, 31, 32, 127, 128])
+_T_COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 1, 2, 3, 35]))
+
+
+@st.composite
+def _diffpoly(draw, ring):
+    nt = ring.nt
+    exps = st.just((0,) * nt) if ring.field_mode == CONSTANTS else st.tuples(*[_T_EXPONENTS] * nt)
+    coeffs = st.dictionaries(exps, _T_COEFFS, min_size=1, max_size=3)
+    terms = draw(st.dictionaries(st.sampled_from(_MONOS), coeffs, max_size=4))
+    return DiffPoly(ring, {m: Scalar(TPoly(nt, t)) for m, t in terms.items()})
+
+
+def _flip_term(f, rng):
+    """f with one whole term negated: cross terms of f*g cancel."""
+    m = rng.choice(sorted(f.terms, key=str))
+    return DiffPoly(f.ring, {k: -c if k == m else c for k, c in f.terms.items()})
+
+
+def _flip_t_term(f, rng):
+    """f with one t-term of one coefficient negated: single t-terms cancel."""
+    m = rng.choice(sorted(f.terms, key=str))
+    num = f.terms[m].num.terms
+    e = rng.choice(sorted(num))
+    c = Scalar(TPoly(f.ring.nt, {k: -q if k == e else q for k, q in num.items()}))
+    return DiffPoly(f.ring, {**f.terms, m: c})
+
+
+@st.composite
+def _diffpoly_pairs(draw):
+    """Two DiffPolys of one ring (rational_t or constants); some pairs are
+    (f, f with a term or a t-term negated), and some rational_t pairs carry
+    a coefficient with a t-denominator."""
+    ring = draw(st.sampled_from([RT, RT, RC]))
+    a = draw(_diffpoly(ring))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["free", "term", "t-term", "rational"]))
+    if kind == "term" and a.terms:
+        return a, _flip_term(a, rng)
+    if kind == "t-term" and a.terms:
+        return a, _flip_t_term(a, rng)
+    b = draw(_diffpoly(ring))
+    if kind == "rational" and ring is RT and b.terms:
+        m = rng.choice(sorted(b.terms, key=str))
+        b = DiffPoly(ring, {**b.terms, m: b.terms[m] / P("t1 + 2*t3").scalar_value()})
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_diffpoly_pairs())
+def test_integer_product_matches_the_term_loop(pair):
+    a, b = pair
+    expect = sparse.mul(a.terms, b.terms, mono_mul)
+    with mock.patch.object(poly, "_mul_over_z", wraps=poly._mul_over_z) as over_z:
+        got = a * b
+    assert got.terms == expect
+    polynomial = all(c.is_poly() for f in (a, b) for c in f.terms.values())
+    assert over_z.called == (polynomial and len(a.terms) >= 2 and len(b.terms) >= 2)
+    if polynomial:
+        one = TPoly.one(a.ring.nt)
+        for c in got.terms.values():
+            assert c.den is one and all(type(q) is Fraction and q for q in c.num.terms.values())
+
+
+class TestIntegerProductExamples:
+    def test_whole_terms_cancel(self):
+        assert P("x1 + t1*x2") * P("x1 - t1*x2") == P("x1^2 - t1^2*x2^2")
+
+    def test_single_t_terms_cancel(self):
+        f = P("t1*x1 + 1/2*t2*x1 + 1")
+        g = P("t1*x1 - 1/2*t2*x1 + 3")
+        assert f * g == P("t1^2*x1^2 - 1/4*t2^2*x1^2 + 4*t1*x1 + t2*x1 + 3")
+
+    def test_the_packing_fits_both_operands(self):
+        f, g = P("x1 + t1*x2"), P("t1^200*x1 + 1/3*t2^129*x2")
+        assert (f * g).terms == sparse.mul(f.terms, g.terms, mono_mul)
+        assert (g * f).terms == sparse.mul(g.terms, f.terms, mono_mul)

@@ -1,25 +1,30 @@
 """Autoreducedness, reduction certificates, H products and coherence."""
 
+import random
+
 import pytest
 
 from diffalg import (
+    DiffPoly,
     NotAutoreduced,
     Ranking,
     RingContext,
+    Scalar,
     autoreduced_check,
     coherence_check,
     full_reduce,
     is_reduced,
     parse_poly,
+    parse_tpoly,
     partial_reduce,
     poly_text,
 )
 from diffalg.algebra import to_algpoly
-from diffalg.reduction import FULL, PARTIAL
+from diffalg.reduction import FULL, PARTIAL, ReductionCertificate, _violation
 from diffalg.ring import RATIONAL_T
 from diffalg.sparse import exact_div
 
-from conftest import rand_autoreduced, rand_poly
+from conftest import rand_autoreduced, rand_poly, rand_tpoly
 
 RT = RingContext(m=2, n=2, field_mode=RATIONAL_T)
 R11 = RingContext(m=1, n=1, field_mode=RATIONAL_T)
@@ -145,6 +150,124 @@ class TestCertificateProperties:
         cert = partial_reduce(P("d1 d1 x1", R11), s)
         assert cert.premultiplier == P("1", R11)
         assert cert.verify(s)
+
+
+def _reference_reduce(f, system, mode):
+    """The reduction loop as first written, kept as the reference: every
+    cofactor and the premultiplier are multiplied by the initial at every
+    step, theta(g) is derived afresh, f's t-denominators are kept."""
+    ring = f.ring
+    p = f
+    premult = DiffPoly.one(ring)
+    cof = {}
+    steps = 0
+    while not p.is_zero():
+        viol = _violation(p, system.ranking, system.leaders, system.leader_degrees, mode)
+        if viol is None:
+            break
+        v, gi, theta = viol
+        if any(theta):
+            divisor = system.elements[gi].derive_theta(theta)
+            ini = system.separants[gi]
+            dmin = 1
+        else:
+            divisor = system.elements[gi]
+            ini = system.initials[gi]
+            dmin = system.leader_degrees[gi]
+        while not p.is_zero():
+            e = p.degree_in(v)
+            if e < dmin:
+                break
+            c = p.coeff_power(v, e)
+            mult = c * DiffPoly.var(ring, v, e - dmin)
+            p = ini * p - mult * divisor
+            premult = ini * premult
+            for k in list(cof):
+                cof[k] = ini * cof[k]
+            key = (gi, theta)
+            cof[key] = cof[key] + mult if key in cof else mult
+            steps += 1
+    return ReductionCertificate(mode, f, p, premult, cof, steps)
+
+
+def _rational_scalar(rng, ring):
+    """num/den with a den of positive degree in t."""
+    while True:
+        den = rand_tpoly(rng, ring.nt, degree=1, height=4, max_terms=2, nonzero=True)
+        if not den.is_const():
+            num = rand_tpoly(rng, ring.nt, degree=1, height=4, max_terms=2, nonzero=True)
+            return Scalar(num, den)
+
+
+class TestReductionEquivalence:
+    """The reduction gives the reference loop's certificate exactly."""
+
+    def _cases(self, seed, count):
+        rng = random.Random(seed)
+        fixed = Scalar(parse_tpoly("t2 - 1", RT), parse_tpoly("t1 + t3 + 2", RT))
+        for k in range(count):
+            s = rand_autoreduced(rng, RT, size=1 + k % 2)
+            if k % 4 == 3:
+                # an element with a t-denominator: rational initials and separants
+                elems = list(s.elements)
+                elems[0] = elems[0].scale(_rational_scalar(rng, RT))
+                s = autoreduced_check(elems, s.ranking)
+            f = rand_poly(rng, RT, max_order=3, max_degree=3, max_terms=3, allow_t=True)
+            yield s, f
+            yield s, f.scale(fixed)
+            yield s, f.scale(_rational_scalar(rng, RT))
+
+    @pytest.mark.parametrize("mode", [FULL, PARTIAL])
+    def test_same_certificate_as_the_reference_loop(self, mode):
+        reduce_fn = full_reduce if mode == FULL else partial_reduce
+        sizes = set()
+        stepped = 0
+        for s, f in self._cases(1505, 45):
+            cert, ref = reduce_fn(f, s), _reference_reduce(f, s, mode)
+            assert cert.input is f
+            assert cert.remainder == ref.remainder
+            assert cert.premultiplier == ref.premultiplier
+            assert cert.steps == ref.steps
+            assert list(cert.cofactors) == list(ref.cofactors)
+            assert cert.cofactors == ref.cofactors
+            sizes.add(len(s))
+            stepped += cert.steps > 1
+        assert sizes == {1, 2} and stepped > 20
+
+    def test_scaling_family(self):
+        s = system("t1*d1x1^2 - x1^3 - t2")
+        scale = Scalar(parse_tpoly("t2 - 1", RT), parse_tpoly("t1 + t3 + 2", RT))
+        for k in (3, 4):
+            for f in (P("d1" * k + "x1"), P("d1" * k + "x1").scale(scale)):
+                cert, ref = full_reduce(f, s), _reference_reduce(f, s, FULL)
+                assert (cert.remainder, cert.premultiplier, cert.steps, cert.cofactors) == (
+                    ref.remainder, ref.premultiplier, ref.steps, ref.cofactors)
+
+
+class TestThetaCache:
+    def test_verify_does_not_read_the_cache(self):
+        s = system("d1 x1 - x1", ring=R11)
+        f = P("d1 d1 x1", R11)
+        assert full_reduce(f, s).verify(s)
+        corrupt = system("d1 x1 - x1", ring=R11)
+        corrupt._thetas[(0, (1,))] = P("d1 d1 x1 - d1 x1 + x1", R11)
+        cert = full_reduce(f, corrupt)
+        assert not cert.verify(corrupt)
+        assert not cert.verify(s)
+
+    def test_cache_is_not_part_of_the_value(self):
+        a, b = system("x1*d1x1 - 1", "d2 x2"), system("x1*d1x1 - 1", "d2 x2")
+        full_reduce(P("d1 d1 d2 x1 + d2 d2 x2"), a)
+        assert a._thetas and not b._thetas
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_thetas" not in repr(a)
+
+    def test_cached_theta_is_the_derivative(self):
+        s = system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2")
+        full_reduce(P("d1 d1 d1 d2 x1 + d1 d2 d2 x2"), s)
+        assert len(s._thetas) > 2
+        for (gi, theta), g in s._thetas.items():
+            assert g == s.elements[gi].derive_theta(theta)
 
 
 class TestCoherence:

@@ -201,6 +201,45 @@ def test_unit_denominator_is_shared():
     assert TPoly.one(2) == TPoly.const(2, 1) and TPoly.one(2) is not TPoly.one(3)
 
 
+def test_every_unit_denominator_is_the_shared_one():
+    """is_poly is an identity test, so no operation may hand out a fresh
+    unit denominator: not after cancelling, nor after scaling a constant one."""
+    rng = random.Random(1515)
+    one = TPoly.one(3)
+    t1, t2 = TPoly.var(3, 1), TPoly.var(3, 2)
+    pool = [
+        Scalar(t1, TPoly.const(3, 4)),  # constant denominator scaled to 1
+        Scalar(t1 * t2, t1),  # the gcd cancels the whole denominator
+        Scalar(t1 + TPoly.one(3), TPoly.const(3, 1)),
+    ]
+    for _ in range(20):
+        num = rand_tpoly(rng, 3, degree=2, max_terms=3, nonzero=True)
+        den = rand_tpoly(rng, 3, degree=1, max_terms=2, nonzero=True)
+        pool += [Scalar(num), Scalar(num, den), Scalar(num * den, den)]
+    made = list(pool)
+    for _ in range(600):
+        a, b = rng.choice(pool), rng.choice(pool)
+        op = rng.randrange(7)
+        if op == 0:
+            made.append(a + b)
+        elif op == 1:
+            made.append(a - b)
+        elif op == 2:
+            made.append(a * b)
+        elif op == 3:
+            made.append(a / b)
+        elif op == 4:
+            made.append(a.diff(rng.randint(1, 3)))
+        elif op == 5:
+            made.append((a * b) / b)  # a rational factor cancelled
+        else:
+            made.append(-(a ** 2).scale(Fraction(1, 3)))
+    units = [x for x in made if x.den == one]
+    assert len(units) > 200 and len(units) < len(made)
+    assert all(x.den is one and x.is_poly() for x in units)
+    assert not any(x.is_poly() for x in made if x.den != one)
+
+
 @pytest.mark.parametrize("build", [
     lambda: TPoly(1, {(0,): 0.5}),
     lambda: TPoly.const(1, 0.1),
