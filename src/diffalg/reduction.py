@@ -215,11 +215,13 @@ def _reduce(f, system, mode):
             e = p.degree_in(v)
             if e < dmin:
                 break
-            mult = p.coeff_power(v, e) * DiffPoly.var(ring, v, e - dmin)
+            mult = p.coeff_power(v, e)
+            if e > dmin:
+                mult = mult * DiffPoly.var(ring, v, e - dmin)
             p = ini * p - mult * divisor
             q = mult if q is None else ini * q + mult
             r += 1
-        power = ini ** r
+        power = ini if r == 1 else ini ** r
         premult = power * premult
         for k in cof:
             cof[k] = power * cof[k]
