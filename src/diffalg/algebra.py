@@ -23,15 +23,20 @@ share one arithmetic path; _ratio, _primitive and _normalize are the only
 places that tell them apart. Results thaw back to DiffPolys over Scalars
 with Fraction constants, normal forms and quotients divided by the scale the
 integer run picked up, so both domains give the same values.
-Buchberger runs the normal strategy with pairs selected by lcm order, and
-the emitted basis is inter-reduced and normalized to denominator-free,
-integer-primitive elements with a positive leading coefficient. buchberger,
-eliminate and saturate each re-check that all S-polynomials of the basis
-they compute reduce to zero and that every input generator does, and raise
-RuntimeError otherwise. The AlgIdeal buchberger returns carries the packed
-basis with its domain, as _freeze would give it for that basis tuple;
-ideal_member then freezes only f, unless the basis has been replaced or the
-domains differ.
+Buchberger selects pairs by lcm order and keeps them by the Gebauer-Moeller
+update (JSC 1988): Buchberger's product and chain criteria drop a pair whose
+S-polynomial the pairs kept already account for. The emitted basis is
+inter-reduced and normalized to denominator-free, integer-primitive
+elements with a positive leading coefficient. buchberger, eliminate and
+saturate each re-check the basis they compute and raise RuntimeError unless
+every S-polynomial reduces to zero by it, save those of pairs with coprime
+leading monomials or with a strict chain through a third element (each
+rests on pairs of strictly smaller lcm, so the check is a proof by
+induction on the monomial order; see _self_check), and then every input
+generator does. Reductions whose quotients nobody reads form none (_rem).
+The AlgIdeal buchberger returns carries the packed basis with its domain,
+as _freeze would give it for that basis tuple; ideal_member then freezes
+only f, unless the basis has been replaced or the domains differ.
 """
 
 from __future__ import annotations
@@ -101,15 +106,20 @@ def _packed(order, n, polys, run, degree=0):
 
 def from_algpoly(p, variables, ring, scale=1):
     """Thaw a term dict, each coefficient times the rational scale, to a
-    DiffPoly; int coefficients become exact Fractions."""
+    DiffPoly; int coefficients become exact Fractions. The variables are
+    those of an AlgIdeal, which checked them against the ring, so the terms
+    are not validated again."""
+    nt = ring.nt
     terms = {}
     for e, c in p.items():
         if scale != 1:
             c = c * scale
-        if not isinstance(c, (int, Fraction, Scalar)):
+        if isinstance(c, (int, Fraction)):
+            c = Scalar.from_fraction(nt, c)
+        elif not isinstance(c, Scalar):
             raise RuntimeError(f"inexact coefficient {c!r} in the Groebner backend")
         terms[mono_from((variables[i], k) for i, k in enumerate(e) if k)] = c
-    return DiffPoly(ring, terms)
+    return DiffPoly._raw(ring, terms)
 
 
 def _ratio(c, bc):
@@ -131,6 +141,11 @@ def _nf(p, basis, codec):
     scale*p = sum(q_i * basis_i) + remainder; the scale is the product of the
     integer steps' s, and 1 over Scalars (sparse.Packing.divide)."""
     return codec.divide(p, basis, _ratio)
+
+
+def _rem(p, basis, codec):
+    """The remainder of _nf alone, with no quotients formed."""
+    return codec.divide(p, basis, _ratio, quotients=False)[0]
 
 
 def _primitive(p):
@@ -175,27 +190,55 @@ def _spoly(f, g, codec):
 
 
 def _buchberger(gens, codec):
-    G = [g for g in gens if g]
-    leads = [max(g) for g in G]
-    # Pairs leave the heap by lcm order, ties in insertion order.
-    pairs, seq = [], itertools.count()
+    """A Groebner basis of (gens), reduced by _interreduce.
 
-    def push(j):
-        for i in range(j):
-            heapq.heappush(pairs, (codec.lcm(leads[i], leads[j]), next(seq), i, j))
+    Pairs are kept by the Gebauer-Moeller update (Becker-Weispfenning's
+    UPDATE): when h joins, a new pair (g, h) is dropped if another new
+    pair's lcm properly divides its lcm (criterion M), one pair is kept per
+    lcm, a coprime one if there is one (F), and a coprime pair is dropped
+    (product criterion); a queued pair (f, g) is dropped if lt(h) divides
+    its lcm and neither lcm(f, h) nor lcm(g, h) equals it (B). An element
+    whose leading monomial lt(h) divides forms no new pairs, but it stays a
+    divisor. Pairs leave the heap by lcm, ties in insertion order.
+    """
+    G, leads, active = [], [], []
+    heap, live, seq = [], {}, itertools.count()
+    lcm, divides = codec.lcm, codec.divides
 
-    for j in range(len(G)):
-        push(j)
-    while pairs:
-        l, _, i, j = heapq.heappop(pairs)
-        if l == codec.mul(leads[i], leads[j]):
-            continue  # disjoint leading supports reduce to zero
-        rem = _nf(_spoly(G[i], G[j], codec), G, codec)[0]
+    def update(h):
+        e, k = max(h), len(G)
+        for (i, j), l in list(live.items()):
+            if divides(e, l) and lcm(leads[i], e) != l and lcm(leads[j], e) != l:
+                del live[i, j]  # criterion B; skipped when popped
+        new = [(lcm(leads[i], e), i) for i in range(k) if active[i]]
+        kept = {}
+        for l, i in new:
+            if any(m != l and divides(m, l) for m, _ in new):
+                continue  # criterion M
+            coprime = l == codec.mul(leads[i], e)
+            if l not in kept or coprime and not kept[l][1]:
+                kept[l] = i, coprime  # criterion F
+        for l, (i, coprime) in kept.items():
+            if not coprime:
+                live[i, k] = l
+                heapq.heappush(heap, (l, next(seq), i, k))
+        for i in range(k):
+            if active[i] and divides(e, leads[i]):
+                active[i] = False
+        G.append(h)
+        leads.append(e)
+        active.append(True)
+
+    for g in gens:
+        if g:
+            update(g)
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        if live.pop((i, j), None) is None:
+            continue
+        rem = _rem(_spoly(G[i], G[j], codec), G, codec)
         if rem:
-            rem = _primitive(rem)
-            G.append(rem)
-            leads.append(max(rem))
-            push(len(G) - 1)
+            update(_primitive(rem))
     return _interreduce(G, codec)
 
 
@@ -209,7 +252,7 @@ def _interreduce(G, codec):
         g for i, (g, e) in enumerate(zip(G, leads))
         if not any(codec.divides(f, e) and (f != e or j < i) for j, f in enumerate(leads) if j != i)
     ]
-    G = [_normalize(_nf(g, kept[:i] + kept[i + 1 :], codec)[0]) for i, g in enumerate(kept)]
+    G = [_normalize(_rem(g, kept[:i] + kept[i + 1 :], codec)) for i, g in enumerate(kept)]
     G.sort(key=max)
     return G
 
@@ -217,12 +260,37 @@ def _interreduce(G, codec):
 def _self_check(G, gens, codec):
     """Raise RuntimeError unless every S-polynomial of G reduces to zero by G
     (G is a Groebner basis of (G)) and then every input generator does (so
-    (G) contains the input ideal)."""
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            if _nf(_spoly(G[i], G[j], codec), G, codec)[0]:
-                raise RuntimeError("S-polynomial self-check failed on emitted basis")
-    if any(_nf(g, G, codec)[0] for g in gens):
+    (G) contains the input ideal).
+
+    Two criteria skip a pair (i, j) of lcm L: coprime leading monomials
+    (product criterion), and a third element k whose leading monomial
+    divides L with lcm(i, k) and lcm(j, k) both proper divisors of L (chain
+    criterion, strict form). The check stays a proof in any visiting order.
+    G is a Groebner basis if every S-polynomial S(i, j) is a combination of
+    elements times monomials each with leading monomial below L. By
+    induction on L in the monomial order: a pair that reduces to zero has
+    such a combination by its division; a coprime pair has one; and a
+    chain-skipped pair's S(i, j) is a monomial multiple of S(i, k) plus one
+    of S(k, j), whose lcms are proper divisors of L, hence smaller, so their
+    combinations, multiplied up, stay below L. With an equal lcm allowed the
+    skipped pairs could rest on each other.
+    """
+    leads = [max(g) for g in G]
+    n = len(G)
+    lcms = {(i, j): codec.lcm(leads[i], leads[j]) for j in range(n) for i in range(j)}
+
+    def lcm(i, j):
+        return lcms[min(i, j), max(i, j)]
+
+    for (i, j), l in lcms.items():
+        if l == codec.mul(leads[i], leads[j]):
+            continue
+        if any(k != i and k != j and codec.divides(leads[k], l)
+               and lcm(i, k) != l and lcm(j, k) != l for k in range(n)):
+            continue
+        if _rem(_spoly(G[i], G[j], codec), G, codec):
+            raise RuntimeError("S-polynomial self-check failed on emitted basis")
+    if any(_rem(g, G, codec) for g in gens):
         raise RuntimeError("an input generator does not reduce to zero by the emitted basis")
 
 

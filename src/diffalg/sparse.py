@@ -217,8 +217,9 @@ class Packing:
     sets a guard bit exactly when an exponent (lex) or its degree (grevlex)
     exceeds top. divides is one subtraction and a mask: sign*(b - a) + guard
     keeps a field's guard bit exactly where a's exponent is at most b's (sign
-    is -1 under grevlex, whose fields count down). The lcm decodes and
-    re-encodes; callers form it once per pair.
+    is -1 under grevlex, whose fields count down). The lcm takes the larger
+    exponent of each field by the same guard-bit subtraction (lex), or the
+    smaller complement field and then the total degree of those (grevlex).
     """
 
     def __init__(self, order, n, width):
@@ -238,6 +239,7 @@ class Packing:
             self.units = [(1 << (n * width)) - (1 << s) for s in self.shifts]
             self.one = sum(self.top << s for s in self.shifts)
             self.sign, self.dmask = -1, self.guard - (1 << (n * width + width - 1))
+            self.low = (1 << (n * width)) - 1
 
     @classmethod
     def fit(cls, order, n, polys, degree=0):
@@ -296,7 +298,24 @@ class Packing:
         return (self.sign * (b - a) + self.guard) & self.dmask == self.dmask
 
     def lcm(self, a, b):
-        return self.encode(elcm(self.decode(a), self.decode(b)))
+        """The lcm of two packed monomials; Overflow if its total degree
+        passes top (grevlex)."""
+        # (a | dmask) - b keeps a field's guard bit exactly where a's field is
+        # at least b's; no field borrows from the next. The mask fills the
+        # value bits of those fields.
+        m = ((a | self.dmask) - b) & self.dmask
+        mask = m - (m >> (self.width - 1))
+        if self.lex:
+            return b ^ ((a ^ b) & mask)  # the larger exponent of each field
+        # the smaller complement field, so the larger exponent; one minus
+        # those fields packs the exponents alone, and an int is its sum of
+        # base-2**width digits modulo 2**width - 1: the total degree, which
+        # is at most 2*top, below that modulus
+        low = (a ^ ((a ^ b) & mask)) & self.low
+        degree = (self.one - low) % ((1 << self.width) - 1)
+        if degree > self.top:
+            raise Overflow
+        return low + (degree << (self.n * self.width))
 
     def product(self, p, q):
         """p*q over packed monomials; Overflow if an exponent outgrows the fields."""
@@ -305,9 +324,11 @@ class Packing:
             raise Overflow
         return t
 
-    def divide(self, p, basis, ratio):
+    def divide(self, p, basis, ratio, quotients=True):
         """Division with quotients over packed monomials: (remainder,
         quotients, scale) with scale*p = sum(q_i * basis_i) + remainder.
+        With quotients false no quotient is formed or rescaled, and each
+        is None.
 
         The leading term of what is left is cancelled by the first basis
         element whose leading monomial divides it, else moved to the
@@ -321,13 +342,14 @@ class Packing:
         raises Overflow when it leads, before it is divided or kept.
         """
         sign, guard, dmask, one = self.sign, self.guard, self.dmask, self.one
-        quots = [{} for _ in basis]
+        quots = [{} if quotients else None for _ in basis]
         divisors = []
         for b, q in zip(basis, quots):
             be = max(b)
             # be divides e exactly when (sign*e - tag) & dmask == dmask (see divides)
             divisors.append((sign * be - guard, be, b, q))
         rem = {}
+        scaled = [rem, *quots] if quotients else [rem]
         scale = 1
         work = dict(p)
         while work:
@@ -342,10 +364,11 @@ class Packing:
                     s, r = ratio(c, b[be])
                     if s != 1:
                         scale *= s
-                        for t in (rem, *quots):
+                        for t in scaled:
                             for te in t:
                                 t[te] *= s
-                    acc(q, d + one, r)
+                    if q is not None:
+                        acc(q, d + one, r)
                     sub_shifted(work, s, r, d, b)
                     break
             else:
