@@ -276,20 +276,17 @@ def _self_check(G, gens, codec):
     skipped pairs could rest on each other.
     """
     leads = [max(g) for g in G]
-    n = len(G)
-    lcms = {(i, j): codec.lcm(leads[i], leads[j]) for j in range(n) for i in range(j)}
-
-    def lcm(i, j):
-        return lcms[min(i, j), max(i, j)]
-
-    for (i, j), l in lcms.items():
-        if l == codec.mul(leads[i], leads[j]):
-            continue
-        if any(k != i and k != j and codec.divides(leads[k], l)
-               and lcm(i, k) != l and lcm(j, k) != l for k in range(n)):
-            continue
-        if _rem(_spoly(G[i], G[j], codec), G, codec):
-            raise RuntimeError("S-polynomial self-check failed on emitted basis")
+    lcm = [[codec.lcm(a, b) for b in leads] for a in leads]
+    for j in range(len(G)):
+        for i in range(j):
+            l = lcm[i][j]
+            if l == codec.mul(leads[i], leads[j]) or any(
+                k != i and k != j and codec.divides(e, l) and lcm[i][k] != l and lcm[j][k] != l
+                for k, e in enumerate(leads)
+            ):
+                continue
+            if _rem(_spoly(G[i], G[j], codec), G, codec):
+                raise RuntimeError("S-polynomial self-check failed on emitted basis")
     if any(_rem(g, G, codec) for g in gens):
         raise RuntimeError("an input generator does not reduce to zero by the emitted basis")
 

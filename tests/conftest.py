@@ -109,15 +109,37 @@ def _derivative_related(u, v):
     )
 
 
+LEADER_DRAWS = 100
+
+
+def _unrelated_leaders(rng, ring, size, max_order):
+    """size pairwise unrelated variables drawn by rand_var. A partial set that
+    leaves no unrelated variable is drawn again from scratch; ValueError
+    after LEADER_DRAWS such sets."""
+    space = [
+        DerivVar("x", i, theta)
+        for i in range(1, ring.n + 1)
+        for theta in itertools.product(range(max_order + 1), repeat=ring.m)
+        if sum(theta) <= max_order
+    ]
+    for _ in range(LEADER_DRAWS):
+        leaders = []
+        while len(leaders) < size:
+            if all(any(_derivative_related(w, u) for u in leaders) for w in space):
+                break
+            v = rand_var(rng, ring, ("x",), max_order)
+            if all(not _derivative_related(v, u) for u in leaders):
+                leaders.append(v)
+        else:
+            return leaders
+    raise ValueError(f"no {size} unrelated leaders found in {LEADER_DRAWS} draws")
+
+
 def rand_autoreduced(rng, ring, ranking=None, size=2, max_order=2, max_lead_degree=2):
     """Construct an autoreduced system directly: distinct unrelated leaders,
     tails drawn from variables below every leader."""
     ranking = ranking or Ranking()
-    leaders = []
-    while len(leaders) < size:
-        v = rand_var(rng, ring, ("x",), max_order)
-        if all(not _derivative_related(v, u) for u in leaders):
-            leaders.append(v)
+    leaders = _unrelated_leaders(rng, ring, size, max_order)
     polys = []
     for v in leaders:
         pool = []

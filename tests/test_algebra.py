@@ -534,3 +534,193 @@ def test_probe_witness_is_divided_by_the_integer_scale():
         verdict = primality_oracle(I, PrimalityConfig(seed=1))
         assert verdict.status == "not_prime"
         assert [poly_text(w) for w in verdict.witness] == ["1/2*x2", "x2"]
+
+
+KATSURA3 = (
+    "x1 + 2*x2 + 2*x3 + 2*x4 - 1",
+    "x1^2 + 2*x2^2 + 2*x3^2 + 2*x4^2 - x1",
+    "2*x1*x2 + 2*x2*x3 + 2*x3*x4 - x2",
+    "x2^2 + 2*x1*x3 + 2*x2*x4 - x3",
+)
+CYCLIC4 = (
+    "x1 + x2 + x3 + x4",
+    "x1*x2 + x2*x3 + x3*x4 + x4*x1",
+    "x1*x2*x3 + x2*x3*x4 + x3*x4*x1 + x4*x1*x2",
+    "x1*x2*x3*x4 - 1",
+)
+
+
+def _all_pairs_buchberger(gens, codec):
+    """Buchberger with no criterion: every pair of every basis is reduced;
+    the reference the Gebauer-Moeller update must agree with."""
+    from diffalg.algebra import _interreduce, _primitive, _rem, _spoly
+
+    G = [g for g in gens if g]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        rem = _rem(_spoly(G[i], G[j], codec), G, codec)
+        if rem:
+            G.append(_primitive(rem))
+            pairs.extend((i, len(G) - 1) for i in range(len(G) - 1))
+    return _interreduce(G, codec)
+
+
+def _all_pairs_reduce(G, codec):
+    """Does every S-polynomial of G, with no criterion, reduce to zero by G?"""
+    from diffalg.algebra import _rem, _spoly
+
+    return not any(_rem(_spoly(G[i], G[j], codec), G, codec)
+                   for j in range(len(G)) for i in range(j))
+
+
+def _self_check_passes(G, codec):
+    from diffalg import algebra
+
+    try:
+        algebra._self_check(G, [], codec)
+    except RuntimeError:
+        return False
+    return True
+
+
+def _lead_heavy_ideals(rng, count):
+    """Seeded (order, n, generators) over exponent vectors, alternating int and
+    Scalar coefficients (a quarter with t, in two variables up to degree 2,
+    where coefficients grow fast): one to three random generators, often one
+    more with a repeated leading monomial and one more whose leading
+    monomial a generator's divides."""
+    from conftest import rand_scalar
+
+    from diffalg.sparse import Packing, monomials
+
+    ring = RingContext(m=0, n=1, field_mode="rational_t")
+    for i in range(count):
+        with_t = i % 4 == 3
+        order, nv = rng.choice(("grevlex", "lex")), 2 if with_t else rng.choice((2, 3))
+        key = Packing(order, nv, 16).encode
+        monos = monomials(nv, 3 if nv == 2 and not with_t else 2)
+
+        def coeff():
+            if i % 2 == 0:
+                return rng.choice((-3, -2, -1, 1, 2, 3))
+            return rand_scalar(rng, ring, 3, allow_t=with_t, nonzero=True)
+
+        def poly(lead=None):
+            """Random terms, all below lead when it is given."""
+            pool = [e for e in monos if lead is None or key(e) < key(lead)]
+            picked = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+            return {e: coeff() for e in picked}
+
+        gens = [poly() for _ in range(rng.randint(1, 3))]
+        lead = max(rng.choice(gens), key=key)
+        if rng.random() < 0.6:
+            gens.append({lead: coeff(), **poly(lead)})
+        if rng.random() < 0.6:
+            k = rng.randrange(nv)
+            g = rng.choice(gens)
+            shifted = {e[:k] + (e[k] + 1,) + e[k + 1:]: c for e, c in g.items()}
+            gens.append({**poly(max(shifted, key=key)), **shifted})
+        yield order, nv, gens
+
+
+class TestCriteria:
+    """Buchberger's criteria drop pairs, never a basis element: the update
+    and the self-check agree with loops that use none."""
+
+    def test_update_gives_the_all_pairs_basis(self):
+        from diffalg import algebra
+
+        rng = random.Random(20261019)
+        failing = 0
+        for order, nv, gens in _lead_heavy_ideals(rng, 200):
+            codec, G = algebra._packed(order, nv, gens, lambda c, ps: algebra._buchberger(ps, c))
+            ref_codec, ref = algebra._packed(order, nv, gens,
+                                             lambda c, ps: _all_pairs_buchberger(ps, c))
+            assert [codec.unpack(g) for g in G] == [ref_codec.unpack(g) for g in ref]
+            assert _self_check_passes(G, codec)
+            # G less an element, and the generators, are often no Groebner basis
+            for H in (G[1:], G[:-1], [codec.pack(g) for g in gens]):
+                passes = _all_pairs_reduce(H, codec)
+                assert _self_check_passes(H, codec) == passes
+                failing += not passes
+        assert failing > 100
+
+    @pytest.mark.parametrize("texts", [KATSURA3, CYCLIC4], ids=["katsura-3", "cyclic-4"])
+    def test_a_dropped_basis_element_is_caught(self, monkeypatch, texts):
+        from diffalg import algebra
+
+        ring = RingContext(m=0, n=4)
+        variables = tuple(xvar(ring, j) for j in range(1, 5))
+        I = AlgIdeal(ring, variables, tuple(parse_poly(t, ring) for t in texts))
+        assert len(buchberger(I).basis) == 7
+        full = algebra._buchberger
+        for k in range(7):
+            def dropped(gens, codec, k=k):
+                G = full(gens, codec)
+                return G[:k] + G[k + 1:]
+
+            monkeypatch.setattr(algebra, "_buchberger", dropped)
+            with pytest.raises(RuntimeError):
+                buchberger(I)
+
+    def test_an_lcm_past_the_first_fit_widens(self, monkeypatch):
+        """x1^3 and x2^3 fit a packing of top 3, their lcm does not: the
+        update overflows and the basis is recomputed wider, unchanged."""
+        from diffalg import algebra
+        from diffalg.sparse import GREVLEX, Overflow, Packing
+
+        codec = Packing(GREVLEX, 2, 3)
+        with pytest.raises(Overflow):
+            codec.lcm(codec.encode((3, 0)), codec.encode((0, 3)))
+        I = ideal("x1^3 - x2", "x2^3 - x1^2 + 1")
+        want = buchberger(I).basis
+        widths = []
+        checked = algebra._checked_basis
+
+        def spy(codec, gens):
+            widths.append(codec.width)
+            return checked(codec, gens)
+
+        monkeypatch.setattr(Packing, "fit",
+                            classmethod(lambda cls, order, n, polys, degree: cls(order, n, 3)))
+        monkeypatch.setattr(algebra, "_checked_basis", spy)
+        assert buchberger(I).basis == want and widths == [3, 6]
+
+
+def test_from_algpoly_is_the_validated_constructor(rng):
+    """The trusted thaw builds what DiffPoly's checked constructor builds,
+    for int, Fraction and Scalar coefficients, at any scale."""
+    from fractions import Fraction
+
+    from conftest import rand_scalar
+
+    from diffalg import DiffPoly
+    from diffalg.algebra import from_algpoly
+    from diffalg.poly import mono_from
+    from diffalg.sparse import monomials
+
+    for mode in ("constants", "rational_t"):
+        ring = RingContext(m=1, n=3, field_mode=mode)
+        variables = tuple(xvar(ring, j) for j in (1, 2, 3))
+        monos = monomials(3, 3)
+        for _ in range(60):
+            p = {}
+            for e in rng.sample(monos, rng.randint(0, 5)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    p[e] = rng.choice((-2, -1, 1, 3))
+                elif kind == 1:
+                    p[e] = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 4))
+                else:
+                    p[e] = rand_scalar(rng, ring, 3, allow_t=True, nonzero=True)
+            # the backend scales only int and Fraction coefficients
+            scalars = any(not isinstance(c, (int, Fraction)) for c in p.values())
+            scale = 1 if scalars else rng.choice((1, Fraction(2, 3), -5))
+            want = DiffPoly(ring, {
+                mono_from((variables[i], k) for i, k in enumerate(e) if k):
+                    c if scale == 1 else c * scale
+                for e, c in p.items()
+            })
+            got = from_algpoly(p, variables, ring, scale)
+            assert got == want and list(got.terms.items()) == list(want.terms.items())

@@ -6,7 +6,8 @@ the backend that keeps its meaning must reproduce these texts byte for byte.
 The digest covers the reduced basis of every ideal, one membership probe per
 ideal (normal form and every quotient), and elimination and saturation on the
 README tour ideals plus a seeded sample. Rings are constants and rational_t
-(m = 0), orders grevlex and lex, with rational constant coefficients.
+(m = 0), orders grevlex and lex, with rational constant coefficients. A
+second digest pins the reduced basis of katsura-5.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ from diffalg.ring import CONSTANTS, RATIONAL_T, xvar
 
 N_IDEALS = 300
 DIGEST = "fe9bbd394d8c6124e929984495ecdcf7a57c69b1492de996f9fa3644c005f621"
+KATSURA5_DIGEST = "622fc6b50bba6e4a3196b05b606f4ee0625b0f829a3d72a185230f761aa38e17"
 
 
 def _rand_poly(rng, ring, variables, max_terms, degree, constant_term=True):
@@ -92,6 +94,30 @@ def _golden_lines():
         )
         lines.append(f"tour {mode} groebner: {_texts(buchberger(tour).basis)}")
     return lines
+
+
+def _katsura(n):
+    """katsura-n over x1..x{n+1}, x{l+1} standing for u_l: u_{-l} = u_l,
+    u_l = 0 for |l| > n, sum of u_l over l = 1, and for m < n the sum of
+    u_l*u_{m-l} over l equals u_m."""
+    def u(l):
+        return f"x{abs(l) + 1}"
+
+    texts = [" + ".join(u(l) for l in range(-n, n + 1)) + " - 1"]
+    for m in range(n):
+        pairs = (f"{u(l)}*{u(m - l)}" for l in range(-n, n + 1) if abs(m - l) <= n)
+        texts.append(" + ".join(pairs) + f" - {u(m)}")
+    return texts
+
+
+def test_katsura5_basis_matches_pinned_digest():
+    """The largest ideal under a strict gate: 22 elements, grevlex."""
+    ring = RingContext(m=0, n=6, field_mode=CONSTANTS)
+    variables = tuple(xvar(ring, j) for j in range(1, 7))
+    I = buchberger(AlgIdeal(ring, variables, tuple(parse_poly(t, ring) for t in _katsura(5))))
+    assert len(I.basis) == 22
+    digest = hashlib.sha256("\n".join(poly_text(g) for g in I.basis).encode()).hexdigest()
+    assert digest == KATSURA5_DIGEST
 
 
 def test_groebner_outputs_match_pinned_digest():

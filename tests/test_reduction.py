@@ -199,6 +199,15 @@ def _rational_scalar(rng, ring):
             return Scalar(num, den)
 
 
+def test_rand_autoreduced_leaves_a_dead_end():
+    """At seed 0 the first leaders drawn are x2 and x1, to which every
+    derivative is related: the helper draws a fresh leader set, and raises
+    where no set of that size exists."""
+    assert len(rand_autoreduced(random.Random(0), RT, size=3)) == 3
+    with pytest.raises(ValueError, match="unrelated leaders"):
+        rand_autoreduced(random.Random(0), RingContext(m=1, n=2, field_mode=RATIONAL_T), size=3)
+
+
 class TestReductionEquivalence:
     """The reduction gives the reference loop's certificate exactly."""
 
@@ -206,7 +215,7 @@ class TestReductionEquivalence:
         rng = random.Random(seed)
         fixed = Scalar(parse_tpoly("t2 - 1", RT), parse_tpoly("t1 + t3 + 2", RT))
         for k in range(count):
-            s = rand_autoreduced(rng, RT, size=1 + k % 2)
+            s = rand_autoreduced(rng, RT, size=1 + k % 3)
             if k % 4 == 3:
                 # an element with a t-denominator: rational initials and separants
                 elems = list(s.elements)
@@ -232,7 +241,7 @@ class TestReductionEquivalence:
             assert cert.cofactors == ref.cofactors
             sizes.add(len(s))
             stepped += cert.steps > 1
-        assert sizes == {1, 2} and stepped > 20
+        assert sizes == {1, 2, 3} and stepped > 20
 
     def test_scaling_family(self):
         s = system("t1*d1x1^2 - x1^3 - t2")

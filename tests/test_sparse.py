@@ -1,5 +1,7 @@
 """Packed monomials (sparse.Packing) against the exponent-vector reference."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,39 @@ def test_packing_matches_exponent_vectors(case):
 
 
 @pytest.mark.parametrize("order", (GREVLEX, LEX))
+def test_lcm_is_the_fieldwise_max(order):
+    """The packed lcm against encode(elcm(...)) on random vectors with
+    exponents up to top, n = 1..6; under grevlex an lcm of total degree
+    past top raises Overflow, as encode does."""
+    rng = random.Random(16)
+
+    def vector(codec):
+        left, e = codec.top, []
+        for _ in range(codec.n):
+            k = rng.choice((0, left, rng.randint(0, left)))
+            e.append(k)
+            if not codec.lex:
+                left -= k
+        rng.shuffle(e)
+        return tuple(e)
+
+    overflowed = 0
+    for n in range(1, 7):
+        for width in (2, 3, 5, 8, 13):
+            codec = Packing(order, n, width)
+            for _ in range(200):
+                A, B = codec.encode(vector(codec)), codec.encode(vector(codec))
+                l = elcm(codec.decode(A), codec.decode(B))
+                if _fits(codec, l):
+                    assert codec.lcm(A, B) == codec.lcm(B, A) == codec.encode(l)
+                else:
+                    overflowed += 1
+                    with pytest.raises(Overflow):
+                        codec.lcm(A, B)
+    assert overflowed > 100 or order == LEX
+
+
+@pytest.mark.parametrize("order", (GREVLEX, LEX))
 def test_packed_monomials_follow_the_enumeration(order):
     for n in range(4):
         codec = Packing(order, n, 4)
@@ -142,6 +177,8 @@ def test_divide_gives_a_division_identity(case, step):
         except Overflow:
             codec = codec.wider()
     assert k == 1 or step is _integer_step
+    packed = codec.pack(p), [codec.pack(b) for b in basis]
+    assert codec.divide(*packed, step, quotients=False) == (rem, [None] * len(basis), k)
     rem, quots = codec.unpack(rem), [codec.unpack(q) for q in quots]
     total = rem
     for q, b in zip(quots, basis):
