@@ -270,10 +270,10 @@ def _self_check(G, gens, codec):
     elements times monomials each with leading monomial below L. By
     induction on L in the monomial order: a pair that reduces to zero has
     such a combination by its division; a coprime pair has one; and a
-    chain-skipped pair's S(i, j) is a monomial multiple of S(i, k) plus one
-    of S(k, j), whose lcms are proper divisors of L, hence smaller, so their
-    combinations, multiplied up, stay below L. With an equal lcm allowed the
-    skipped pairs could rest on each other.
+    chain-skipped pair's S(i, j) is, up to nonzero constants, a monomial
+    multiple of S(i, k) plus one of S(k, j), whose lcms are proper divisors
+    of L, hence smaller, so their combinations, multiplied up, stay below L.
+    With an equal lcm allowed the skipped pairs could rest on each other.
     """
     leads = [max(g) for g in G]
     lcm = [[codec.lcm(a, b) for b in leads] for a in leads]
