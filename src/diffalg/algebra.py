@@ -51,7 +51,7 @@ from math import gcd
 
 from . import modp
 from .poly import DiffPoly, mono_from
-from .scalars import Scalar, TPoly, _int_scale, _over_z, common_den, tpoly_gcd
+from .scalars import Scalar, TPoly, _coprime_ints, clear_denominators, tpoly_gcd
 from .sparse import (
     GREVLEX, LEX, Overflow, Packing, add, exact_div, monomials, neg, sub, sub_shifted,
     total_degree,
@@ -84,10 +84,9 @@ def _freeze(polys, variables):
         out, scales = [], []
         for p in frozen:
             # each coefficient's constant term
-            nums, den = _over_z({e: next(iter(c.num.terms.values())) for e, c in p.items()})
-            g = gcd(*nums.values()) or 1
-            out.append(nums if g == 1 else {e: n // g for e, n in nums.items()})
-            scales.append(1 if den == g else Fraction(den, g))
+            ints, scale = _coprime_ints({e: next(iter(c.num.terms.values())) for e, c in p.items()})
+            out.append(ints)
+            scales.append(scale)
         return out, int, scales
     return frozen, functools.partial(Scalar.from_fraction, coeffs[0].nvars), [1] * len(frozen)
 
@@ -166,13 +165,12 @@ def _normalize(p):
         result = _primitive(p)
         negative = result[max(result)] < 0
     else:
-        den = Scalar._poly(common_den(c0.nvars, p.values()))
-        scaled = {e: c * den for e, c in p.items()}
+        _, nums = clear_denominators(c0.nvars, p)
         content = TPoly.zero(c0.nvars)
-        for c in scaled.values():
-            content = tpoly_gcd(content, c.num)
-        cleaned = {e: c.num.exact_div(content) for e, c in scaled.items()}
-        scale = _int_scale({(e, f): fc for e, q in cleaned.items() for f, fc in q.terms.items()})
+        for q in nums.values():
+            content = tpoly_gcd(content, q)
+        cleaned = {e: q.exact_div(content) for e, q in nums.items()}
+        _, scale = _coprime_ints({(e, f): c for e, q in cleaned.items() for f, c in q.terms.items()})
         result = {e: Scalar._poly(q.scale(scale)) for e, q in cleaned.items()}
         negative = result[max(result)].num.lead_coeff() < 0
     return neg(result) if negative else result

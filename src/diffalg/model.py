@@ -5,9 +5,9 @@ variables evaluate to iterated partial derivatives of the assignment, so
 every polynomial evaluates to an exact scalar. The companion point obtained
 by differentiating in the last t-symbol plays the role of the D-image.
 
-Evaluation runs in Q[t]: terms with polynomial coefficients are summed as
-exponent-vector dicts, and only terms whose coefficient has a t-denominator
-take rational-function arithmetic. eval_poly is the one exact evaluator.
+Evaluation runs in Q[t]: eval_poly clears f's t-denominators once
+(scalars.clear_denominators), sums den * f as exponent-vector dicts, and
+builds one Scalar over den at the end. eval_poly is the one exact evaluator.
 
 The candidate polynomials of each degree layer are built once per process
 and shared, so they must never be changed. Each comes with a residue table:
@@ -29,7 +29,7 @@ from math import perm
 
 from . import sparse
 from .modp import P61, residue, t_point
-from .scalars import Scalar, TPoly
+from .scalars import Scalar, TPoly, clear_denominators
 
 
 class ModelPoint:
@@ -93,10 +93,10 @@ class ModelPoint:
 def eval_poly(f, point, y_point=None):
     """Evaluate f at the point; y-variables read from y_point when given."""
     nt = f.ring.nt
+    den, nums = clear_denominators(nt, f.terms)
     cache = {}
-    total = {}  # the terms with polynomial coefficients, summed in Q[t]
-    rest = None  # the terms with a t-denominator, summed as Scalars
-    for mono, c in f.terms.items():
+    total = {}  # den * f, summed in Q[t]
+    for mono, num in nums.items():
         val = None  # product of the factor values; None for the empty monomial
         for v, e in mono:
             got = cache.get(v)
@@ -110,14 +110,10 @@ def eval_poly(f, point, y_point=None):
                 got = cache[v] = sparse.iterate(base, v.theta, TPoly.diff)
             for _ in range(e):
                 val = got.terms if val is None else sparse.mul(val, got.terms)
-        if c.is_poly():
-            for m, k in (c.num.terms if val is None else sparse.mul(c.num.terms, val)).items():
-                sparse.acc(total, m, k)
-        else:
-            term = c if val is None else c * Scalar._poly(TPoly._raw(nt, val))
-            rest = term if rest is None else rest + term
-    value = Scalar._poly(TPoly._raw(nt, total))
-    return value if rest is None else value + rest
+        for m, k in (num.terms if val is None else sparse.mul(num.terms, val)).items():
+            sparse.acc(total, m, k)
+    total = TPoly._raw(nt, total)
+    return Scalar._poly(total) if den is TPoly.one(nt) else Scalar(total, den)
 
 
 @functools.cache

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import DiffPoly, mono_degree
+from .poly import EMPTY_MONO, DiffPoly, mono_degree
 from .ranking import Ranking
 from .ring import RATIONAL_T, DerivVar
-from .scalars import Scalar, common_den
+from .scalars import Scalar, TPoly, clear_denominators
 from .sparse import deglex
 
 
@@ -201,10 +201,13 @@ def _print_mono_key(mono):
     return (mono_degree(mono), tuple(factors))
 
 
+def _tmono_text(e):
+    """Render the t-monomial with exponent vector e; "" for the constant."""
+    return "*".join(f"t{j + 1}^{k}" if k > 1 else f"t{j + 1}" for j, k in enumerate(e) if k)
+
+
 def _tterm_text(e, q):
-    mono = "*".join(
-        f"t{j + 1}^{k}" if k > 1 else f"t{j + 1}" for j, k in enumerate(e) if k
-    )
+    mono = _tmono_text(e)
     if not mono:
         return str(q)
     if q == 1:
@@ -238,37 +241,25 @@ def scalar_text(s):
     return f"({tpoly_text(s.num)}) / ({tpoly_text(s.den)})"
 
 
-def _scalar_sign_split(s):
-    """Return (is_negative, magnitude) using the deg-lex leading coefficient."""
-    if s.num.lead_coeff() < 0:
-        return True, -s
-    return False, s
-
-
-def _scalar_factor_text(s):
-    """Polynomial scalar rendered for use as a multiplicative factor."""
-    txt = tpoly_text(s.num)
-    if len(s.num.terms) > 1:
-        return f"({txt})"
-    return txt
-
-
-def _terms_text(f):
-    """The terms of a nonzero polynomial whose coefficients all lie in Q[t]."""
+def _terms_text(nums):
+    """The terms of a nonzero polynomial, given as t-polynomial coefficients."""
     out = []
-    for mono in sorted(f.terms, key=_print_mono_key, reverse=True):
-        c = f.terms[mono]
-        neg, mag = _scalar_sign_split(c)
+    for mono in sorted(nums, key=_print_mono_key, reverse=True):
+        c = nums[mono]
+        neg = c.lead_coeff() < 0
+        coeff_txt = tpoly_text(-c if neg else c)
+        if len(c.terms) > 1:
+            coeff_txt = f"({coeff_txt})"
         vars_txt = "*".join(
             v.text() + (f"^{e}" if e > 1 else "") for v, e in
             sorted(mono, key=lambda it: _var_key(it[0]))
         )
         if not mono:
-            body = _scalar_factor_text(mag)
-        elif mag.is_one():
+            body = coeff_txt
+        elif coeff_txt == "1":
             body = vars_txt
         else:
-            body = f"{_scalar_factor_text(mag)}*{vars_txt}"
+            body = f"{coeff_txt}*{vars_txt}"
         if not out:
             out.append("-" + body if neg else body)
         else:
@@ -285,11 +276,8 @@ def poly_text(f):
     """
     if f.is_zero():
         return "0"
-    coeffs = f.terms.values()
-    if all(c.is_poly() for c in coeffs):
-        return _terms_text(f)
-    den = common_den(f.ring.nt, coeffs)
-    den = den.scale(1 / den.lead_coeff())
-    num = f.scale(Scalar._poly(den))
-    num_text = tpoly_text(num.scalar_value().num) if num.is_scalar() else _terms_text(num)
+    den, nums = clear_denominators(f.ring.nt, f.terms)
+    if den is TPoly.one(f.ring.nt):
+        return _terms_text(nums)
+    num_text = tpoly_text(nums[EMPTY_MONO]) if f.is_scalar() else _terms_text(nums)
     return f"({num_text}) / ({tpoly_text(den)})"

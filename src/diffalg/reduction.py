@@ -16,11 +16,11 @@ No arithmetic is repeated. The r steps that remove one offender build that
 reducer's new cofactor by Horner's rule; the other cofactors and the
 premultiplier are multiplied by ini**r once, afterwards, not by ini at every
 step. Each theta(g) is derived once per system and kept on the RankedSystem
-(RankedSystem._theta; the cache is not part of the system's value). An f whose coefficients have
-t-denominators is reduced as den * f, den their least common multiple, with
-each coefficient formed by exact division; every step is linear in p and den
-is a scalar, so the steps and premultiplier are those of f, and dividing the
-remainder and the cofactors by den once gives f's certificate exactly.
+(RankedSystem._theta; the cache is not part of the system's value). An f whose
+coefficients have t-denominators is reduced as den * f, both formed by
+scalars.clear_denominators; every step is linear in p and den is a scalar,
+so the steps and premultiplier are those of f, and dividing the remainder
+and the cofactors by den once gives f's certificate exactly.
 verify re-derives every theta(g) with derive_theta and reads no cache, so
 it stays an independent check.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .poly import DiffPoly
 from .ranking import Ranking, leader_initial_separant
-from .scalars import Scalar, TPoly, common_den
+from .scalars import Scalar, TPoly, clear_denominators
 from .sparse import divides, ediv, elcm
 
 PARTIAL = "partial"
@@ -175,23 +175,11 @@ def _violation(p, ranking, leaders, degrees, mode):
     return None if best is None else (best[1], best[2], best[3])
 
 
-def _polynomial_multiple(f):
-    """(den * f, den) with den the least common t-denominator of f's
-    coefficients, each coefficient of den * f formed by exact division; None
-    when every coefficient is already a polynomial."""
-    coeffs = f.terms.values()
-    if all(c.is_poly() for c in coeffs):
-        return None
-    den = common_den(f.ring.nt, [c for c in coeffs if not c.is_poly()])
-    terms = {m: Scalar._poly(c.num * (den if c.is_poly() else den.exact_div(c.den)))
-             for m, c in f.terms.items()}
-    return DiffPoly._raw(f.ring, terms), den
-
-
 def _reduce(f, system, mode):
     ring = f.ring
-    cleared = _polynomial_multiple(f)
-    p = f if cleared is None else cleared[0]
+    one = TPoly.one(ring.nt)
+    den, nums = clear_denominators(ring.nt, f.terms)
+    p = f if den is one else DiffPoly._raw(ring, {m: Scalar._poly(n) for m, n in nums.items()})
     premult = DiffPoly.one(ring)
     cof = {}
     steps = 0
@@ -228,8 +216,8 @@ def _reduce(f, system, mode):
         key = (gi, theta)
         cof[key] = cof[key] + q if key in cof else q
         steps += r
-    if cleared is not None:
-        inverse = Scalar(TPoly.one(ring.nt), cleared[1])
+    if den is not one:
+        inverse = Scalar(one, den)
         p = p.scale(inverse)
         cof = {k: c.scale(inverse) for k, c in cof.items()}
     return ReductionCertificate(mode, f, p, premult, cof, steps)

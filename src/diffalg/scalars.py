@@ -21,6 +21,11 @@ built per output term, over the product of the two common denominators.
 Which Fractions are stored, and so every printed byte, is unchanged; only
 the Fraction arithmetic per pair of terms is saved. A float coefficient is
 refused (_exact): its binary value is not the decimal it was written as.
+
+clear_denominators is the one place t-denominators are cleared: Ritt
+reduction, printing, model-point evaluation and the Groebner normal form put
+a dict of Scalars over one monic denominator there, and each numerator is
+formed by exact division, with no gcd per coefficient.
 """
 
 from __future__ import annotations
@@ -183,14 +188,15 @@ class TPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
+        """Every coefficient written out, as in "TPoly(1*t1 + -1)"; the grid
+        golden digest pins this layout through ModelPoint and Scalar reprs."""
+        from .parser import _tmono_text
+
         if not self.terms:
             return "TPoly(0)"
         parts = []
         for e in sorted(self.terms, key=sparse.deglex, reverse=True):
-            mono = "*".join(
-                f"t{j + 1}^{k}" if k > 1 else f"t{j + 1}" for j, k in enumerate(e) if k
-            )
-            c = self.terms[e]
+            mono, c = _tmono_text(e), self.terms[e]
             parts.append(f"{c}*{mono}" if mono else str(c))
         return "TPoly(" + " + ".join(parts) + ")"
 
@@ -213,25 +219,41 @@ def _over_z(terms):
     return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
-def _int_scale(terms):
-    """The positive rational that scales a dict of nonzero Fractions to coprime integers."""
+def _coprime_ints(terms):
+    """(ints, scale): the coprime integers scale * terms, scale the positive
+    rational that takes a dict of Fractions there (1 for an empty dict)."""
     ints, d = _over_z(terms)
-    return Fraction(d, gcd(*ints.values()))
+    g = gcd(*ints.values()) or 1
+    if g != 1:
+        ints = {e: n // g for e, n in ints.items()}
+    return ints, 1 if d == g else Fraction(d, g)
 
 
-def common_den(nvars, scalars):
-    """Least common multiple of the scalars' t-denominators (1 for none)."""
-    den = TPoly.one(nvars)
-    for c in scalars:
-        den = den * c.den.exact_div(tpoly_gcd(den, c.den))
-    return den
+def clear_denominators(nvars, coeffs):
+    """(den, nums) for a dict of Scalars: den is the monic lcm of their
+    t-denominators, the shared TPoly.one when each is a polynomial, and
+    nums[k] is the TPoly coeffs[k] * den, formed by exact division."""
+    one = den = TPoly.one(nvars)
+    nums = {}
+    for k, c in coeffs.items():
+        nums[k] = c.num
+        if c.den is not one and c.den != den:
+            den = c.den if den is one else den * c.den.exact_div(tpoly_gcd(den, c.den))
+    if den is one:
+        return one, nums
+    lc = den.lead_coeff()
+    if lc != 1:
+        den = den.scale(1 / lc)
+    for k, c in coeffs.items():
+        nums[k] = c.num * (den if c.den is one else den.exact_div(c.den))
+    return den, nums
 
 
 def _int_normalize(p):
     """Scale to coprime integer coefficients with positive deg-lex lead."""
     if p.is_zero():
         return p
-    q = p.scale(_int_scale(p.terms))
+    q = p.scale(_coprime_ints(p.terms)[1])
     if q.lead_coeff() < 0:
         q = -q
     return q
@@ -411,9 +433,6 @@ class Scalar:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_one(self):
-        return self.is_poly() and self.num.is_const() and self.num.const_value() == 1
 
     def is_const(self):
         return self.num.is_const() and self.den.is_const()

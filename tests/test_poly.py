@@ -178,6 +178,16 @@ class TestDenominatorPrinting:
         assert scalar_text(s) == "(1/2*t2 - 1/2) / (t1)"
         assert poly_text(DiffPoly.const(RT, s)) == scalar_text(s)
 
+    def test_denominators_sharing_a_factor(self):
+        """The lcm of t1 + 1/2 and t1*t2 + 1/2*t2 prints monic, in printing
+        and in evaluation."""
+        one = Scalar.one(3)
+        f = (P("x1").scale(one / P("t1 + 1/2").scalar_value())
+             + P("x2").scale(one / P("t1*t2 + 1/2*t2").scalar_value()))
+        assert poly_text(f) == "(x2 + t2*x1) / (t1*t2 + 1/2*t2)"
+        point = ModelPoint(RT, {1: TPoly.var(3, 2), 2: TPoly.one(3)})  # x1 := t2, x2 := 1
+        assert scalar_text(eval_at_model_point(f, point)) == "(t2^2 + 1) / (t1*t2 + 1/2*t2)"
+
 
 RC = RingContext(m=2, n=2, field_mode=CONSTANTS)
 _X1, _X2, _D1X1 = DerivVar("x", 1, (0, 0)), DerivVar("x", 2, (0, 0)), DerivVar("x", 1, (1, 0))

@@ -19,7 +19,7 @@ from diffalg import (
 )
 from diffalg.modp import P61
 from diffalg.ring import RATIONAL_T
-from diffalg.scalars import Scalar, TPoly, _int_normalize, tpoly_gcd
+from diffalg.scalars import Scalar, TPoly, _int_normalize, clear_denominators, tpoly_gcd
 
 from conftest import rand_tpoly
 
@@ -308,3 +308,45 @@ def test_scalar_products_keep_a_monic_denominator(p, q):
     # num/den == (n1*n2)/(d1*d2), checked by cross-multiplying with the naive loop
     lhs = _naive_product(x.num.terms, _naive_product(d1.terms, d2.terms))
     assert lhs == _naive_product(_naive_product(n1.terms, n2.terms), x.den.terms)
+
+
+def _t(text):
+    return parse_tpoly(text, RingContext(m=2, n=1, field_mode=RATIONAL_T))
+
+
+def test_clear_denominators_takes_the_monic_lcm():
+    # t1 + 1/2 divides t1*t2 + 1/2*t2; a plain lcm product would lead with 1/2
+    one = Scalar.one(3)
+    coeffs = {"a": one / Scalar._poly(_t("t1 + 1/2")),
+              "b": Scalar._poly(_t("t2 - 1")) / Scalar._poly(_t("t1*t2 + 1/2*t2")),
+              "c": Scalar._poly(_t("3*t3"))}
+    den, nums = clear_denominators(3, coeffs)
+    assert den == _t("t1*t2 + 1/2*t2")
+    assert nums == {k: (c * Scalar._poly(den)).num for k, c in coeffs.items()}
+    assert nums["a"] == _t("t2")
+
+
+def test_clear_denominators_of_polynomials_is_the_shared_unit():
+    coeffs = {k: Scalar._poly(_t(text)) for k, text in enumerate(("t1 - 1", "1/3", "t2*t3"))}
+    den, nums = clear_denominators(3, coeffs)
+    assert den is TPoly.one(3)
+    assert nums == {k: c.num for k, c in coeffs.items()}
+    assert clear_denominators(3, {}) == (TPoly.one(3), {})
+
+
+def test_clear_denominators_ignores_the_order_of_the_dict():
+    rng = random.Random(7)
+    factors = [_t(text) for text in ("t1 + 1/2", "t2", "2*t1*t2 - 1", "t3 + 2", "3")]
+    for _ in range(30):
+        coeffs = {}
+        for k in range(rng.randint(1, 5)):
+            den = TPoly.one(3)
+            for q in rng.sample(factors, rng.randint(0, 3)):
+                den = den * q
+            coeffs[k] = Scalar(rand_tpoly(rng, 3, degree=2, max_terms=3), den)
+        den, nums = clear_denominators(3, coeffs)
+        assert den.lead_coeff() == 1
+        assert nums == {k: (c * Scalar._poly(den)).num for k, c in coeffs.items()}
+        keys = list(coeffs)
+        rng.shuffle(keys)
+        assert clear_denominators(3, {k: coeffs[k] for k in keys}) == (den, nums)
