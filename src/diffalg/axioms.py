@@ -15,11 +15,17 @@ candidate stops at its first failing check, and that check names the failure.
 
 Each search compiles its check list once (_checks): every coefficient
 becomes its residue mod P61 at model's fixed t-point. At a grid point a
-check whose residue is nonzero is decided mod p, since that proves the exact
-value nonzero: a want-zero check fails and a want-nonzero check passes. A
-zero or undefined residue, and every point not from the grid, goes to the
-exact eval_poly. Both shortcuts give the exact answer, so the first failing
-check, every witness, count and trail are those of the exact loop.
+check has one of three outcomes. A nonzero residue proves the exact value
+nonzero: a want-zero check fails and a want-nonzero check passes. A
+structural zero, where every term reads a t-derivative that is the zero
+polynomial, proves the exact value zero with no exact evaluation: a
+want-zero check passes and an inequation fails. A zero or undefined
+residue, and every point not from the grid, goes to the exact eval_poly.
+Every shortcut gives the exact answer, so the first failing check, every
+witness, count and trail are those of the exact loop.
+
+instance_validate certifies the RankedSystem that build_axiom_instance
+already checked to be autoreduced, from the coherence stage on.
 """
 
 from __future__ import annotations
@@ -94,6 +100,12 @@ def charset_certify(polys, ranking=None, primality_config=None):
         system = autoreduced_check(polys, ranking)
     except NotAutoreduced as exc:
         return CharSetCertificate(REJECTED, "autoreduce", str(exc))
+    return _certify_system(system, primality_config)
+
+
+def _certify_system(system, primality_config):
+    """The coherence and primality stages of charset_certify, on a system
+    already known to be autoreduced."""
     coh = coherence_check(system)
     if not coh.coherent:
         bad = [p for p in coh.pairs if not p.remainder.is_zero()]
@@ -104,7 +116,7 @@ def charset_certify(polys, ranking=None, primality_config=None):
             system,
             coh,
         )
-    variables = _frozen_variables(system.elements, ranking)
+    variables = _frozen_variables(system.elements, system.ranking)
     ideal = buchberger(AlgIdeal(system.ring, variables, tuple(system.elements), GREVLEX))
     verdict = primality_oracle(ideal, primality_config)
     if verdict.status == "not_prime":
@@ -207,11 +219,16 @@ def _values(checks, pt, ypt=None):
 def _fails(checks, pt, ypt=None):
     """Index of the first check that fails at (pt, ypt), or None.
 
-    A nonzero residue decides a check; a zero or undefined one (or a point
-    without residue tables) takes the exact value."""
+    A nonzero residue and a structural zero decide a check; a zero or
+    undefined residue (or a point without residue tables) takes the exact
+    value."""
     for i, (p, want_zero, terms) in enumerate(checks):
-        if _residue(terms, pt, ypt):
+        r = _residue(terms, pt, ypt)
+        if r:
             if want_zero:
+                return i
+        elif r is False:
+            if not want_zero:
                 return i
         elif _exact(p, pt, ypt).is_zero() != want_zero:
             return i
@@ -345,7 +362,7 @@ class InstanceValidation:
 def instance_validate(inst, *, degree=1, height=1, primality_config=None):
     """Hypothesis checks: certified system, W inside the prolongation data,
     and a nonempty open set within the search bounds."""
-    cert = charset_certify(inst.system.elements, inst.system.ranking, primality_config)
+    cert = _certify_system(inst.system, primality_config)
     if cert.status == REJECTED:
         return InstanceValidation(
             "rejected",

@@ -16,15 +16,21 @@ t-point modp.t_point. Grid points from model_points carry their tables, and
 a D-companion reads them one D-step up. _residue evaluates a polynomial mod
 P61 from the tables. Setting t to the point mod P61 is a ring homomorphism
 wherever the coefficients' denominators stay nonzero, so a nonzero residue
-proves the exact value nonzero; zero proves nothing, and only eval_poly
-decides that a value is zero. A coefficient whose denominator vanishes at
-the point, and a point that was not built by model_points, give no residue.
+proves the exact value nonzero. A table has an entry exactly for each theta
+at which the derivative is not the zero polynomial, so a term with a factor
+whose entry is missing is exactly zero in Q(t): when every term is like
+that, _residue reports a structural zero (False), which proves the exact
+value zero with no exact evaluation. A residue 0 proves nothing, and only
+eval_poly decides that such a value is zero. A coefficient whose denominator
+vanishes at the point, and a point that was not built by model_points, give
+no residue.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 from math import perm
 
 from . import sparse
@@ -130,19 +136,25 @@ def _mono_derivatives(e):
     return tuple(out)
 
 
-def _residue_table(p):
+def _table(terms):
     """{theta: (d^theta p) mod P61 at the t-point} for every theta at which
-    the derivative can be nonzero; None if a coefficient's denominator is a
-    multiple of P61."""
+    the derivative is not the zero polynomial, from p's terms as pairs (e, r),
+    r an int congruent mod P61 to the nonzero coefficient of t^e."""
     table = {}
     get = table.get
-    for e, c in p.terms.items():
-        r = residue(c, P61)
-        if r is None:
-            return None
+    for e, r in terms:
         for theta, d in _mono_derivatives(e):
             table[theta] = get(theta, 0) + r * d
     return {theta: v % P61 for theta, v in table.items()}
+
+
+def _residue_table(p):
+    """The _table of a t-polynomial; None if a coefficient's denominator is a
+    multiple of P61."""
+    terms = [(e, residue(c, P61)) for e, c in p.terms.items()]
+    if any(r is None for _, r in terms):
+        return None
+    return _table(terms)
 
 
 class _Candidate(TPoly):
@@ -183,10 +195,13 @@ def _residue(terms, point, y_point=None):
     """The value mod P61 of the polynomial compiled to terms, read from the
     residue tables of point and y_point; None when it is not defined there:
     undefined terms, or a variable read from a point that is not from the
-    grid or from an undefined table."""
+    grid or from an undefined table. False (falsy, like a zero residue) when
+    the value is zero by structure: every term has a factor whose table has
+    no entry, so it is exactly zero. A term without factors never is."""
     if terms is None:
         return None
     total = 0
+    structural = True
     for c, factors in terms:
         for is_y, j, keys, e in factors:
             pt = y_point if is_y else point
@@ -194,9 +209,14 @@ def _residue(terms, point, y_point=None):
             table = None if p is None else p.table
             if table is None:
                 return None
-            c = c * pow(table.get(keys[pt.d_step], 0), e, P61) % P61
-        total += c
-    return total % P61
+            v = table.get(keys[pt.d_step])
+            if v is None:
+                break  # this factor's derivative is the zero polynomial
+            c = c * pow(v, e, P61) % P61
+        else:
+            total += c
+            structural = False
+    return False if structural else total % P61
 
 
 def eval_at_model_point(f, point):
@@ -228,12 +248,20 @@ def _layer(nt, layer, height):
     every caller, so nothing may change them.
     """
     ladder = coefficient_ladder(height)
+    exact = {c: Fraction(c) for c in ladder}
     monos = t_monomials(nt, layer)
+    top = sum(sum(e) < layer for e in monos)  # monos[top:] have degree layer
     out = []
     for coeffs in itertools.product(ladder, repeat=len(monos)):
-        used = max((sum(e) for e, c in zip(monos, coeffs) if c), default=0)
-        if used == layer:
-            out.append((layer, _Candidate(nt, {e: c for e, c in zip(monos, coeffs) if c})))
+        # The highest used degree is layer (at layer 0, also for the zero polynomial).
+        if layer and not any(coeffs[top:]):
+            continue
+        # Valid by construction: no TPoly validation, and the table is read
+        # off the integer coefficients themselves.
+        terms = [(e, c) for e, c in zip(monos, coeffs) if c]
+        p = _Candidate._raw(nt, {e: exact[c] for e, c in terms})
+        p.table = _table(terms)
+        out.append((layer, p))
     return tuple(out)
 
 

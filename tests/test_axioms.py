@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -28,11 +29,17 @@ from diffalg import (
     tau,
     witness_search,
 )
-from diffalg import modp
+from diffalg import axioms, modp
 from diffalg.axioms import _checks, _fails
-from diffalg.instances import build_axiom_instance, fixture_path, load_instance_file
+from diffalg.instances import (
+    build_axiom_instance,
+    fixture_path,
+    load_instance_file,
+    parse_instance_text,
+)
 from diffalg.model import _layer, _mono_derivatives, _residue, model_points
 from diffalg.ring import RATIONAL_T
+from test_grid_golden import OPEN_SET
 
 R21 = RingContext(m=2, n=1, field_mode=RATIONAL_T)
 R11 = RingContext(m=1, n=1, field_mode=RATIONAL_T)
@@ -235,6 +242,21 @@ class TestInstances:
         assert val.status == "rejected"
         assert "not in the W ideal" in val.failed
 
+    def test_validate_certifies_the_built_system(self):
+        """instance_validate certifies the system build_axiom_instance checked,
+        with no second autoreduced_check, and agrees with charset_certify."""
+        instances = [load_instance(name)[1] for name in ("basic.axiom", "exhaustion.axiom")]
+        instances.append(build_axiom_instance(parse_instance_text(OPEN_SET)))
+        for inst in instances:
+            with mock.patch.object(axioms, "autoreduced_check",
+                                   wraps=axioms.autoreduced_check) as check:
+                cert = instance_validate(inst).certificate
+            assert check.call_count == 0
+            want = charset_certify(inst.system.elements, inst.system.ranking)
+            assert (cert.status, cert.stage, cert.reason, cert.primality) == \
+                (want.status, want.stage, want.reason, want.primality)
+            assert cert.system is inst.system
+
     def test_order_bound_enforced(self):
         system = autoreduced_check([P("d1 d1 x1", R11)], Ranking())
         inst = AxiomInstance(system, (), (P("d1 d1 x1", R11), P("d1 d1 y1", R11)), 1)
@@ -343,7 +365,7 @@ class TestModularChecks:
         rng = random.Random(13)
         coeffs = self.coefficients()
         grids = {bounds: list(model_points(R11, [1], *bounds)) for bounds in ((1, 2), (2, 1))}
-        seen = {"mod p": 0, "exact": 0, "undefined": 0, "found": 0}
+        seen = {"mod p": 0, "exact": 0, "undefined": 0, "structural": 0, "found": 0}
         for k in range(16):
             grid = grids[(2, 1)] if k % 4 == 0 else grids[(1, 2)]
             checks = self.random_checks(rng, coeffs)
@@ -354,8 +376,10 @@ class TestModularChecks:
                 seen["found"] += got is None
                 for _, _, terms in checks[: len(checks) if got is None else got + 1]:
                     r = _residue(terms, pt, ypt)
-                    seen["undefined" if r is None else "mod p" if r else "exact"] += 1
-        # Every path is taken: decided mod p, exact after a zero residue, undefined.
+                    seen["undefined" if r is None else "mod p" if r
+                         else "structural" if r is False else "exact"] += 1
+        # Every path is taken: decided mod p, exact after a zero residue,
+        # undefined, and a structural zero decided with no exact value.
         assert all(n >= 100 for n in seen.values()), seen
 
     def test_the_two_undefined_coefficients(self):

@@ -9,6 +9,7 @@ y-variables with derivatives, exponents 1-3, constant terms and terms whose
 values cancel.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import prod
@@ -18,10 +19,14 @@ import pytest
 from diffalg import DiffPoly, ModelPoint, RingContext, Scalar, TPoly, eval_poly, modp
 from diffalg.model import (
     _Candidate,
+    _layer,
     _residue,
+    _residue_table,
     _residue_terms,
+    coefficient_ladder,
     model_points,
     model_polys,
+    t_monomials,
 )
 from diffalg.ring import RATIONAL_T, DerivVar
 
@@ -194,6 +199,57 @@ def test_residue_matches_the_exact_value_mod_p():
         if any(f.terms):
             assert _residue(terms, point, y_point) is None
     assert all(n >= 40 for n in kinds.values()), kinds
+
+
+def test_structural_zero_is_exactly_zero():
+    """_residue reports a structural zero (False) only where the exact value
+    is zero, at y-points that are D-companions and random grid points; a
+    constant term, even one that is 0 mod P61, is never structural."""
+    rng = random.Random(34)
+    kinds = {"structural": 0, "residue": 0, "d-companion": 0, "grid": 0}
+    for _ in range(300):
+        ring = RingContext(m=rng.randint(1, 2), n=rng.randint(1, 2), field_mode=RATIONAL_T)
+        families = ("x", "y") if rng.random() < 0.5 else ("x",)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = {}
+            for _ in range(rng.randint(1, 2)):
+                v = rand_var(rng, ring, families)
+                mono[v] = mono.get(v, 0) + rng.randint(1, 2)
+            terms[tuple(sorted(mono.items(), key=lambda it: it[0].sort_key))] = \
+                rand_coeff(rng, ring.nt)
+        f = DiffPoly(ring, terms)
+        shifted = [f + DiffPoly.const(ring, c) for c in (1, P)]
+        g1, g2 = grid_sample(ring, rng, 2)
+        for kind, pt, ypt in (("d-companion", g1, g1.d_companion()), ("grid", g1, g2),
+                              ("grid", g1.d_companion(), g2)):
+            got = _residue(_residue_terms(f), pt, ypt)
+            if got is False:
+                assert eval_poly(f, pt, ypt).is_zero(), (f, pt, ypt)
+                kinds[kind] += 1
+            kinds["structural" if got is False else "residue"] += 1
+            for g in shifted:
+                assert _residue(_residue_terms(g), pt, ypt) is not False, (g, pt, ypt)
+    assert all(n >= 40 for n in kinds.values()), kinds
+
+
+def test_layer_candidates_equal_the_validated_polynomials():
+    """The layers are built without validation; they hold, in order, the
+    validated TPolys whose highest used monomial degree is the layer, each
+    with Fraction coefficients and its _residue_table."""
+    for height in (1, 2):
+        ladder = coefficient_ladder(height)
+        for layer in range(3):
+            monos = t_monomials(2, layer)
+            want = [TPoly(2, dict(zip(monos, coeffs)))
+                    for coeffs in itertools.product(ladder, repeat=len(monos))
+                    if max((sum(e) for e, c in zip(monos, coeffs) if c), default=0) == layer]
+            got = _layer(2, layer, height)
+            assert [p for _, p in got] == want
+            for (degree, p), q in zip(got, want):
+                assert degree == layer
+                assert all(type(c) is Fraction for c in p.terms.values())
+                assert p.table == _residue_table(q)
 
 
 def test_residue_is_undefined_where_a_denominator_vanishes():
