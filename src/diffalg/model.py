@@ -167,14 +167,24 @@ class _Candidate(TPoly):
         self.table = _residue_table(self)
 
 
+def _tpoly_at_t_point(p):
+    """The t-polynomial p mod P61 at the t-point (the theta = 0 entry of its
+    _residue_table); None if a coefficient's denominator is a multiple of P61."""
+    total = 0
+    for e, c in p.terms.items():
+        r = residue(c, P61)
+        if r is None:
+            return None
+        total += r * _mono_derivatives(e)[0][1]
+    return total % P61
+
+
 def _at_t_point(c):
-    """The scalar c mod P61 at the t-point (the zeroth entries of its tables);
-    None where that is undefined."""
-    zero = (0,) * c.nvars
-    num, den = _residue_table(c.num), _residue_table(c.den)
-    if num is None or den is None or not den.get(zero):
+    """The scalar c mod P61 at the t-point; None where that is undefined."""
+    num, den = _tpoly_at_t_point(c.num), _tpoly_at_t_point(c.den)
+    if num is None or not den:
         return None
-    return num.get(zero, 0) * pow(den[zero], -1, P61) % P61
+    return num * pow(den, -1, P61) % P61
 
 
 def _residue_terms(f):

@@ -211,11 +211,24 @@ class DiffPoly:
 
     def coeff_power(self, v, k):
         """Coefficient of v^k, as a polynomial with v struck out."""
-        t = {}
+        return self.split(v, k)[0]
+
+    def split(self, v, k):
+        """(coefficient of v^k with v struck out, every other term), in one
+        pass: coeff * v^k + rest == self, and no term of rest has degree k
+        in v."""
+        coeff, rest = {}, {}
         for mono, c in self.terms.items():
-            if dict(mono).get(v, 0) == k:
-                t[mono_drop(mono, v, k) if k else mono] = c
-        return DiffPoly._raw(self.ring, t)
+            for i, (w, e) in enumerate(mono):
+                if w == v:
+                    if e == k:
+                        coeff[mono[:i] + mono[i + 1:]] = c
+                    else:
+                        rest[mono] = c
+                    break
+            else:
+                (rest if k else coeff)[mono] = c
+        return DiffPoly._raw(self.ring, coeff), DiffPoly._raw(self.ring, rest)
 
     def __eq__(self, other):
         return (

@@ -12,12 +12,19 @@ variables are fixed from the top down; an elimination step only touches
 variables ranked at or below the one being removed, so the highest offender
 descends strictly and the loop terminates.
 
-No arithmetic is repeated. The r steps that remove one offender build that
-reducer's new cofactor by Horner's rule; the other cofactors and the
-premultiplier are multiplied by ini**r once, afterwards, not by ini at every
-step. Each theta(g) is derived once per system and kept on the RankedSystem
-(RankedSystem._theta; the cache is not part of the system's value). An f whose
-coefficients have t-denominators is reduced as den * f, both formed by
+No arithmetic is repeated. A step p := ini*p - mult*divisor is computed on
+the reductums (Ritt's pseudo-division step): with p = c*v^e + rest, mult =
+c*v^(e-dmin) and divisor = lead*v^dmin + tail (DiffPoly.split), it is
+ini*rest - mult*tail, and the term ini*mult*v^dmin that both full products
+would form and the subtraction cancel is never formed. That is exact only
+when lead == ini, so the divisor's lead is compared with the cached initial
+or separant once per offending variable, and a mismatch raises RuntimeError.
+The r steps that remove one offender build that reducer's new cofactor by
+Horner's rule; the other cofactors and the premultiplier are multiplied by
+ini**r once, afterwards, not by ini at every step. Each theta(g) is derived
+once per system and kept on the RankedSystem (RankedSystem._theta; the
+cache is not part of the system's value). An f whose coefficients have
+t-denominators is reduced as den * f, both formed by
 scalars.clear_denominators; every step is linear in p and den is a scalar,
 so the steps and premultiplier are those of f, and dividing the remainder
 and the cofactors by den once gives f's certificate exactly.
@@ -196,17 +203,23 @@ def _reduce(f, system, mode):
             divisor = system.elements[gi]
             ini = system.initials[gi]
             dmin = system.leader_degrees[gi]
-        # r steps p := ini*p - mult_j*divisor; q = sum_j ini^(r-j) * mult_j by Horner
+        # the reductum step below is ini*p - mult*divisor only when lead == ini
+        lead, tail = divisor.split(v, dmin)
+        if lead != ini:
+            kind = "separant" if any(theta) else "initial"
+            raise RuntimeError(f"the cached {kind} of element {gi + 1} is not the coefficient "
+                               f"of {v.text()}^{dmin} in its divisor")
+        # r steps p := ini*rest - mult*tail; q = sum_j ini^(r-j) * mult_j by Horner
         q = None
         r = 0
         while not p.is_zero():
             e = p.degree_in(v)
             if e < dmin:
                 break
-            mult = p.coeff_power(v, e)
+            mult, rest = p.split(v, e)
             if e > dmin:
                 mult = mult * DiffPoly.var(ring, v, e - dmin)
-            p = ini * p - mult * divisor
+            p = ini * rest - mult * tail
             q = mult if q is None else ini * q + mult
             r += 1
         power = ini if r == 1 else ini ** r

@@ -18,6 +18,7 @@ import pytest
 
 from diffalg import DiffPoly, ModelPoint, RingContext, Scalar, TPoly, eval_poly, modp
 from diffalg.model import (
+    _at_t_point,
     _Candidate,
     _layer,
     _residue,
@@ -270,3 +271,42 @@ def test_residue_is_undefined_where_a_denominator_vanishes():
     assert bad.assignment[1].table is None
     assert _residue(_residue_terms(x), bad) is None
     assert _residue(_residue_terms(x), bad.d_companion()) is None
+
+
+def _tables_at_t_point(c):
+    """_at_t_point as first written: the theta = 0 entries of the full residue
+    tables of c's numerator and denominator."""
+    zero = (0,) * c.nvars
+    num, den = _residue_table(c.num), _residue_table(c.den)
+    if num is None or den is None or not den.get(zero):
+        return None
+    return num.get(zero, 0) * pow(den[zero], -1, P) % P
+
+
+def test_at_t_point_equals_the_zeroth_table_entries():
+    """Seeded scalars, some with a coefficient over P61 in the numerator or
+    the denominator and some whose denominator vanishes at the t-point."""
+    rng = random.Random(2037)
+    kinds = {"defined": 0, "over P61": 0, "vanishing": 0}
+    for _ in range(600):
+        nt = rng.randint(2, 3)
+        c = rand_coeff(rng, nt)
+        num, den = c.num, c.den
+        ti = rng.randint(1, nt)
+        kind = rng.choice(("free", "num over P61", "den over P61", "vanishing"))
+        if kind == "num over P61":
+            num = num + TPoly(nt, {(1,) * nt: Fraction(rng.randint(1, 5), P)})
+        elif kind == "den over P61":
+            den = den * (TPoly.var(nt, ti) + TPoly.const(nt, Fraction(1, P)))
+        elif kind == "vanishing":
+            den = den * (TPoly.var(nt, ti) - TPoly.const(nt, modp.t_point(nt)[ti - 1]))
+        c = Scalar(num, den)
+        want = _tables_at_t_point(c)
+        assert _at_t_point(c) == want, c
+        if want is not None:
+            kinds["defined"] += 1
+        elif _residue_table(c.num) is None or _residue_table(c.den) is None:
+            kinds["over P61"] += 1
+        else:
+            kinds["vanishing"] += 1
+    assert all(n >= 100 for n in kinds.values()), kinds

@@ -271,3 +271,28 @@ class TestIntegerProductExamples:
         f, g = P("x1 + t1*x2"), P("t1^200*x1 + 1/3*t2^129*x2")
         assert (f * g).terms == sparse.mul(f.terms, g.terms, mono_mul)
         assert (g * f).terms == sparse.mul(g.terms, f.terms, mono_mul)
+
+
+def test_split_takes_out_one_power():
+    """coeff * v^k + rest == p, coeff is free of v and no term of rest has
+    degree k in v; k = 0, a v absent from p and the zero polynomial included."""
+    rng = random.Random(919)
+    kinds = {"k = 0": 0, "absent": 0, "zero": 0, "both parts": 0}
+    for i in range(400):
+        p = DiffPoly.zero(RT) if i % 20 == 0 else rand_poly(
+            rng, RT, max_order=2, max_degree=4, max_terms=5, allow_t=True)
+        present = sorted(p.variables(), key=lambda v: v.sort_key)
+        if present and rng.random() < 0.8:
+            v = rng.choice(present)
+        else:
+            v = xvar(RT, rng.randint(1, 2), (3, 0))  # rand_poly stops at order 2
+        k = rng.randint(0, p.degree_in(v) + 1)
+        coeff, rest = p.split(v, k)
+        assert coeff * DiffPoly.var(RT, v, k) + rest == p
+        assert v not in coeff.variables()
+        assert all(dict(m).get(v, 0) != k for m in rest.terms)
+        kinds["k = 0"] += k == 0
+        kinds["absent"] += v not in present
+        kinds["zero"] += p.is_zero()
+        kinds["both parts"] += bool(coeff) and bool(rest)
+    assert all(n >= 20 for n in kinds.values()), kinds

@@ -1,5 +1,6 @@
 """Autoreducedness, reduction certificates, H products and coherence."""
 
+import dataclasses
 import random
 
 import pytest
@@ -277,6 +278,28 @@ class TestThetaCache:
         assert len(s._thetas) > 2
         for (gi, theta), g in s._thetas.items():
             assert g == s.elements[gi].derive_theta(theta)
+
+
+class TestCachedLeadingCoefficients:
+    """A step works on the reductums only after checking that the cached
+    initial or separant is the divisor's leading coefficient."""
+
+    def test_a_corrupted_initial_raises(self):
+        s = system("t1*d1x1^2 - x1^3 - t2")
+        f = P("x1*d1x1^3")
+        assert full_reduce(f, s).verify(s)
+        corrupt = dataclasses.replace(s, initials=(P("2*t1"),))
+        with pytest.raises(RuntimeError, match="initial"):
+            full_reduce(f, corrupt)
+
+    def test_a_corrupted_separant_raises(self):
+        s = system("t1*d1x1^2 - x1^3 - t2")
+        f = P("d1 d1 x1")
+        assert partial_reduce(f, s).verify(s)
+        corrupt = dataclasses.replace(s, separants=(P("t1*d1x1"),))
+        for reduce_fn in (partial_reduce, full_reduce):
+            with pytest.raises(RuntimeError, match="separant"):
+                reduce_fn(f, corrupt)
 
 
 class TestCoherence:
