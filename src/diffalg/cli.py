@@ -41,6 +41,7 @@ from .instances import (
 )
 from .model import ModelPoint
 from .parser import ParseError, parse_poly, parse_tpoly, point_text, poly_text, scalar_text
+from .poly import DiffPoly
 from .prolong import d_compatibility_check, tau
 from .ranking import ORDERLY, Ranking
 from .reduction import (
@@ -141,7 +142,7 @@ def _parse_vars(text, ring):
     for chunk in text.replace(",", " ").split():
         p = parse_poly(chunk, ring)
         vs = p.variables()
-        if len(vs) != 1 or len(p.terms) != 1:
+        if len(vs) != 1 or p != DiffPoly.var(ring, *vs):
             raise _UsageError(f"{chunk!r} is not a single variable")
         (v,) = vs
         if v in out:
@@ -188,7 +189,7 @@ def _cmd_tau(args):
     lines = [poly_text(t.value)]
     trailer = {"status": "ok", "tau": poly_text(t.value)}
     code = EXIT_OK
-    if args.check_point:
+    if args.check_point is not None:
         pt = _parse_model(args.check_point, ring)
         rep = d_compatibility_check(f, pt)
         lines.append(f"tau value at (point, D point): {scalar_text(rep.lhs)}")

@@ -6,10 +6,9 @@ returns a fresh canonical value, so sharing is always safe.
 
 A product of two polynomials with at least two terms each, all of whose
 coefficients are polynomials in t, runs over Z[t] (_mul_over_z): each
-operand's Fraction denominators are cleared once, the t-exponents are packed
-into ints (sparse.Packing, lex, fitted to both operands, so a t-monomial
-product is one addition and never overflows), each pair of terms is one int
-double loop, and one Fraction is built per output t-term. Every other
+operand's Fraction denominators are cleared once (scalars._over_z), each
+pair of terms multiplies its int t-polynomials with sparse.mul, as TPoly's
+product does, and one Fraction is built per output t-term. Every other
 product, one with a one-term operand or a rational-function coefficient,
 multiplies Scalars term by term (sparse.mul); both give the same terms.
 """
@@ -246,44 +245,32 @@ class DiffPoly:
         return f"DiffPoly({poly_text(self)})"
 
 
-def _int_terms(p, code):
-    """([(monomial, [(packed t-exponent, int)])], d): p's coefficients as
-    int t-polynomials over d, the lcm of all their Fraction denominators
-    (scalars._over_z); code maps each t-exponent to its packed int."""
+def _mul_over_z(p, q, nt):
+    """p*q for term dicts with polynomial coefficients, over Z[t]: each
+    operand's denominators are cleared once, each pair of terms is one
+    sparse.mul of int t-polynomials, and one Fraction is built per output
+    t-term."""
+    (ip, dp), (iq, dq) = (_over_z_by_mono(f) for f in (p, q))
+    out = {}
+    for m1, a in ip.items():
+        for m2, b in iq.items():
+            m = mono_mul(m1, m2)
+            t = out.get(m)
+            if t is None:
+                out[m] = sparse.mul(a, b)
+            else:
+                for e, c in sparse.mul(a, b).items():
+                    sparse.acc(t, e, c)
+    d = dp * dq
+    return {m: Scalar._poly(TPoly._raw(nt, {e: Fraction(c, d) for e, c in t.items()}))
+            for m, t in out.items() if t}
+
+
+def _over_z_by_mono(p):
+    """({monomial: int t-terms}, d): p's coefficients over d, the lcm of all
+    their Fraction denominators (scalars._over_z)."""
     ints, d = _over_z({(m, e): c for m, s in p.items() for e, c in s.num.terms.items()})
     grouped = {}
     for (m, e), c in ints.items():
-        grouped.setdefault(m, []).append((code[e], c))
-    return list(grouped.items()), d
-
-
-def _mul_over_z(p, q, nt):
-    """p*q for term dicts with polynomial coefficients: denominators cleared
-    once per operand, t-exponents packed (lex; q's as offsets) so a
-    t-monomial product is one int addition, one int double loop per pair of
-    terms, and one Fraction per output t-term."""
-    exps = {e for s in (*p.values(), *q.values()) for e in s.num.terms}
-    packing = sparse.Packing.fit(sparse.LEX, nt, [exps])
-    code = {e: packing.encode(e) for e in exps}
-    ip, dp = _int_terms(p, code)
-    iq, dq = _int_terms(q, {e: packing.offset(k) for e, k in code.items()})
-    out = {}
-    for m1, t1 in ip:
-        for m2, t2 in iq:
-            m = mono_mul(m1, m2)
-            acc = out.get(m)
-            if acc is None:
-                acc = out[m] = {}
-            get = acc.get
-            for a, x in t1:
-                for b, y in t2:
-                    k = a + b
-                    acc[k] = get(k, 0) + x * y
-    d = dp * dq
-    decode = packing.decode
-    terms = {}
-    for m, acc in out.items():
-        t = {decode(k): Fraction(c, d) for k, c in acc.items() if c}
-        if t:
-            terms[m] = Scalar._poly(TPoly._raw(nt, t))
-    return terms
+        grouped.setdefault(m, {})[e] = c
+    return grouped, d

@@ -94,9 +94,6 @@ class TPoly:
             raise ValueError("not a constant polynomial")
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def total_degree(self):
-        return sparse.total_degree(self.terms)
-
     def occurring(self):
         s = set()
         for e in self.terms:
@@ -131,11 +128,6 @@ class TPoly:
         iq, dq = _over_z(q)
         d = dp * dq
         return TPoly._raw(self.nvars, {e: Fraction(c, d) for e, c in sparse.mul(ip, iq).items()})
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        return sparse.power(self, k, TPoly.one(self.nvars))
 
     def scale(self, q):
         return TPoly._raw(self.nvars, sparse.scale(self.terms, _exact(q)))

@@ -6,9 +6,9 @@ combine: cancellation drops a key instead of storing zero, so two dicts hold
 the same polynomial exactly when they are equal. Coefficients are ints,
 Fractions or Scalars; all define +, -, * and test false exactly when zero.
 Fractions and Scalars also define /, which exact_div uses: in Python an int
-divided by an int is a float, so the two callers that run on ints, the
-Groebner backend's constants mode and TPoly's product, never pass an int
-coefficient to exact_div.
+divided by an int is a float, so the callers that run on ints, the
+Groebner backend's constants mode and the Z[t] products of TPoly and
+DiffPoly, never pass an int coefficient to exact_div.
 
 Monomial keys are exponent vectors (TPoly and the Groebner backend's
 interface) unless the caller passes its own monomial product, as DiffPoly
@@ -27,7 +27,7 @@ Overflow and starts again at double the width; tests check Packing against
 the exponent-vector functions.
 Functions that return a polynomial return a fresh dict and leave their
 arguments alone; acc updates the dict it is given. power works on any value
-with a *, so TPoly, DiffPoly and Scalar share it. iterate is the
+with a *, so DiffPoly and Scalar share it. iterate is the
 theta-iterate: it applies a derivative operator theta = (e1, ..., em) with
 any one-step derivation, so derivatives of DiffPolys (derive_theta) and of
 model-point assignments (eval_poly) share it.

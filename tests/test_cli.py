@@ -513,6 +513,11 @@ class TestVars:
          "x2 is listed twice in 'x2, x1, x2'"),
         (["eliminate", "x1*x2 - 1; x1", "--vars", "x1, x2", "--drop", "x2 x2"],
          "x2 is listed twice in 'x2 x2'"),
+        (["groebner", "x1^2 - 1", "--vars", "2*x1"], "'2*x1' is not a single variable"),
+        (["groebner", "x1^2 - 1", "--vars", "x1^3"], "'x1^3' is not a single variable"),
+        (["groebner", "x1^2 - 1", "--vars", "x1*x1"], "'x1*x1' is not a single variable"),
+        (["eliminate", "x1*x2 - 1; x1", "--vars", "x1, x2", "--drop", "2*x2"],
+         "'2*x2' is not a single variable"),
     ])
     def test_repeated_entry_is_usage_error(self, capsys, argv, message):
         assert main([*argv, "--m", "0", "--n", "2"]) == 1
@@ -538,6 +543,15 @@ class TestCheckPoint:
     def test_spaced_index_is_accepted(self, capsys):
         code, out = run(capsys, "tau", "x1^2", "--m", "1", "--n", "1", "--field", "rational_t",
                         "--check-point", " x 1 = t2 ")
+        assert code == 0 and "chain rule: ok" in out
+
+    def test_empty_point_is_checked(self, capsys):
+        argv = ["--m", "1", "--n", "1", "--field", "rational_t", "--check-point", ""]
+        assert main(["tau", "x1^2", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: x1 is not assigned\n"
+        code, out = run(capsys, "tau", "t2^2", *argv)
         assert code == 0 and "chain rule: ok" in out
 
 
