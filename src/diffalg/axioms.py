@@ -412,11 +412,20 @@ class ProjectionVerdict:
 
 
 def projection_closure_check(inst, validation):
-    """Eliminate the y-family from the W ideal and reduce every eliminant."""
+    """Prolong W's generators up to the order bound (each w with every
+    delta^theta w of order at most the bound), eliminate the y-family and
+    reduce every eliminant."""
     if validation.status != "valid":
         raise ValueError("instance must validate before the projection check")
-    variables = _frozen_variables(inst.w_gens, inst.system.ranking)
-    ideal = AlgIdeal(inst.system.ring, variables, tuple(inst.w_gens), GREVLEX)
+    ring = inst.system.ring
+    gens = {}
+    for w in inst.w_gens:
+        order = max((v.order for v in w.variables()), default=0)
+        for theta in t_monomials(ring.m, inst.order_bound - order):
+            gens.setdefault(w.derive_theta(theta))
+    gens = tuple(gens)
+    variables = _frozen_variables(gens, inst.system.ranking)
+    ideal = AlgIdeal(ring, variables, gens, GREVLEX)
     drop = {v for v in variables if v.family == "y"}
     projected = eliminate(ideal, drop)
     residuals = []

@@ -1,9 +1,10 @@
 """Concrete evaluation oracle: assignments of t-polynomials to the x-variables.
 
-A model point sends each x_j to a polynomial in t1..t_{m+1}; derivative
-variables evaluate to iterated partial derivatives of the assignment, so
-every polynomial evaluates to an exact scalar. The companion point obtained
-by differentiating in the last t-symbol plays the role of the D-image.
+A model point sends each x_j to a polynomial in t1..t_{m+1}, differentiated
+d_step times in the last t-symbol, D, when it is read; derivative variables
+evaluate to iterated partial derivatives of that, so every polynomial
+evaluates to an exact scalar. A point's D-image, d_companion, is the same
+assignment one D-step up, and building it differentiates nothing.
 
 Evaluation runs in Q[t]: eval_poly clears f's t-denominators once
 (scalars.clear_denominators), sums den * f as exponent-vector dicts, and
@@ -12,18 +13,18 @@ builds one Scalar over den at the end. eval_poly is the one exact evaluator.
 The candidate polynomials of each degree layer are built once per process
 and shared, so they must never be changed. Each comes with a residue table:
 the value mod P61 of every t-derivative that can be nonzero, at the fixed
-t-point modp.t_point. Grid points from model_points carry their tables, and
-a D-companion reads them one D-step up. _residue evaluates a polynomial mod
-P61 from the tables. Setting t to the point mod P61 is a ring homomorphism
-wherever the coefficients' denominators stay nonzero, so a nonzero residue
-proves the exact value nonzero. A table has an entry exactly for each theta
-at which the derivative is not the zero polynomial, so a term with a factor
-whose entry is missing is exactly zero in Q(t): when every term is like
-that, _residue reports a structural zero (False), which proves the exact
-value zero with no exact evaluation. A residue 0 proves nothing, and only
-eval_poly decides that such a value is zero. A coefficient whose denominator
-vanishes at the point, and a point that was not built by model_points, give
-no residue.
+t-point modp.t_point. Grid points from model_points assign the candidates
+themselves, and _residue reads each value's table at the point's D-step.
+Setting t to the point mod P61 is a ring homomorphism wherever the
+coefficients' denominators stay nonzero, so a nonzero residue proves the
+exact value nonzero. A table has an entry exactly for each theta at which
+the derivative is not the zero polynomial, so a term with a factor whose
+entry is missing is exactly zero in Q(t): when every term is like that,
+_residue reports a structural zero (False), which proves the exact value
+zero with no exact evaluation. A residue 0 proves nothing, and only
+eval_poly decides that such a value is zero. A coefficient whose
+denominator vanishes at the point, a value without a table, and a point
+more than one D-step up give no residue.
 """
 
 from __future__ import annotations
@@ -33,20 +34,17 @@ import itertools
 from fractions import Fraction
 from math import perm
 
-from . import sparse
-from .modp import P61, residue, t_point
+from . import modp, sparse
+from .modp import P61, t_point
 from .scalars import Scalar, TPoly, clear_denominators
 
 
 class ModelPoint:
-    """An assignment x_j -> t-polynomial.
+    """An assignment x_j -> t-polynomial and a D-order, d_step: x_j takes
+    its assignment differentiated d_step times in D, worked out when read.
+    Grid points assign candidates, which carry their residue tables."""
 
-    candidates is None, except on grid points, where it is the assignment
-    itself: grid candidates carry their residue tables. A grid point's
-    D-companion keeps it and reads the tables one D-step up (d_step 1).
-    """
-
-    __slots__ = ("ring", "assignment", "candidates", "d_step")
+    __slots__ = ("ring", "assignment", "d_step")
 
     def __init__(self, ring, assignment):
         self.ring = ring
@@ -58,41 +56,45 @@ class ModelPoint:
                 raise ValueError(f"assignment for x{j} must be a t-polynomial")
             clean[j] = p
         self.assignment = clean
-        self.candidates = None
         self.d_step = 0
 
     @classmethod
-    def _raw(cls, ring, assignment, candidates=None, d_step=0):
+    def _raw(cls, ring, assignment, d_step=0):
         """A point from an assignment that is valid by construction."""
         pt = cls.__new__(cls)
-        pt.ring, pt.assignment, pt.candidates, pt.d_step = ring, assignment, candidates, d_step
+        pt.ring, pt.assignment, pt.d_step = ring, assignment, d_step
         return pt
 
     def get(self, j):
+        """The value of x_j: its assignment differentiated d_step times in D."""
         try:
-            return self.assignment[j]
+            p = self.assignment[j]
         except KeyError:
             raise ValueError(f"x{j} is not assigned") from None
+        for _ in range(self.d_step):
+            p = p.diff(self.ring.nt)
+        return p
+
+    def values(self):
+        """{j: the value of x_j} for every assigned j."""
+        return {j: self.get(j) for j in self.assignment}
 
     def d_companion(self):
-        """The point with every assignment differentiated in the D-direction;
-        a grid point's companion reads its tables one D-step up."""
-        nt = self.ring.nt
-        return ModelPoint._raw(self.ring, {j: p.diff(nt) for j, p in self.assignment.items()},
-                               None if self.d_step else self.candidates, 1)
+        """The D-image of the point: the same assignment one D-step up."""
+        return ModelPoint._raw(self.ring, self.assignment, self.d_step + 1)
 
     def __eq__(self, other):
         return (
             isinstance(other, ModelPoint)
             and self.ring == other.ring
-            and self.assignment == other.assignment
+            and self.values() == other.values()
         )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.assignment.items())))
+        return hash((self.ring, frozenset(self.values().items())))
 
     def __repr__(self):
-        inner = ", ".join(f"x{j} := {p!r}" for j, p in sorted(self.assignment.items()))
+        inner = ", ".join(f"x{j} := {p!r}" for j, p in sorted(self.values().items()))
         return f"ModelPoint({inner})"
 
 
@@ -151,10 +153,8 @@ def _table(terms):
 def _residue_table(p):
     """The _table of a t-polynomial; None if a coefficient's denominator is a
     multiple of P61."""
-    terms = [(e, residue(c, P61)) for e, c in p.terms.items()]
-    if any(r is None for _, r in terms):
-        return None
-    return _table(terms)
+    res = modp.residues(p.terms)
+    return None if res is None else _table(res)
 
 
 class _Candidate(TPoly):
@@ -167,24 +167,13 @@ class _Candidate(TPoly):
         self.table = _residue_table(self)
 
 
-def _tpoly_at_t_point(p):
-    """The t-polynomial p mod P61 at the t-point (the theta = 0 entry of its
-    _residue_table); None if a coefficient's denominator is a multiple of P61."""
-    total = 0
-    for e, c in p.terms.items():
-        r = residue(c, P61)
-        if r is None:
-            return None
-        total += r * _mono_derivatives(e)[0][1]
-    return total % P61
-
-
 def _at_t_point(c):
     """The scalar c mod P61 at the t-point; None where that is undefined."""
-    num, den = _tpoly_at_t_point(c.num), _tpoly_at_t_point(c.den)
-    if num is None or not den:
+    num, den = modp.residues(c.num.terms), modp.residues(c.den.terms)
+    if num is None or den is None:
         return None
-    return num * pow(den, -1, P61) % P61
+    den = modp.image(den)
+    return modp.image(num) * pow(den, -1, P61) % P61 if den else None
 
 
 def _residue_terms(f):
@@ -204,8 +193,8 @@ def _residue_terms(f):
 def _residue(terms, point, y_point=None):
     """The value mod P61 of the polynomial compiled to terms, read from the
     residue tables of point and y_point; None when it is not defined there:
-    undefined terms, or a variable read from a point that is not from the
-    grid or from an undefined table. False (falsy, like a zero residue) when
+    undefined terms, or a variable whose value has no table (or an undefined
+    one) or is read more than one D-step up. False (falsy, like a zero residue) when
     the value is zero by structure: every term has a factor whose table has
     no entry, so it is exactly zero. A term without factors never is."""
     if terms is None:
@@ -215,9 +204,8 @@ def _residue(terms, point, y_point=None):
     for c, factors in terms:
         for is_y, j, keys, e in factors:
             pt = y_point if is_y else point
-            p = None if pt is None or pt.candidates is None else pt.candidates.get(j)
-            table = None if p is None else p.table
-            if table is None:
+            table = None if pt is None else getattr(pt.assignment.get(j), "table", None)
+            if table is None or pt.d_step > 1:
                 return None
             v = table.get(keys[pt.d_step])
             if v is None:
@@ -301,4 +289,4 @@ def model_points(ring, indices, degree, height):
         for combo in itertools.product(pool, repeat=len(indices)):
             if max((c[0] for c in combo), default=0) == layer:
                 assignment = {j: p for j, (_, p) in zip(indices, combo)}
-                yield ModelPoint._raw(ring, assignment, assignment)
+                yield ModelPoint._raw(ring, assignment)

@@ -6,13 +6,16 @@ returns a fresh list and leaves its arguments alone, except trim.
 
 scalars.tpoly_gcd uses these to prove that two t-polynomials are coprime
 from one modular image, and algebra to prove a univariate generator
-irreducible over Q from an irreducible image (Rabin's test). residue and
-t_point give those images, and model's residue tables, their values: a
-rational mod p, and the one fixed point at which the t-symbols are set.
+irreducible over Q from an irreducible image (Rabin's test).
+
+It is also the one module that sets the t-symbols to a point: residues
+reduces a t-polynomial's coefficients mod P61, and image evaluates them at
+t_point, in every t (for model) or in all but one (for scalars).
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import zip_longest
 
 P61 = (1 << 61) - 1  # a Mersenne prime
@@ -28,9 +31,35 @@ def residue(q, p):
     return None
 
 
+@functools.cache
 def t_point(n):
     """The fixed point (3^40, 3^41, ...) mod P61 in n coordinates, all nonzero."""
     return tuple(pow(3, 40 + j, P61) for j in range(n))
+
+
+def residues(terms):
+    """[(e, c mod P61)] for a dict {e: rational c}; None if P61 divides a denominator."""
+    out = []
+    for e, c in terms.items():
+        r = residue(c, P61)
+        if r is None:
+            return None
+        out.append((e, r))
+    return out
+
+
+def image(res, keep=None):
+    """The residues res at the t-point: an int; with keep, a 0-based t-index,
+    the untrimmed dense image in t_keep, the other t's at the point."""
+    point = t_point(len(res[0][0])) if res else ()
+    img = [0] * (1 if keep is None else max(e[keep] for e, _ in res) + 1)
+    for e, r in res:
+        for j, k in enumerate(e):
+            if k and j != keep:
+                r = r * pow(point[j], k, P61) % P61
+        d = 0 if keep is None else e[keep]
+        img[d] = (img[d] + r) % P61
+    return img[0] if keep is None else img
 
 
 def trim(f):

@@ -231,7 +231,7 @@ def tpoly_text(p):
 
 def point_text(pt, family="x"):
     """Render a model point as "x1 := t2, x2 := 1", naming the given family."""
-    return ", ".join(f"{family}{j} := {tpoly_text(p)}" for j, p in sorted(pt.assignment.items()))
+    return ", ".join(f"{family}{j} := {tpoly_text(p)}" for j, p in sorted(pt.values().items()))
 
 
 def scalar_text(s):

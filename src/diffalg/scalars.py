@@ -7,12 +7,13 @@ structural equality is semantic equality and hashing is safe.
 
 Lowest terms cost a gcd of numerator and denominator per operation, and
 almost all of those gcds are 1. tpoly_gcd first tries to prove that from
-univariate images mod a 61-bit prime (see _coprime_mod_p, and modp.py); only
-when that proof fails does it run the exact primitive PRS. Sums and
-differences over one shared denominator add numerators and skip the product
-of denominators. Polynomial scalars share one unit denominator, TPoly.one of
-their arity: every constructor hands out that instance, also when a gcd or
-a constant scaled to 1 leaves a unit, so is_poly is an identity test.
+univariate images mod a 61-bit prime, which modp.image takes at modp's
+fixed t-point (see _coprime_mod_p); only when that proof fails does it run
+the exact primitive PRS. Sums and differences over one shared denominator
+add numerators and skip the product of denominators. Polynomial scalars
+share one unit denominator, TPoly.one of their arity: every constructor
+hands out that instance, also when a gcd or a constant scaled to 1 leaves a
+unit, so is_poly is an identity test.
 
 TPoly coefficients are Fractions, but a product of two operands with several
 terms each runs over the integers: each operand's denominators are cleared
@@ -281,32 +282,6 @@ def _content_pp(p, i):
     return cont, pp
 
 
-# Fixed nonzero evaluation points of the coprimality filter, one per t-variable.
-_T_POINTS = modp.t_point(32)
-
-
-def _residues(f, p):
-    """(exponent, coefficient mod p) pairs of f; None if a denominator vanishes mod p."""
-    out = []
-    for e, c in f.terms.items():
-        r = modp.residue(c, p)
-        if r is None:
-            return None
-        out.append((e, r))
-    return out
-
-
-def _image(res, i, p):
-    """Dense image in t_i (0-based) of residue terms, the other t's at _T_POINTS."""
-    img = [0] * (max(e[i] for e, _ in res) + 1)
-    for e, r in res:
-        for j, k in enumerate(e):
-            if k and j != i:
-                r = r * pow(_T_POINTS[j], k, p) % p
-        img[e[i]] = (img[e[i]] + r) % p
-    return img
-
-
 def _coprime_mod_p(a, b, common):
     """True when modular images prove gcd(a, b) constant; False proves nothing.
 
@@ -321,15 +296,12 @@ def _coprime_mod_p(a, b, common):
     while neither factor's degree can grow, so the image of g keeps its
     degree >= 1 and divides both images, whose gcd is then not 1.
     """
-    if a.nvars > len(_T_POINTS):
-        return False
-    p = modp.P61
-    ra, rb = _residues(a, p), _residues(b, p)
+    ra, rb = modp.residues(a.terms), modp.residues(b.terms)
     if ra is None or rb is None:
         return False
     for i in common:
-        fa = _image(ra, i - 1, p)
-        if not fa[-1] or len(modp.gcd(fa, _image(rb, i - 1, p), p)) != 1:
+        fa = modp.image(ra, i - 1)
+        if not fa[-1] or len(modp.gcd(fa, modp.image(rb, i - 1), modp.P61)) != 1:
             return False
     return True
 

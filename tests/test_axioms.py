@@ -272,7 +272,7 @@ class TestProjection:
         verdict = projection_closure_check(inst, val)
         assert verdict.ok
         assert verdict.order_bound == inst.order_bound
-        assert [poly_text(g) for g in verdict.eliminants] == ["d1x1"]
+        assert [poly_text(g) for g in verdict.eliminants] == ["d1x1", "d1d1x1"]
 
     def test_extra_x_generator_breaks_projection(self):
         data, inst = load_instance("basic.axiom")
@@ -326,6 +326,40 @@ class TestWitnessSearch:
         val = instance_validate(inst)
         rep = witness_search(inst, val)
         assert rep.status == "invalid_instance"
+
+    @pytest.mark.parametrize("source, degree, height", [
+        ("basic.axiom", 1, 1), ("exhaustion.axiom", 2, 1), (OPEN_SET, 1, 1)])
+    def test_any_contiguous_split_returns_the_sequential_first_match(self, source, degree,
+                                                                     height):
+        """The grid cut into k contiguous chunks, each scanned on its own with
+        the open-set and W checks and the chunks taken last-first: the
+        earliest chunk with a passing point holds witness_search's witness at
+        its examined count, and an exhausted search leaves every chunk empty."""
+        if source.endswith(".axiom"):
+            _, inst = load_instance(source)
+        else:
+            inst = build_axiom_instance(parse_instance_text(source))
+        rep = witness_search(inst, instance_validate(inst, degree=degree, height=height),
+                             degree=degree, height=height)
+        ring = inst.system.ring
+        grid = list(model_points(ring, range(1, ring.n + 1), degree, height))
+        open_checks = axioms._open_set(inst.system, inst.open_extra)
+        w_checks = _checks((w, True) for w in inst.w_gens)
+        for k in (2, 3, 5):
+            cuts = [len(grid) * i // k for i in range(k + 1)]
+            first = {}  # chunk start -> (point, examined) of the chunk's first pass
+            for lo, hi in reversed(list(zip(cuts, cuts[1:]))):
+                for i in range(lo, hi):
+                    pt = grid[i]
+                    if (_fails(open_checks, pt) is None
+                            and _fails(w_checks, pt, pt.d_companion()) is None):
+                        first[lo] = (pt, i + 1)
+                        break
+            if rep.status == "exhausted":
+                assert first == {}, k
+            else:
+                assert first[min(first)] == (rep.witness, rep.examined), k
+        assert rep.status == ("exhausted" if source == "exhaustion.axiom" else "found")
 
 
 class TestModularChecks:

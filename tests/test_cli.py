@@ -224,6 +224,20 @@ class TestReports:
         code, out = run(capsys, "axiom", "project", FIX["basic.axiom"])
         assert code == 0 and "projection covers the open set" in out
 
+    def test_axiom_project_prolongs_w(self, tmp_path, capsys):
+        """delta1(y1 - t1*x1) = d1y1 - x1 - t1*d1x1, so x1 vanishes on W once
+        d1y1 and d1x1 do: the projection is one point, not dense in V(d1x1)."""
+        path = tmp_path / "prolonged.axiom"
+        path.write_text("[ring] m=1 n=1 field=rational_t\n[lambda]\nd1x1\n"
+                        "[W]\nd1x1\nd1y1\ny1 - t1*x1\n"
+                        "[bounds] order=2 degree=1 height=1\n", encoding="utf-8")
+        code, out = run(capsys, "axiom", "project", str(path))
+        assert code == 2
+        lines = out.splitlines()
+        assert "eliminant x1: remainder x1" in lines
+        assert "projection misses the open set" in lines
+        assert "status: rejected" in lines
+
 
 class TestFlagSurface:
     """Every flag a command accepts can change its run."""

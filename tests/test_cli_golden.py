@@ -201,6 +201,7 @@ CASES = [
         (
             'surrogate order bound: 2\n'
             'eliminant d1x1: remainder 0\n'
+            'eliminant d1d1x1: remainder 0\n'
             'projection covers the open set\n'
             '---\n'
             'status: ok\n'
@@ -245,6 +246,7 @@ CASES = [
         (
             'surrogate order bound: 2\n'
             'eliminant d1x1: remainder 0\n'
+            'eliminant d1d1x1: remainder 0\n'
             'projection covers the open set\n'
             '---\n'
             'status: ok\n'

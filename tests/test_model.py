@@ -29,6 +29,7 @@ from diffalg.model import (
     model_polys,
     t_monomials,
 )
+from diffalg.parser import point_text
 from diffalg.ring import RATIONAL_T, DerivVar
 
 CASES = 1000
@@ -160,7 +161,7 @@ def exact_mod_p(value, t):
 def tabled(ring, point):
     """A hand-built point whose assignments carry residue tables, like a grid point's."""
     candidates = {j: _Candidate(ring.nt, p.terms) for j, p in point.assignment.items()}
-    return ModelPoint._raw(ring, candidates, candidates)
+    return ModelPoint._raw(ring, candidates)
 
 
 GRIDS = {}
@@ -232,6 +233,38 @@ def test_structural_zero_is_exactly_zero():
             for g in shifted:
                 assert _residue(_residue_terms(g), pt, ypt) is not False, (g, pt, ypt)
     assert all(n >= 40 for n in kinds.values()), kinds
+
+
+def test_d_companion_is_the_point_one_d_step_up(monkeypatch):
+    """d_companion() differentiates nothing. Read, a companion is the point
+    with every assignment differentiated in D, as if built that way: the
+    same values, text, repr, hash and equality with every other point, for
+    grid and hand-built points and for companions of companions."""
+    ring = RingContext(m=1, n=2, field_mode=RATIONAL_T)
+    nt = ring.nt
+    rng = random.Random(77)
+    base = list(model_points(ring, [1, 2], 1, 1))[::20]
+    base += [ModelPoint(ring, {j: rand_tpoly(rng, nt, 3, 3) for j in (1, 2)}) for _ in range(8)]
+    calls = []
+    diff = TPoly.diff
+    with monkeypatch.context() as m:
+        m.setattr(TPoly, "diff", lambda p, i: calls.append(i) or diff(p, i))
+        once = [pt.d_companion() for pt in base]
+        lazy = base + once + [pt.d_companion() for pt in once]
+    assert calls == []
+
+    def up(pt):
+        return ModelPoint(ring, {j: p.diff(nt) for j, p in pt.assignment.items()})
+
+    eager_once = [up(pt) for pt in base]
+    eager = base + eager_once + [up(pt) for pt in eager_once]
+    for a, b in zip(lazy, eager):
+        assert [a.get(j) for j in (1, 2)] == [b.get(j) for j in (1, 2)]
+        assert (point_text(a), repr(a), hash(a)) == (point_text(b), repr(b), hash(b))
+    equal = [a == b for a in lazy for b in lazy]
+    assert equal == [a == b for a in eager for b in eager]
+    # Some companions equal other points: grid points x := c*t2 + ... go to constants.
+    assert sum(equal) > len(lazy)
 
 
 def test_layer_candidates_equal_the_validated_polynomials():

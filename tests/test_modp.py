@@ -1,6 +1,9 @@
-"""Univariate polynomials over F_p against sympy's GF(p) arithmetic."""
+"""Univariate polynomials over F_p against sympy's GF(p) arithmetic, and the
+images at the t-point against exact rational evaluation."""
 
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -50,3 +53,25 @@ def test_known_cases():
     assert not modp.irreducible([1, 0, 1], 2)  # (x + 1)^2
     assert not any(modp.irreducible(modp.trim([1 % p, 0, 0, 0, 1]), p)
                    for p in (2, 3, 5, 7, 11, 13))  # x^4 + 1 splits mod every p
+
+
+def test_images_at_the_t_point_match_exact_evaluation():
+    """image(res) is the value at the t-point mod P61, and image(res, keep)
+    the dense polynomial in t_keep that takes that value at the point."""
+    p = modp.P61
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        terms = {tuple(rng.randint(0, 3) for _ in range(n)):
+                 Fraction(rng.choice((-5, -1, 1, 2, 7)), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 4))}
+        point = modp.t_point(n)
+        exact = sum(c * prod(x ** k for x, k in zip(point, e)) for e, c in terms.items())
+        want = exact.numerator * pow(exact.denominator, -1, p) % p
+        res = modp.residues(terms)
+        assert modp.image(res) == want
+        for keep in range(n):
+            img = modp.image(res, keep)
+            assert len(img) == max(e[keep] for e in terms) + 1
+            assert sum(c * pow(point[keep], d, p) for d, c in enumerate(img)) % p == want
+    assert modp.residues({(1, 0): Fraction(1), (0, 1): Fraction(1, p)}) is None

@@ -192,8 +192,7 @@ class TestDenominatorPrinting:
 RC = RingContext(m=2, n=2, field_mode=CONSTANTS)
 _X1, _X2, _D1X1 = DerivVar("x", 1, (0, 0)), DerivVar("x", 2, (0, 0)), DerivVar("x", 1, (1, 0))
 _MONOS = [mono_from(m) for m in ((), [(_X1, 1)], [(_X1, 2)], [(_X1, 1), (_X2, 1)], [(_D1X1, 1)])]
-# t-exponents on both sides of Packing.fit's two smallest widths (4*31 < 2**7 <= 4*32,
-# 4*127 < 2**9 <= 4*128)
+# small and large t-exponents (up to 128), so that products reach t-degrees above 250
 _T_EXPONENTS = st.sampled_from([0, 0, 1, 2, 31, 32, 127, 128])
 _T_COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 1, 2, 3, 35]))
 
@@ -267,7 +266,7 @@ class TestIntegerProductExamples:
         g = P("t1*x1 - 1/2*t2*x1 + 3")
         assert f * g == P("t1^2*x1^2 - 1/4*t2^2*x1^2 + 4*t1*x1 + t2*x1 + 3")
 
-    def test_the_packing_fits_both_operands(self):
+    def test_high_t_degrees_match_the_term_loop(self):
         f, g = P("x1 + t1*x2"), P("t1^200*x1 + 1/3*t2^129*x2")
         assert (f * g).terms == sparse.mul(f.terms, g.terms, mono_mul)
         assert (g * f).terms == sparse.mul(g.terms, f.terms, mono_mul)

@@ -17,7 +17,7 @@ from diffalg import (
     parse_tpoly,
     scalars,
 )
-from diffalg.modp import P61
+from diffalg.modp import P61, t_point
 from diffalg.ring import RATIONAL_T
 from diffalg.scalars import Scalar, TPoly, _int_normalize, clear_denominators, tpoly_gcd
 
@@ -147,7 +147,7 @@ def _lc_vanishing_pair():
     """a = g*(t1 + 1), b = g*(t1 + 2) with g = (t1 - c1)*(t2 - c2) + 1, where
     (c1, c2) is the filter's evaluation point: every image of g is 1, and the
     images of a lose their degree in both t's."""
-    c1, c2 = scalars._T_POINTS[:2]
+    c1, c2 = t_point(2)
     t1, t2 = TPoly.var(2, 1), TPoly.var(2, 2)
     g = (t1 - TPoly.const(2, c1)) * (t2 - TPoly.const(2, c2)) + TPoly.one(2)
     return g, g * (t1 + TPoly.const(2, 1)), g * (t1 + TPoly.const(2, 2))
