@@ -150,21 +150,10 @@ def _table(terms):
     return {theta: v % P61 for theta, v in table.items()}
 
 
-def _residue_table(p):
-    """The _table of a t-polynomial; None if a coefficient's denominator is a
-    multiple of P61."""
-    res = modp.residues(p.terms)
-    return None if res is None else _table(res)
-
-
 class _Candidate(TPoly):
     """A grid candidate: a t-polynomial that carries its residue table."""
 
     __slots__ = ("table",)
-
-    def __init__(self, nvars, terms):
-        super().__init__(nvars, terms)
-        self.table = _residue_table(self)
 
 
 def _at_t_point(c):

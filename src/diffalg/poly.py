@@ -6,11 +6,13 @@ returns a fresh canonical value, so sharing is always safe.
 
 A product of two polynomials with at least two terms each, all of whose
 coefficients are polynomials in t, runs over Z[t] (_mul_over_z): each
-operand's Fraction denominators are cleared once (scalars._over_z), each
-pair of terms multiplies its int t-polynomials with sparse.mul, as TPoly's
-product does, and one Fraction is built per output t-term. Every other
-product, one with a one-term operand or a rational-function coefficient,
-multiplies Scalars term by term (sparse.mul); both give the same terms.
+operand is cleared once to {monomial: {t-exponent: int}} over one int
+(_over_z_by_mono), _sum_over_z multiplies them, one sparse.mul of int
+t-polynomials per pair of terms as in TPoly's product, and _from_z builds
+one Fraction per output t-term. Ritt reduction runs on the same int forms
+and loop. Every other product, one with a one-term operand or a
+rational-function coefficient, multiplies Scalars term by term
+(sparse.mul); both give the same terms.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import sparse
-from .scalars import Scalar, TPoly, _over_z
+from .scalars import Scalar, TPoly, _over_z, clear_denominators
 
 # A monomial is a tuple of (DerivVar, exponent) pairs with positive exponents,
 # sorted by the canonical variable key.
@@ -247,30 +249,53 @@ class DiffPoly:
 
 def _mul_over_z(p, q, nt):
     """p*q for term dicts with polynomial coefficients, over Z[t]: each
-    operand's denominators are cleared once, each pair of terms is one
-    sparse.mul of int t-polynomials, and one Fraction is built per output
-    t-term."""
-    (ip, dp), (iq, dq) = (_over_z_by_mono(f) for f in (p, q))
+    operand's denominators are cleared once, the int loop _sum_over_z
+    multiplies them, and one Fraction is built per output t-term."""
+    (ip, cp, one), (iq, cq, _) = (_over_z_by_mono(f, nt) for f in (p, q))
+    return _from_z(_sum_over_z(((ip, iq),)), cp * cq, one)
+
+
+def _sum_over_z(pairs):
+    """The sum of a*b over pairs of {monomial: {t-exponent: int}} dicts: the
+    int loop of every Z[t] product, one sparse.mul per pair of terms merged
+    with sparse.acc. It leaves its arguments alone and drops empty t-dicts."""
     out = {}
-    for m1, a in ip.items():
-        for m2, b in iq.items():
-            m = mono_mul(m1, m2)
-            t = out.get(m)
-            if t is None:
-                out[m] = sparse.mul(a, b)
-            else:
-                for e, c in sparse.mul(a, b).items():
-                    sparse.acc(t, e, c)
-    d = dp * dq
-    return {m: Scalar._poly(TPoly._raw(nt, {e: Fraction(c, d) for e, c in t.items()}))
-            for m, t in out.items() if t}
+    for p, q in pairs:
+        for m1, a in p.items():
+            for m2, b in q.items():
+                m = mono_mul(m1, m2)
+                t = out.get(m)
+                if t is None:
+                    out[m] = sparse.mul(a, b)
+                else:
+                    for e, c in sparse.mul(a, b).items():
+                        sparse.acc(t, e, c)
+    return {m: t for m, t in out.items() if t}
 
 
-def _over_z_by_mono(p):
-    """({monomial: int t-terms}, d): p's coefficients over d, the lcm of all
-    their Fraction denominators (scalars._over_z)."""
-    ints, d = _over_z({(m, e): c for m, s in p.items() for e, c in s.num.terms.items()})
+def _over_z_by_mono(p, nt):
+    """(ints, c, den) with p == {m: ints[m] / (c*den)} for a dict of Scalars:
+    den is the monic lcm of their t-denominators (scalars.clear_denominators),
+    c the lcm of the Fraction denominators left (scalars._over_z), and
+    ints[m] a {t-exponent: int} dict."""
+    den, nums = clear_denominators(nt, p)
+    ints, c = _over_z({(m, e): k for m, n in nums.items() for e, k in n.terms.items()})
     grouped = {}
-    for (m, e), c in ints.items():
-        grouped.setdefault(m, {})[e] = c
-    return grouped, d
+    for (m, e), k in ints.items():
+        grouped.setdefault(m, {})[e] = k
+    return grouped, c, den
+
+
+def _from_z(ints, c, den, bases=()):
+    """{m: the canonical Scalar ints[m] / (c*den)}, one Fraction per t-term.
+    Each of bases, nonconstant t-polynomials, is divided out of a numerator
+    and den while it divides both, and Scalar mostly proves the rest coprime."""
+    nt, unit = den.nvars, den is TPoly.one(den.nvars)
+    out = {}
+    for m, t in ints.items():
+        num, rest = TPoly._raw(nt, {e: Fraction(k, c) for e, k in t.items()}), den
+        for b in bases:
+            while (q := num.exact_div(b)) is not None and (r := rest.exact_div(b)) is not None:
+                num, rest = q, r
+        out[m] = Scalar._poly(num) if unit else Scalar(num, rest)
+    return out

@@ -12,34 +12,38 @@ variables are fixed from the top down; an elimination step only touches
 variables ranked at or below the one being removed, so the highest offender
 descends strictly and the loop terminates.
 
-No arithmetic is repeated. A step p := ini*p - mult*divisor is computed on
-the reductums (Ritt's pseudo-division step): with p = c*v^e + rest, mult =
-c*v^(e-dmin) and divisor = lead*v^dmin + tail (DiffPoly.split), it is
-ini*rest - mult*tail, and the term ini*mult*v^dmin that both full products
-would form and the subtraction cancel is never formed. That is exact only
-when lead == ini, so the divisor's lead is compared with the cached initial
-or separant once per offending variable, and a mismatch raises RuntimeError.
-The r steps that remove one offender build that reducer's new cofactor by
-Horner's rule; the other cofactors and the premultiplier are multiplied by
-ini**r once, afterwards, not by ini at every step. Each theta(g) is derived
-once per system and kept on the RankedSystem (RankedSystem._theta; the
-cache is not part of the system's value). An f whose coefficients have
-t-denominators is reduced as den * f, both formed by
-scalars.clear_denominators; every step is linear in p and den is a scalar,
-so the steps and premultiplier are those of f, and dividing the remainder
-and the cofactors by den once gives f's certificate exactly.
-verify re-derives every theta(g) with derive_theta and reads no cache, so
-it stays an independent check.
+No arithmetic is repeated, and none of it divides. _reduce works over Z[t]:
+p, every cofactor and the premultiplier are {monomial: {t-exponent: int}}
+dicts, multiplied by poly._sum_over_z, the int loop of DiffPoly's Z[t]
+product (DiffPoly._raw views serve degree_in, split and _violation, which
+read only monomials). Each theta(g) is derived once per system
+(RankedSystem._theta) and cleared once to (lead*v^dmin + tail)/(c*d), c an
+int and d a monic TPoly (RankedSystem._divisor); neither cache is part of
+the system's value. A step is Ritt's pseudo-division step on the reductums:
+with p = mult*v^dmin + rest, p := lead*rest - mult*tail, never forming the
+term lead*mult*v^dmin that would cancel. That is c*d times ini*p -
+mult*theta(g) only when lead/(c*d) is the cached initial or separant ini,
+which _divisor checks, raising RuntimeError. The r steps that remove one
+offender build its cofactor by Horner's rule, and multiply the others and
+the premultiplier by lead**r once. So p is S times the Scalar loop's p, the
+premultiplier S/S0 times and the cofactor of theta(g) S/(c*d) times, with
+S0 f's clearing and S the product of S0 and every step's c*d: an int and a
+TPoly, the unit unless f or a divisor has t-denominators. poly._from_z
+divides S out once, trial-dividing by its known factors first, so the
+certificate is exactly the Scalar loop's. An f with nothing to reduce is
+returned as it is.
+verify re-derives every theta(g) with derive_theta, reads neither cache and
+re-expands with DiffPoly's own products, so it stays an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import DiffPoly
+from .poly import EMPTY_MONO, DiffPoly, _from_z, _over_z_by_mono, _sum_over_z
 from .ranking import Ranking, leader_initial_separant
-from .scalars import Scalar, TPoly, clear_denominators
-from .sparse import divides, ediv, elcm
+from .scalars import TPoly
+from .sparse import divides, ediv, elcm, power
 
 PARTIAL = "partial"
 FULL = "full"
@@ -72,6 +76,8 @@ class RankedSystem:
     h: DiffPoly
     # theta(g) by (index of g, theta), filled on demand; not part of the value
     _thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the same theta(g) over Z[t], split for Ritt's step (_divisor); likewise
+    _divisors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -93,6 +99,27 @@ class RankedSystem:
                 lower = theta[:i] + (theta[i] - 1,) + theta[i + 1:]
                 out = self._theta(gi, lower).derive(i + 1)
             self._thetas[key] = out
+        return out
+
+    def _divisor(self, gi, theta, v):
+        """theta(g) for element gi over Z[t], split at v = theta(leader) once
+        per system: (dmin, lead, -tail, c, d), theta(g) = (lead*v^dmin + tail)/(c*d).
+        Ritt's step on the reductums needs lead/(c*d) to be the cached initial
+        (theta = 0) or separant; a mismatch raises RuntimeError."""
+        key = (gi, theta)
+        out = self._divisors.get(key)
+        if out is None:
+            proper = any(theta)
+            dmin = 1 if proper else self.leader_degrees[gi]
+            divisor = self._theta(gi, theta)
+            if divisor.split(v, dmin)[0] != (self.separants if proper else self.initials)[gi]:
+                kind = "separant" if proper else "initial"
+                raise RuntimeError(f"the cached {kind} of element {gi + 1} is not the "
+                                   f"coefficient of {v.text()}^{dmin} in its divisor")
+            ints, c, d = _over_z_by_mono(divisor.terms, divisor.ring.nt)
+            lead, tail = DiffPoly._raw(divisor.ring, ints).split(v, dmin)
+            tail = {m: {e: -k for e, k in t.items()} for m, t in tail.terms.items()}
+            out = self._divisors[key] = (dmin, lead.terms, tail, c, d)
         return out
 
 
@@ -183,57 +210,55 @@ def _violation(p, ranking, leaders, degrees, mode):
 
 
 def _reduce(f, system, mode):
+    ranking, leaders, degrees = system.ranking, system.leaders, system.leader_degrees
+    viol = _violation(f, ranking, leaders, degrees, mode)
+    if viol is None:
+        return ReductionCertificate(mode, f, f, DiffPoly.one(f.ring), {}, 0)
     ring = f.ring
     one = TPoly.one(ring.nt)
-    den, nums = clear_denominators(ring.nt, f.terms)
-    p = f if den is one else DiffPoly._raw(ring, {m: Scalar._poly(n) for m, n in nums.items()})
-    premult = DiffPoly.one(ring)
-    cof = {}
-    steps = 0
-    while not p.is_zero():
-        viol = _violation(p, system.ranking, system.leaders, system.leader_degrees, mode)
-        if viol is None:
-            break
+    unit = {EMPTY_MONO: {(0,) * ring.nt: 1}}
+    # S = c*d; scales[key] is the c*d of key's divisor; bases are factors of d
+    # that _from_z tries first, once a divisor's t-denominators make d large
+    p, c0, den0 = _over_z_by_mono(f.terms, ring.nt)
+    c, d = c0, den0
+    premult, cof, scales, bases, steps = unit, {}, {}, {}, 0
+    while viol is not None:
         v, gi, theta = viol
-        if any(theta):
-            divisor = system._theta(gi, theta)
-            ini = system.separants[gi]
-            dmin = 1
-        else:
-            divisor = system.elements[gi]
-            ini = system.initials[gi]
-            dmin = system.leader_degrees[gi]
-        # the reductum step below is ini*p - mult*divisor only when lead == ini
-        lead, tail = divisor.split(v, dmin)
-        if lead != ini:
-            kind = "separant" if any(theta) else "initial"
-            raise RuntimeError(f"the cached {kind} of element {gi + 1} is not the coefficient "
-                               f"of {v.text()}^{dmin} in its divisor")
-        # r steps p := ini*rest - mult*tail; q = sum_j ini^(r-j) * mult_j by Horner
-        q = None
-        r = 0
-        while not p.is_zero():
-            e = p.degree_in(v)
+        dmin, lead, tail, cg, dg = system._divisor(gi, theta, v)
+        # r steps p := lead*rest - mult*tail; q = sum_j lead^(r-j) * mult_j, lead_r = lead^r
+        q, r = None, 0
+        while p:
+            work = DiffPoly._raw(ring, p)
+            e = work.degree_in(v)
             if e < dmin:
                 break
-            mult, rest = p.split(v, e)
+            mult, rest = (x.terms for x in work.split(v, e))
             if e > dmin:
-                mult = mult * DiffPoly.var(ring, v, e - dmin)
-            p = ini * rest - mult * tail
-            q = mult if q is None else ini * q + mult
+                mult = _sum_over_z(((mult, {((v, e - dmin),): unit[EMPTY_MONO]}),))
+            p = _sum_over_z(((lead, rest), (mult, tail)))
+            q = mult if q is None else _sum_over_z(((lead, q), (mult, unit)))
+            lead_r = lead if r == 0 else _sum_over_z(((lead_r, lead),))
             r += 1
-        power = ini if r == 1 else ini ** r
-        premult = power * premult
+        premult = _sum_over_z(((lead_r, premult),))
         for k in cof:
-            cof[k] = power * cof[k]
+            cof[k] = _sum_over_z(((lead_r, cof[k]),))
         key = (gi, theta)
-        cof[key] = cof[key] + q if key in cof else q
+        cof[key] = _sum_over_z(((cof[key], unit), (q, unit))) if key in cof else q
+        scales[key] = (cg, dg)
+        c *= cg ** r
+        if dg is not one:
+            d = power(dg, r, d)  # d * dg**r
+            bases.update((b, None) for b in (den0, dg) if b is not one)
         steps += r
-    if den is not one:
-        inverse = Scalar(one, den)
-        p = p.scale(inverse)
-        cof = {k: c.scale(inverse) for k, c in cof.items()}
-    return ReductionCertificate(mode, f, p, premult, cof, steps)
+        viol = _violation(DiffPoly._raw(ring, p), ranking, leaders, degrees, mode)
+
+    def value(ints, k=1, dk=one):
+        """The DiffPoly whose int form, c*d/(k*dk) times it, is ints."""
+        den = d if dk is one else d.exact_div(dk)
+        return DiffPoly._raw(ring, _from_z(ints, c // k, den, bases))
+
+    cofactors = {key: value(q, *scales[key]) for key, q in cof.items()}
+    return ReductionCertificate(mode, f, value(p), value(premult, c0, den0), cofactors, steps)
 
 
 def partial_reduce(f, system):

@@ -22,8 +22,8 @@ from diffalg.model import (
     _Candidate,
     _layer,
     _residue,
-    _residue_table,
     _residue_terms,
+    _table,
     coefficient_ladder,
     model_points,
     model_polys,
@@ -158,9 +158,20 @@ def exact_mod_p(value, t):
     return q.numerator * pow(q.denominator, -1, P) % P
 
 
+def _residue_table(p):
+    """The residue table of a t-polynomial, as the grid builds it
+    (model._table over modp.residues); None if a coefficient's denominator
+    is a multiple of P61."""
+    res = modp.residues(p.terms)
+    return None if res is None else _table(res)
+
+
 def tabled(ring, point):
     """A hand-built point whose assignments carry residue tables, like a grid point's."""
-    candidates = {j: _Candidate(ring.nt, p.terms) for j, p in point.assignment.items()}
+    candidates = {}
+    for j, p in point.assignment.items():
+        c = candidates[j] = _Candidate._raw(ring.nt, p.terms)
+        c.table = _residue_table(p)
     return ModelPoint._raw(ring, candidates)
 
 

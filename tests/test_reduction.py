@@ -20,6 +20,7 @@ from diffalg import (
     partial_reduce,
     poly_text,
 )
+from diffalg import reduction
 from diffalg.algebra import to_algpoly
 from diffalg.reduction import FULL, PARTIAL, ReductionCertificate, _violation
 from diffalg.ring import RATIONAL_T
@@ -252,6 +253,89 @@ class TestReductionEquivalence:
                 cert, ref = full_reduce(f, s), _reference_reduce(f, s, FULL)
                 assert (cert.remainder, cert.premultiplier, cert.steps, cert.cofactors) == (
                     ref.remainder, ref.premultiplier, ref.steps, ref.cofactors)
+
+
+def _same_as_reference(f, s):
+    """Reduce f in both modes, compare each certificate with the reference
+    loop's, and return the full one."""
+    for mode, reduce_fn in ((PARTIAL, partial_reduce), (FULL, full_reduce)):
+        cert, ref = reduce_fn(f, s), _reference_reduce(f, s, mode)
+        assert (cert.remainder, cert.premultiplier, cert.steps) == (
+            ref.remainder, ref.premultiplier, ref.steps)
+        assert list(cert.cofactors) == list(ref.cofactors)
+        assert cert.cofactors == ref.cofactors
+        assert cert.verify(s)
+    return cert
+
+
+OVER_T1_PLUS_1 = Scalar(parse_tpoly("1", RT), parse_tpoly("t1 + 1", RT))
+
+
+class TestIntegerClearing:
+    """Each divisor theta(g) is cleared once to an int form over c*d, c an
+    int and d a monic t-polynomial; these systems make c or d non-trivial."""
+
+    def test_integer_denominators(self):
+        s = system("1/2*t1*d1x1^2 - 2/3*x1^3")
+        cert = _same_as_reference(P("x1*d1d1x1^2 + t2*d1x1^3"), s)
+        assert cert.steps > len(cert.cofactors)
+        clears = {key: c for key, (_, _, _, c, _) in s._divisors.items()}
+        assert clears == {(0, (1, 0)): 2, (0, (0, 0)): 6}
+
+    def test_a_t_denominator_squared_by_differentiation(self):
+        s = autoreduced_check([P("d1x2^2") + P("x2").scale(OVER_T1_PLUS_1)], Ranking())
+        cert = _same_as_reference(P("x2*d1d1x2^2 + d1x2^3"), s)
+        assert cert.steps > len(cert.cofactors)
+        dens = {key: d for key, (_, _, _, _, d) in s._divisors.items()}
+        assert dens == {(0, (1, 0)): parse_tpoly("t1^2 + 2*t1 + 1", RT),
+                        (0, (0, 0)): parse_tpoly("t1 + 1", RT)}
+
+    def test_a_mixed_system_with_multi_step_offenders(self):
+        s = autoreduced_check([P("1/2*t1*d1x1^2 - 2/3*x1^3"),
+                               P("d1x2^2") + P("x2").scale(OVER_T1_PLUS_1)], Ranking())
+        f = P("d1d1x1*d1d1x2^2 + x1*d1x1^3 + t2*d1x2^3 + d2d1x2")
+        for g in (f, f.scale(OVER_T1_PLUS_1), f.scale(Scalar(parse_tpoly("t2 - 1", RT),
+                                                              parse_tpoly("3*t1 + t3", RT)))):
+            cert = _same_as_reference(g, s)
+            assert cert.steps > len(cert.cofactors) == 5
+
+
+class TestZeroStepsAndIndependence:
+    def test_a_reduced_f_is_returned_as_it_is(self):
+        s = system("t1*d1x1^2 - x1^3 - t2")
+        for f in (P("x1^5 + t2*d1x1"), P("x1").scale(OVER_T1_PLUS_1), P("0")):
+            for reduce_fn in (partial_reduce, full_reduce):
+                cert = reduce_fn(f, s)
+                assert cert.remainder is f
+                assert (cert.steps, cert.cofactors, cert.premultiplier) == (0, {}, P("1"))
+
+    def test_verify_runs_none_of_the_int_path(self, monkeypatch):
+        """With the int product kernel patched to raise where the reduction
+        calls it (DiffPoly's own Z[t] products reach it through poly, which
+        the patch leaves alone), a certificate computed before still
+        verifies, also against an equal system with empty caches."""
+        s = system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2")
+        f = P("d1d1x1*d2x2 + x1*d1x1^3")
+        cert = full_reduce(f, s)
+
+        def boom(pairs):
+            raise AssertionError("the int path ran")
+
+        monkeypatch.setattr(reduction, "_sum_over_z", boom)
+        with pytest.raises(AssertionError, match="int path"):
+            full_reduce(f, s)
+        assert cert.verify(s)
+        assert cert.verify(system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2"))
+
+    def test_a_cofactor_off_by_one_fails(self):
+        s = system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2")
+        cert = full_reduce(P("d1d1x1*d2x2 + x1*d1x1^3"), s)
+        assert cert.verify(s)
+        for key, q in cert.cofactors.items():
+            for mono, c in q.terms.items():
+                bad = dataclasses.replace(cert, cofactors={
+                    **cert.cofactors, key: DiffPoly(q.ring, {**q.terms, mono: c + Scalar.one(3)})})
+                assert not bad.verify(s)
 
 
 class TestThetaCache:
