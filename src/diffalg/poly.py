@@ -4,23 +4,23 @@ A polynomial is a map from monomials (multisets of derivative variables) to
 nonzero scalars. Values are immutable after construction and every operation
 returns a fresh canonical value, so sharing is always safe.
 
-A product of two polynomials with at least two terms each, all of whose
-coefficients are polynomials in t, runs over Z[t] (_mul_over_z): each
-operand is cleared once to {monomial: {t-exponent: int}} over one int
+A sum of products (_sum_of_products; a product of two operands of two or
+more terms is the sum of one pair) runs over Z[t] when every t-denominator
+is 1 or one shared TPoly d, so that clearing needs no gcd: the operands are
+cleared at once to {monomial: {t-exponent: int}} dicts over d and one int
 (_over_z_by_mono), _sum_over_z multiplies them, one sparse.mul of int
-t-polynomials per pair of terms as in TPoly's product, and _from_z builds
-one Fraction per output t-term. Ritt reduction runs on the same int forms
-and loop. Every other product, one with a one-term operand or a
-rational-function coefficient, multiplies Scalars term by term
-(sparse.mul); both give the same terms.
+t-polynomials per pair of terms, and _from_z builds one Fraction per output
+t-term. Ritt reduction and its certificate check run on the same loop. Any
+other product multiplies Scalars term by term; both give the same terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import sparse
-from .scalars import Scalar, TPoly, _over_z, clear_denominators
+from .scalars import Scalar, TPoly
 
 # A monomial is a tuple of (DerivVar, exponent) pairs with positive exponents,
 # sorted by the canonical variable key.
@@ -117,7 +117,7 @@ class DiffPoly:
         return cls(ring, {((v, exp),): Scalar.one(ring.nt)})
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed ring contexts")
 
     def is_zero(self):
@@ -159,14 +159,12 @@ class DiffPoly:
         return DiffPoly._raw(self.ring, sparse.neg(self.terms))
 
     def __mul__(self, other):
-        """The product; over Z[t] when both operands have several terms and
-        polynomial coefficients (_mul_over_z), else term by term."""
+        """The product: a scale, or _sum_of_products of the one pair."""
         self._check(other)
         p, q = self.terms, other.terms
-        if (len(p) < 2 or len(q) < 2 or not all(c.is_poly() for c in p.values())
-                or not all(c.is_poly() for c in q.values())):
+        if len(p) < 2 or len(q) < 2:
             return DiffPoly._raw(self.ring, sparse.mul(p, q, mono_mul))
-        return DiffPoly._raw(self.ring, _mul_over_z(p, q, self.ring.nt))
+        return _sum_of_products(((self, other),))
 
     def __pow__(self, k):
         if k < 0:
@@ -247,12 +245,23 @@ class DiffPoly:
         return f"DiffPoly({poly_text(self)})"
 
 
-def _mul_over_z(p, q, nt):
-    """p*q for term dicts with polynomial coefficients, over Z[t]: each
-    operand's denominators are cleared once, the int loop _sum_over_z
-    multiplies them, and one Fraction is built per output t-term."""
-    (ip, cp, one), (iq, cq, _) = (_over_z_by_mono(f, nt) for f in (p, q))
-    return _from_z(_sum_over_z(((ip, iq),)), cp * cq, one)
+def _sum_of_products(pairs):
+    """The sum of a*b over pairs of DiffPolys of one ring (callers check it): over Z[t]
+    when each t-denominator is 1 or one shared d, so clearing needs no gcd, every a over
+    one int and d**ea, every b over d**eb, e = 1 where some a (b) has d; else with Scalars."""
+    ring, ops = pairs[0][0].ring, [x for pair in pairs for x in pair]
+    one = TPoly.one(ring.nt)
+    dens = {id(c.den): c.den for x in ops for c in x.terms.values() if c.den is not one}
+    den = next(iter(dens.values()), one)
+    if any(d != den for d in dens.values()):
+        return sum((DiffPoly._raw(ring, sparse.mul(a.terms, b.terms, mono_mul))
+                    for a, b in pairs), DiffPoly.zero(ring))
+    es = [bool(dens) and any(c.den is not one for x in ops[i::2] for c in x.terms.values())
+          for i in (0, 1)] * len(pairs)
+    ints, c = _over_z_by_mono([{m: k.num * den if e and k.den is one else k.num
+                                for m, k in x.terms.items()} for x, e in zip(ops, es)])
+    out = _sum_over_z(zip(ints[::2], ints[1::2]))
+    return DiffPoly._raw(ring, _from_z(out, c * c, sparse.power(den, es[0] + es[1], one)))
 
 
 def _sum_over_z(pairs):
@@ -270,20 +279,16 @@ def _sum_over_z(pairs):
                 else:
                     for e, c in sparse.mul(a, b).items():
                         sparse.acc(t, e, c)
-    return {m: t for m, t in out.items() if t}
+                    if not t:
+                        del out[m]
+    return out
 
 
-def _over_z_by_mono(p, nt):
-    """(ints, c, den) with p == {m: ints[m] / (c*den)} for a dict of Scalars:
-    den is the monic lcm of their t-denominators (scalars.clear_denominators),
-    c the lcm of the Fraction denominators left (scalars._over_z), and
-    ints[m] a {t-exponent: int} dict."""
-    den, nums = clear_denominators(nt, p)
-    ints, c = _over_z({(m, e): k for m, n in nums.items() for e, k in n.terms.items()})
-    grouped = {}
-    for (m, e), k in ints.items():
-        grouped.setdefault(m, {})[e] = k
-    return grouped, c, den
+def _over_z_by_mono(nums):
+    """(ints, c): each dict of TPolys in nums as {m: {t-exponent: int}} over one int c."""
+    c = lcm(*(k.denominator for n in nums for t in n.values() for k in t.terms.values()))
+    return [{m: {e: k.numerator * (c // k.denominator) for e, k in t.terms.items()}
+             for m, t in n.items()} for n in nums], c
 
 
 def _from_z(ints, c, den, bases=()):

@@ -32,17 +32,17 @@ TPoly, the unit unless f or a divisor has t-denominators. poly._from_z
 divides S out once, trial-dividing by its known factors first, so the
 certificate is exactly the Scalar loop's. An f with nothing to reduce is
 returned as it is.
-verify re-derives every theta(g) with derive_theta, reads neither cache and
-re-expands with DiffPoly's own products, so it stays an independent check.
+verify derives every theta(g) afresh in a table of its own, reads neither cache
+nor _reduce's int forms, and re-expands its identity as one poly._sum_of_products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import EMPTY_MONO, DiffPoly, _from_z, _over_z_by_mono, _sum_over_z
+from .poly import EMPTY_MONO, DiffPoly, _from_z, _over_z_by_mono, _sum_of_products, _sum_over_z
 from .ranking import Ranking, leader_initial_separant
-from .scalars import TPoly
+from .scalars import TPoly, clear_denominators
 from .sparse import divides, ediv, elcm, power
 
 PARTIAL = "partial"
@@ -86,19 +86,19 @@ class RankedSystem:
     def ring(self):
         return self.elements[0].ring if self.elements else None
 
-    def _theta(self, gi, theta):
-        """theta applied to element gi, derived once per system: each theta(g)
-        is one derivation of the cached theta(g) one step below it."""
+    def _theta(self, gi, theta, table):
+        """theta applied to element gi, derived once per table (the system's
+        cache _thetas, or verify's own) from the tabled theta(g) below it."""
         key = (gi, theta)
-        out = self._thetas.get(key)
+        out = table.get(key)
         if out is None:
             i = max((j for j, k in enumerate(theta) if k), default=None)
             if i is None:
                 out = self.elements[gi]
             else:
                 lower = theta[:i] + (theta[i] - 1,) + theta[i + 1:]
-                out = self._theta(gi, lower).derive(i + 1)
-            self._thetas[key] = out
+                out = self._theta(gi, lower, table).derive(i + 1)
+            table[key] = out
         return out
 
     def _divisor(self, gi, theta, v):
@@ -111,12 +111,13 @@ class RankedSystem:
         if out is None:
             proper = any(theta)
             dmin = 1 if proper else self.leader_degrees[gi]
-            divisor = self._theta(gi, theta)
+            divisor = self._theta(gi, theta, self._thetas)
             if divisor.split(v, dmin)[0] != (self.separants if proper else self.initials)[gi]:
                 kind = "separant" if proper else "initial"
                 raise RuntimeError(f"the cached {kind} of element {gi + 1} is not the "
                                    f"coefficient of {v.text()}^{dmin} in its divisor")
-            ints, c, d = _over_z_by_mono(divisor.terms, divisor.ring.nt)
+            d, nums = clear_denominators(divisor.ring.nt, divisor.terms)
+            (ints,), c = _over_z_by_mono((nums,))
             lead, tail = DiffPoly._raw(divisor.ring, ints).split(v, dmin)
             tail = {m: {e: -k for e, k in t.items()} for m, t in tail.terms.items()}
             out = self._divisors[key] = (dmin, lead.terms, tail, c, d)
@@ -177,12 +178,20 @@ class ReductionCertificate:
     steps: int = 0
 
     def verify(self, system):
-        """Re-expand the certificate identity from scratch."""
-        lhs = self.premultiplier * self.input - self.remainder
-        rhs = DiffPoly.zero(self.input.ring)
-        for (gi, theta), q in self.cofactors.items():
-            rhs = rhs + q * system.elements[gi].derive_theta(theta)
-        return lhs == rhs
+        """Re-expand the certificate identity from scratch, theta(g) derived in
+        a table of this call's own; False if a cofactor names a missing element."""
+        for x in (self.premultiplier, self.remainder, *self.cofactors.values(),
+                  *system.elements[:1]):
+            self.input._check(x)
+        if any(not 0 <= gi < len(system) for gi, _ in self.cofactors):
+            return False
+        pairs = [(system._theta(gi, theta, thetas), q) for thetas in [{}]
+                 for (gi, theta), q in self.cofactors.items()]
+        if len(self.premultiplier.terms) < 2 and all(len(q.terms) < 2 for _, q in pairs):
+            # every product a scale: comparing costs less than cancelling
+            return self.premultiplier * self.input == sum((q * g for g, q in pairs), self.remainder)
+        pairs += (-self.premultiplier, self.input), (DiffPoly.one(self.input.ring), self.remainder)
+        return _sum_of_products(pairs).is_zero()
 
 
 def _violation(p, ranking, leaders, degrees, mode):
@@ -219,7 +228,8 @@ def _reduce(f, system, mode):
     unit = {EMPTY_MONO: {(0,) * ring.nt: 1}}
     # S = c*d; scales[key] is the c*d of key's divisor; bases are factors of d
     # that _from_z tries first, once a divisor's t-denominators make d large
-    p, c0, den0 = _over_z_by_mono(f.terms, ring.nt)
+    den0, p = clear_denominators(ring.nt, f.terms)
+    (p,), c0 = _over_z_by_mono((p,))
     c, d = c0, den0
     premult, cof, scales, bases, steps = unit, {}, {}, {}, 0
     while viol is not None:
@@ -312,9 +322,9 @@ def coherence_check(system):
             hi, lo = j, i  # elements are sorted ascending; j has the higher leader
             ua, ub = system.leaders[hi], system.leaders[lo]
             theta = elcm(ua.theta, ub.theta)
-            a_shift = system._theta(hi, ediv(theta, ua.theta))
-            b_shift = system._theta(lo, ediv(theta, ub.theta))
-            delta = system.separants[lo] * a_shift - system.separants[hi] * b_shift
+            a_up = system._theta(hi, ediv(theta, ua.theta), system._thetas)
+            b_up = system._theta(lo, ediv(theta, ub.theta), system._thetas)
+            delta = _sum_of_products(((system.separants[lo], a_up), (-system.separants[hi], b_up)))
             cert = full_reduce(delta, system)
             evidence.append(DeltaPairEvidence(hi, lo, cert))
             if not cert.remainder.is_zero():

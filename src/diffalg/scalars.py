@@ -207,7 +207,7 @@ def _exact(q):
 
 def _over_z(terms):
     """(int terms, d) with terms == {key: c/d}: d is the lcm of the Fraction
-    coefficients' denominators. The one place denominators are cleared."""
+    coefficients' denominators (poly._over_z_by_mono does the same per monomial)."""
     d = lcm(*(c.denominator for c in terms.values()))
     return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 

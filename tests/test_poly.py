@@ -246,13 +246,13 @@ def _diffpoly_pairs(draw):
 def test_integer_product_matches_the_term_loop(pair):
     a, b = pair
     expect = sparse.mul(a.terms, b.terms, mono_mul)
-    with mock.patch.object(poly, "_mul_over_z", wraps=poly._mul_over_z) as over_z:
+    with mock.patch.object(poly, "_sum_over_z", wraps=poly._sum_over_z) as over_z:
         got = a * b
     assert got.terms == expect
-    polynomial = all(c.is_poly() for f in (a, b) for c in f.terms.values())
-    assert over_z.called == (polynomial and len(a.terms) >= 2 and len(b.terms) >= 2)
-    if polynomial:
-        one = TPoly.one(a.ring.nt)
+    one = TPoly.one(a.ring.nt)
+    dens = {c.den for f in (a, b) for c in f.terms.values()} - {one}
+    assert over_z.called == (len(dens) < 2 and len(a.terms) >= 2 and len(b.terms) >= 2)
+    if not dens:
         for c in got.terms.values():
             assert c.den is one and all(type(q) is Fraction and q for q in c.num.terms.values())
 
@@ -270,6 +270,62 @@ class TestIntegerProductExamples:
         f, g = P("x1 + t1*x2"), P("t1^200*x1 + 1/3*t2^129*x2")
         assert (f * g).terms == sparse.mul(f.terms, g.terms, mono_mul)
         assert (g * f).terms == sparse.mul(g.terms, f.terms, mono_mul)
+
+
+def _term_loop_sum(pairs):
+    """The sum of a*b over the pairs, every product term by term."""
+    out = {}
+    for a, b in pairs:
+        out = sparse.add(out, sparse.mul(a.terms, b.terms, mono_mul))
+    return out
+
+
+class TestSumOfProducts:
+    """_sum_of_products gives the terms of the summed term-by-term products,
+    over Z[t] exactly when every t-denominator is 1 or one shared TPoly."""
+
+    DENS = [P(t).scalar_value().num for t in ("t1 + 2*t3", "t2 - 3", "t1*t2 + 1")]
+
+    def _operand(self, rng, kind, den):
+        f = rand_poly(rng, RT, max_order=2, max_degree=2, max_terms=4, allow_t=True,
+                      nonzero=True)
+        if kind == "one-term" and rng.random() < 0.5:
+            m = rng.choice(sorted(f.terms, key=str))
+            f = DiffPoly(RT, {m: f.terms[m]})
+        if den is not None and rng.random() < 0.7:
+            f = f.scale(Scalar(TPoly.one(RT.nt), den))
+        return f
+
+    @pytest.mark.parametrize("kind", ["polynomial", "one shared den", "two dens", "one-term"])
+    def test_equals_the_term_loop(self, kind):
+        rng = random.Random(kind)
+        one = TPoly.one(RT.nt)
+        over_z = 0
+        for _ in range(80):
+            dens = {"polynomial": [None], "one-term": [None, self.DENS[0]],
+                    "one shared den": [self.DENS[0]], "two dens": self.DENS[:2]}[kind]
+            pairs = [(self._operand(rng, kind, rng.choice(dens)),
+                      self._operand(rng, kind, rng.choice(dens)))
+                     for _ in range(rng.randint(1, 4))]
+            with mock.patch.object(poly, "_sum_over_z", wraps=poly._sum_over_z) as z:
+                got = poly._sum_of_products(pairs)
+            assert got.terms == _term_loop_sum(pairs)
+            seen = {c.den for a, b in pairs for f in (a, b) for c in f.terms.values()} - {one}
+            assert z.called == (len(seen) < 2)
+            over_z += z.called
+        assert over_z == 80 if kind != "two dens" else 0 < over_z < 40
+
+    @pytest.mark.parametrize("den", [None, "t1 + 2*t3"])
+    def test_a_sum_that_cancels_is_zero(self, den):
+        rng = random.Random(den)
+        scale = Scalar.one(RT.nt) if den is None else Scalar(TPoly.one(RT.nt),
+                                                             P(den).scalar_value().num)
+        for _ in range(40):
+            a, b, c = (rand_poly(rng, RT, max_terms=4, allow_t=True, nonzero=True).scale(scale)
+                       for _ in range(3))
+            pairs = [(a, b), (c, a), (-b, a), (a, -c)]
+            assert not _term_loop_sum(pairs)
+            assert poly._sum_of_products(pairs) == DiffPoly.zero(RT)
 
 
 def test_split_takes_out_one_power():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,7 +21,7 @@ from diffalg import (
     partial_reduce,
     poly_text,
 )
-from diffalg import reduction
+from diffalg import poly, reduction
 from diffalg.algebra import to_algpoly
 from diffalg.reduction import FULL, PARTIAL, ReductionCertificate, _violation
 from diffalg.ring import RATIONAL_T
@@ -336,6 +337,85 @@ class TestZeroStepsAndIndependence:
                 bad = dataclasses.replace(cert, cofactors={
                     **cert.cofactors, key: DiffPoly(q.ring, {**q.terms, mono: c + Scalar.one(3)})})
                 assert not bad.verify(s)
+
+
+def _reference_verify(cert, system):
+    """The certificate check as first written, kept as the reference: every
+    product through DiffPoly's operators, theta(g) derived afresh."""
+    lhs = cert.premultiplier * cert.input - cert.remainder
+    rhs = DiffPoly.zero(cert.input.ring)
+    for (gi, theta), q in cert.cofactors.items():
+        rhs = rhs + q * system.elements[gi].derive_theta(theta)
+    return lhs == rhs
+
+
+def _corruptions(cert):
+    """Certificates that differ from cert in one way each: one coefficient of
+    every cofactor plus 1 (more would make rational-function coefficients
+    with high-degree denominators, slow to add for either check), the first
+    cofactor moved to a neighbouring theta, the remainder without its first
+    term, and the premultiplier doubled."""
+    one = Scalar.one(cert.input.ring.nt)
+    if cert.cofactors:
+        yield dataclasses.replace(cert, cofactors={key: DiffPoly(q.ring, {
+            **q.terms, (m := min(q.terms, key=str)): q.terms[m] + one})
+            for key, q in cert.cofactors.items()})
+        gi, theta = key = next(iter(cert.cofactors))
+        moved = (gi, (theta[0] + 1,) + theta[1:])
+        if moved not in cert.cofactors:
+            yield dataclasses.replace(cert, cofactors={
+                moved if k == key else k: q for k, q in cert.cofactors.items()})
+    if cert.remainder:
+        rest = dict(cert.remainder.terms)
+        del rest[min(rest, key=str)]
+        yield dataclasses.replace(cert, remainder=DiffPoly(cert.input.ring, rest))
+    yield dataclasses.replace(cert, premultiplier=cert.premultiplier.scale(2))
+
+
+class TestVerifyAgainstTheReference:
+    @pytest.mark.parametrize("mode", [FULL, PARTIAL])
+    def test_same_verdict_as_the_reference_check(self, mode):
+        """verify and _reference_verify agree on every certificate of the
+        equivalence cases and on every corruption of it; the cases take all
+        three ways verify has: Scalar products when each is a scale, one sum
+        over Z[t], and the term-by-term sum when t-denominators differ."""
+        reduce_fn = full_reduce if mode == FULL else partial_reduce
+        ways = {"scale": 0, "over Z[t]": 0, "term by term": 0}
+        rejected = 0
+        for s, f in TestReductionEquivalence()._cases(1505, 45):
+            cert = reduce_fn(f, s)
+            for i, c in enumerate([cert, *_corruptions(cert)]):
+                with mock.patch.object(reduction, "_sum_of_products",
+                                       wraps=reduction._sum_of_products) as total, \
+                        mock.patch.object(poly, "_sum_over_z", wraps=poly._sum_over_z) as z:
+                    got = c.verify(s)
+                assert got == _reference_verify(c, s)
+                assert got == (i == 0)
+                rejected += i > 0
+                if i == 0 and cert.cofactors:
+                    ways["scale" if not total.called else
+                         "over Z[t]" if z.called else "term by term"] += 1
+        assert all(n >= 5 for n in ways.values()), ways
+        assert rejected > 300
+
+
+class TestVerifyInputs:
+    def test_a_cofactor_naming_a_missing_element_fails(self):
+        s = system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2")
+        cert = full_reduce(P("d1d1x1 + x2^3"), s)
+        assert cert.verify(s) and {gi for gi, _ in cert.cofactors} == {0, 1}
+        assert not cert.verify(system("x2^2 - t2"))
+        assert not cert.verify(system("t1*d1x1^2 - x1^3 - t2"))
+
+    def test_a_system_in_another_ring_raises(self):
+        texts = ("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2")
+        r12 = RingContext(m=1, n=2, field_mode=RATIONAL_T)
+        for cert_ring, system_ring in ((RT, r12), (r12, RT)):
+            cert = full_reduce(P("d1d1x1 + x2^3", cert_ring), system(*texts, ring=cert_ring))
+            with pytest.raises(ValueError, match="mixed ring contexts"):
+                cert.verify(system(*texts, ring=system_ring))
+            with pytest.raises(ValueError, match="mixed ring contexts"):
+                cert.verify(system(texts[1], ring=system_ring))
 
 
 class TestThetaCache:
