@@ -51,7 +51,7 @@ from .reduction import (
     full_reduce,
     partial_reduce,
 )
-from .ring import CONSTANTS, RATIONAL_T, RingContext
+from .ring import CONSTANTS, RATIONAL_T, RingContext, theta_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,6 +77,11 @@ def _bound(name, flag, from_file=None):
     if any(v < 1 for v in given):
         raise _UsageError(f"{name} must be positive")
     return given[0] if given else 1
+
+
+def _given_bounds(**flags):
+    """The bound flags given (not None), each checked by _bound; the rest keep their defaults."""
+    return {name: _bound(name, v) for name, v in flags.items() if v is not None}
 
 
 def _grid_bounds(args, bounds):
@@ -214,8 +219,8 @@ def _cmd_reduce(args):
         f"steps: {cert.steps}",
     ]
     for (gi, theta), q in sorted(cert.cofactors.items()):
-        ds = "".join(f"d{j + 1}" * k for j, k in enumerate(theta)) or "id"
-        lines.append(f"cofactor[{ds} applied to element {gi + 1}]: {poly_text(q)}")
+        op = theta_text(theta) or "id"
+        lines.append(f"cofactor[{op} applied to element {gi + 1}]: {poly_text(q)}")
     if args.check:
         lines.append("certificate identity: verified by re-expansion")
     trailer = {
@@ -286,16 +291,12 @@ def _cmd_saturate(args):
 
 
 def _primality_config(args):
-    return PrimalityConfig(
-        factor_degree=_bound("factor_degree", args.degree_bound),
-        factor_height=_bound("factor_height", args.height_bound),
-        seed=args.seed or 0,
-    )
-
-
-def _seeded_config(args):
-    """The primality oracle's default bounds with the --seed given."""
-    return PrimalityConfig(seed=args.seed or 0)
+    """PrimalityConfig from the flags given; the others keep its defaults."""
+    opts = _given_bounds(factor_degree=getattr(args, "degree_bound", None),
+                         factor_height=getattr(args, "height_bound", None))
+    if args.seed is not None:
+        opts["seed"] = args.seed
+    return PrimalityConfig(**opts)
 
 
 def _cmd_prime(args):
@@ -314,7 +315,7 @@ def _cmd_prime(args):
 
 def _cmd_certify(args):
     data = _load(args.file)
-    cert = charset_certify(data.lam, data.ranking, _seeded_config(args))
+    cert = charset_certify(data.lam, data.ranking, _primality_config(args))
     lines = [f"status: {cert.status}", f"stage: {cert.stage}", f"reason: {cert.reason}"]
     if cert.coherence is not None:
         lines += _pair_lines(cert.coherence.pairs, cert.system)
@@ -333,7 +334,7 @@ def _cmd_axiom(args):
     inst = build_axiom_instance(data)
     degree, height = _grid_bounds(args, data.bounds)
     validation = instance_validate(inst, degree=degree, height=height,
-                                   primality_config=_seeded_config(args))
+                                   primality_config=_primality_config(args))
     if args.what == "validate":
         lines = [f"status: {validation.status}"]
         if validation.failed:
@@ -380,13 +381,13 @@ def _cmd_demo(args):
     data = _load(args.file)
     if not data.naive:
         raise _UsageError("demo file needs a [naive] section")
-    cert = charset_certify(data.lam, data.ranking, _seeded_config(args))
+    cert = charset_certify(data.lam, data.ranking, _primality_config(args))
     if cert.status == "rejected":
         return _emit([f"rejected: {cert.reason}"], {"status": "rejected"}, args, EXIT_REJECTED)
     degree, height = _grid_bounds(args, data.bounds)
     report = naive_vs_tau_demo(
         data.naive, cert, degree=degree, height=height,
-        members=_bound("members", args.members), samples=_bound("samples", args.samples),
+        **_given_bounds(members=args.members, samples=args.samples),
     )
     lines = [f"status: {report.status}"]
     if report.status == "found":
@@ -479,8 +480,8 @@ def build_parser():
         if name in ("groebner", "member", "prime"):
             sp.add_argument("--order", choices=[GREVLEX, LEX], default=GREVLEX)
         if name == "prime":
-            sp.add_argument("--degree-bound", type=int, default=2)
-            sp.add_argument("--height-bound", type=int, default=2)
+            sp.add_argument("--degree-bound", type=int, default=None)
+            sp.add_argument("--height-bound", type=int, default=None)
         _add_common(sp, seed=name == "prime")
         sp.set_defaults(fn=fn)
 
@@ -502,8 +503,8 @@ def build_parser():
     sp.add_argument("file")
     sp.add_argument("--degree", type=int, default=None)
     sp.add_argument("--height", type=int, default=None)
-    sp.add_argument("--members", type=int, default=10)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--members", type=int, default=None)
+    sp.add_argument("--samples", type=int, default=None)
     _add_common(sp, ring=False, seed=True)
     sp.set_defaults(fn=_cmd_demo)
 

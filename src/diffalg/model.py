@@ -36,13 +36,15 @@ from math import perm
 
 from . import modp, sparse
 from .modp import P61, t_point
+from .parser import point_text
 from .scalars import Scalar, TPoly, clear_denominators
 
 
 class ModelPoint:
     """An assignment x_j -> t-polynomial and a D-order, d_step: x_j takes
     its assignment differentiated d_step times in D, worked out when read.
-    Grid points assign candidates, which carry their residue tables."""
+    Grid points assign candidates, which carry their residue tables. The
+    repr shows the values as parser.point_text prints them."""
 
     __slots__ = ("ring", "assignment", "d_step")
 
@@ -94,8 +96,7 @@ class ModelPoint:
         return hash((self.ring, frozenset(self.values().items())))
 
     def __repr__(self):
-        inner = ", ".join(f"x{j} := {p!r}" for j, p in sorted(self.values().items()))
-        return f"ModelPoint({inner})"
+        return f"ModelPoint({point_text(self)})"
 
 
 def eval_poly(f, point, y_point=None):

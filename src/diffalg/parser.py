@@ -201,13 +201,9 @@ def _print_mono_key(mono):
     return (mono_degree(mono), tuple(factors))
 
 
-def _tmono_text(e):
-    """Render the t-monomial with exponent vector e; "" for the constant."""
-    return "*".join(f"t{j + 1}^{k}" if k > 1 else f"t{j + 1}" for j, k in enumerate(e) if k)
-
-
 def _tterm_text(e, q):
-    mono = _tmono_text(e)
+    """Render q times the t-monomial with exponent vector e."""
+    mono = "*".join(f"t{j + 1}^{k}" if k > 1 else f"t{j + 1}" for j, k in enumerate(e) if k)
     if not mono:
         return str(q)
     if q == 1:

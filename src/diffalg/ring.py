@@ -80,8 +80,12 @@ class DerivVar:
         return DerivVar(family, self.index, self.theta)
 
     def text(self):
-        ds = "".join(f"d{j + 1}" * k for j, k in enumerate(self.theta))
-        return f"{ds}{self.family}{self.index}"
+        return f"{theta_text(self.theta)}{self.family}{self.index}"
+
+
+def theta_text(theta):
+    """The derivative operator with exponents theta, as "d1d1d2"; "" for the identity."""
+    return "".join(f"d{j + 1}" * k for j, k in enumerate(theta))
 
 
 def xvar(ring, index, theta=None):

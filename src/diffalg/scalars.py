@@ -181,17 +181,10 @@ class TPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        """Every coefficient written out, as in "TPoly(1*t1 + -1)"; the grid
-        golden digest pins this layout through ModelPoint and Scalar reprs."""
-        from .parser import _tmono_text
+        """The printed text, as in "TPoly(t1 - 1)": parser is the one printer."""
+        from .parser import tpoly_text
 
-        if not self.terms:
-            return "TPoly(0)"
-        parts = []
-        for e in sorted(self.terms, key=sparse.deglex, reverse=True):
-            mono, c = _tmono_text(e), self.terms[e]
-            parts.append(f"{c}*{mono}" if mono else str(c))
-        return "TPoly(" + " + ".join(parts) + ")"
+        return f"TPoly({tpoly_text(self)})"
 
 
 _ONES = {}
@@ -225,12 +218,15 @@ def _coprime_ints(terms):
 def clear_denominators(nvars, coeffs):
     """(den, nums) for a dict of Scalars: den is the monic lcm of their
     t-denominators, the shared TPoly.one when each is a polynomial, and
-    nums[k] is the TPoly coeffs[k] * den, formed by exact division."""
+    nums[k] is the TPoly coeffs[k] * den, formed by exact division. Each
+    distinct denominator is folded into the lcm once, with one gcd."""
     one = den = TPoly.one(nvars)
     nums = {}
+    folded = []  # the distinct denominators in den; few, so a list
     for k, c in coeffs.items():
         nums[k] = c.num
-        if c.den is not one and c.den != den:
+        if c.den is not one and c.den not in folded:
+            folded.append(c.den)
             den = c.den if den is one else den * c.den.exact_div(tpoly_gcd(den, c.den))
     if den is one:
         return one, nums
@@ -472,6 +468,6 @@ class Scalar:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if self.is_poly():
-            return f"Scalar({self.num!r})"
-        return f"Scalar({self.num!r} / {self.den!r})"
+        from .parser import scalar_text
+
+        return f"Scalar({scalar_text(self)})"

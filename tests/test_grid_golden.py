@@ -11,6 +11,13 @@ demo fixtures at their own bounds, and ``instance_validate`` plus
 An inline instance with a non-constant H and an inequation adds doubled
 samples away from both, and a trail whose labels come from every kind of
 check: system, H, inequation and W.
+
+Every value is written with the printers of ``diffalg.parser`` (points with
+``point_text``, y-points naming the y family, scalars with ``scalar_text``,
+polynomials with ``poly_text``), the text the CLI reports show. Each printer
+is canonical, so two values print alike exactly when they are equal, and the
+digest pins the same values as a digest of their reprs would; a change to the
+searches is reviewed as a diff of printed lines.
 """
 
 import hashlib
@@ -24,6 +31,7 @@ from diffalg import (
     naive_vs_tau_demo,
     witness_search,
 )
+from diffalg.parser import point_text, poly_text, scalar_text
 from diffalg.instances import (
     build_axiom_instance,
     fixture_path,
@@ -31,7 +39,7 @@ from diffalg.instances import (
     parse_instance_text,
 )
 
-DIGEST = "e986a1fca168650899f0ead827caae2d6e78c5f99d1f900859d7f02cc62882d5"
+DIGEST = "33138b3a18125816c8145eb6929dea5b503c8b73de306eba99d81b320bc89db5"
 DEMOS = ("linear-flow.demo", "square-naive.demo")
 AXIOMS = ("basic.axiom", "exhaustion.axiom")
 BOUNDS = ((1, 1), (2, 1), (1, 2))
@@ -48,21 +56,35 @@ y2 - 1
 """
 
 
+def _text(show, value):
+    """show(value), or "None" for a value a search did not find."""
+    return "None" if value is None else show(value)
+
+
+def _ypoint_text(pt):
+    return point_text(pt, "y")
+
+
 def _samples(tag, pairs):
     yield f"{tag} doubled_samples: {len(pairs)}"
     for i, (pt, ypt) in enumerate(pairs):
-        yield f"{tag} sample {i}: {pt!r} | {ypt!r}"
+        yield f"{tag} sample {i}: {point_text(pt)} | {_ypoint_text(ypt)}"
 
 
 def _searches(tag, inst, degree, height):
     val = instance_validate(inst, degree=degree, height=height)
-    yield f"{tag} validate: {val.status} {val.failed} o_point={val.o_point!r}"
+    yield f"{tag} validate: {val.status} {val.failed} o_point={_text(point_text, val.o_point)}"
     rep = witness_search(inst, val, degree=degree, height=height)
-    yield f"{tag} witness: {rep.status} {rep.witness!r} examined={rep.examined}"
+    yield f"{tag} witness: {rep.status} {_text(point_text, rep.witness)} examined={rep.examined}"
     for c in rep.checks:
-        yield f"{tag} check {c.label} {c.value!r} {c.want_zero}"
+        yield f"{tag} check {c.label} {scalar_text(c.value)} {c.want_zero}"
     for pt, label in rep.trail:
-        yield f"{tag} trail {pt!r}: {label}"
+        yield f"{tag} trail {point_text(pt)}: {label}"
+
+
+def _pair_text(pair):
+    pt, ypt = pair
+    return f"({point_text(pt)}, {_ypoint_text(ypt)})"
 
 
 def _golden_lines():
@@ -75,8 +97,9 @@ def _golden_lines():
         rep = naive_vs_tau_demo(data.naive, cert, degree=data.bounds.get("degree", 1),
                                 height=data.bounds.get("height", 1))
         lines.append(
-            f"{name} demo: {rep.status} point={rep.point!r} member={rep.violated_member!r} "
-            f"value={rep.violated_value!r} examined={rep.candidates_examined} "
+            f"{name} demo: {rep.status} point={_text(_pair_text, rep.point)} "
+            f"member={_text(poly_text, rep.violated_member)} "
+            f"value={_text(scalar_text, rep.violated_value)} examined={rep.candidates_examined} "
             f"samples={rep.samples_checked} failures={len(rep.sample_failures)}"
         )
     for name in AXIOMS:

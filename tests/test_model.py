@@ -29,7 +29,7 @@ from diffalg.model import (
     model_polys,
     t_monomials,
 )
-from diffalg.parser import point_text
+from diffalg.parser import point_text, tpoly_text
 from diffalg.ring import RATIONAL_T, DerivVar
 
 CASES = 1000
@@ -276,6 +276,18 @@ def test_d_companion_is_the_point_one_d_step_up(monkeypatch):
     assert equal == [a == b for a in eager for b in eager]
     # Some companions equal other points: grid points x := c*t2 + ... go to constants.
     assert sum(equal) > len(lazy)
+
+
+def test_point_repr_is_the_printed_text():
+    """A grid point and its D-companion print their values, the companion's
+    differentiated in D, as point_text does."""
+    ring = RingContext(m=1, n=2, field_mode=RATIONAL_T)
+    pt = list(model_points(ring, [1, 2], 2, 1))[-1]
+    up = pt.d_companion()
+    assert point_text(up) != point_text(pt)
+    for p in (pt, up, ModelPoint(ring, {})):
+        assert repr(p) == f"ModelPoint({point_text(p)})"
+    assert repr(up) == f"ModelPoint(x1 := {tpoly_text(up.get(1))}, x2 := {tpoly_text(up.get(2))})"
 
 
 def test_layer_candidates_equal_the_validated_polynomials():

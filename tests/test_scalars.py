@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from diffalg import (
     scalars,
 )
 from diffalg.modp import P61, t_point
+from diffalg.parser import scalar_text, tpoly_text
 from diffalg.ring import RATIONAL_T
 from diffalg.scalars import Scalar, TPoly, _int_normalize, clear_denominators, tpoly_gcd
 
@@ -334,6 +336,20 @@ def test_clear_denominators_of_polynomials_is_the_shared_unit():
     assert clear_denominators(3, {}) == (TPoly.one(3), {})
 
 
+def _clear_per_coefficient(nvars, coeffs):
+    """The loop clear_denominators ran before it folded each distinct
+    denominator once: a gcd for every coefficient whose denominator differs
+    from the lcm so far."""
+    one = den = TPoly.one(nvars)
+    for c in coeffs.values():
+        if c.den is not one and c.den != den:
+            den = c.den if den is one else den * c.den.exact_div(tpoly_gcd(den, c.den))
+    if den is one:
+        return one, {k: c.num for k, c in coeffs.items()}
+    den = den.scale(1 / den.lead_coeff())
+    return den, {k: c.num * den.exact_div(c.den) for k, c in coeffs.items()}
+
+
 def test_clear_denominators_ignores_the_order_of_the_dict():
     rng = random.Random(7)
     factors = [_t(text) for text in ("t1 + 1/2", "t2", "2*t1*t2 - 1", "t3 + 2", "3")]
@@ -347,6 +363,35 @@ def test_clear_denominators_ignores_the_order_of_the_dict():
         den, nums = clear_denominators(3, coeffs)
         assert den.lead_coeff() == 1
         assert nums == {k: (c * Scalar._poly(den)).num for k, c in coeffs.items()}
+        assert (den, nums) == _clear_per_coefficient(3, coeffs)
         keys = list(coeffs)
         rng.shuffle(keys)
         assert clear_denominators(3, {k: coeffs[k] for k in keys}) == (den, nums)
+
+
+def test_clear_denominators_folds_each_distinct_denominator_once():
+    # pairwise coprime, so each gcd is decided by the mod-p proof, with no
+    # recursive tpoly_gcd call to count
+    dens = [_t(text) for text in ("t1 + 1/2", "t2 - 3", "t1*t3 + 2")]
+    rng = random.Random(24)
+    for distinct in (1, 2, 3):
+        coeffs = {k: Scalar(rand_tpoly(rng, 3, degree=2, max_terms=3) + TPoly.one(3),
+                            dens[k % distinct] if k % 4 else TPoly.one(3))
+                  for k in range(30)}
+        with mock.patch.object(scalars, "tpoly_gcd", wraps=scalars.tpoly_gcd) as spy:
+            got = clear_denominators(3, coeffs)
+        # the first denominator becomes the lcm; each later one costs one gcd
+        assert spy.call_count == distinct - 1
+        assert got == _clear_per_coefficient(3, coeffs)
+
+
+@pytest.mark.parametrize("value", [
+    TPoly.zero(3),
+    _t("t1^2 - 1/2*t2 + 3"),
+    Scalar.zero(3),
+    Scalar._poly(_t("-t3 + 1")),
+    Scalar._poly(_t("t2 - 1")) / Scalar._poly(_t("2*t1*t2 + t3")),
+])
+def test_repr_is_the_printed_text(value):
+    text = tpoly_text(value) if isinstance(value, TPoly) else scalar_text(value)
+    assert repr(value) == f"{type(value).__name__}({text})"
