@@ -22,7 +22,9 @@ Otherwise it runs on exact Scalars with the field step c/bc. Both domains
 share one arithmetic path; _ratio, _primitive and _normalize are the only
 places that tell them apart. Results thaw back to DiffPolys over Scalars
 with Fraction constants, normal forms and quotients divided by the scale the
-integer run picked up, so both domains give the same values.
+integer run picked up, so both domains give the same values. A membership
+certificate's quotients thaw when first read; the division identity is
+checked on the packed ints before ideal_member returns, read or not.
 Buchberger selects pairs by lcm order and keeps them by the Gebauer-Moeller
 update (JSC 1988): Buchberger's product and chain criteria drop a pair whose
 S-polynomial the pairs kept already account for. The emitted basis is
@@ -50,7 +52,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import modp
-from .poly import DiffPoly, mono_from
+from .poly import DiffPoly
 from .scalars import Scalar, TPoly, _coprime_ints, clear_denominators, tpoly_gcd
 from .sparse import (
     GREVLEX, LEX, Overflow, Packing, add, exact_div, monomials, neg, sub, sub_shifted,
@@ -58,37 +60,40 @@ from .sparse import (
 )
 
 
-def to_algpoly(f, variables):
-    """Freeze a differential polynomial over the given variable tuple."""
-    pos = {v: i for i, v in enumerate(variables)}
+def to_algpoly(f, variables, pos=None):
+    """Freeze a differential polynomial over the variable tuple, indexed by pos if given."""
+    pos = pos or {v: i for i, v in enumerate(variables)}
     nv = len(variables)
     terms = {}
     for mono, c in f.terms.items():
         e = [0] * nv
         for v, k in mono:
-            if v not in pos:
+            i = pos.get(v)  # one lookup: v is rarely its key's object, so each runs __eq__
+            if i is None:
                 raise ValueError(f"variable {v.text()} outside the ideal's variables")
-            e[pos[v]] = k
+            e[i] = k
         terms[tuple(e)] = c
     return terms
 
 
 def _freeze(polys, variables):
-    """Term dicts over int if every coefficient is constant, each polynomial
-    scaled to its primitive integer form, else over Scalar; the map taking an
-    integer into that domain; and the rational each polynomial was scaled by
-    (1 when unscaled)."""
-    frozen = [to_algpoly(f, variables) for f in polys]
+    """Term dicts over int if every coefficient is constant (so if none is),
+    each scaled to its primitive integer form, else over Scalar (a constant
+    Scalar's denominator is the shared unit); the map taking an integer into
+    that domain; and the rational each polynomial was scaled by (1 if none)."""
+    pos = {v: i for i, v in enumerate(variables)}
+    frozen = [to_algpoly(f, variables, pos) for f in polys]
     coeffs = [c for p in frozen for c in p.values()]
-    if all(c.is_const() for c in coeffs):
+    nt = coeffs[0].nvars if coeffs else 0
+    one, t0 = TPoly.one(nt), {(0,) * nt}
+    if all(c.den is one and c.num.terms.keys() <= t0 for c in coeffs):
         out, scales = [], []
         for p in frozen:
-            # each coefficient's constant term
             ints, scale = _coprime_ints({e: next(iter(c.num.terms.values())) for e, c in p.items()})
             out.append(ints)
             scales.append(scale)
         return out, int, scales
-    return frozen, functools.partial(Scalar.from_fraction, coeffs[0].nvars), [1] * len(frozen)
+    return frozen, functools.partial(Scalar.from_fraction, nt), [1] * len(frozen)
 
 
 def _packed(order, n, polys, run, degree=0):
@@ -107,17 +112,18 @@ def from_algpoly(p, variables, ring, scale=1):
     """Thaw a term dict, each coefficient times the rational scale, to a
     DiffPoly; int coefficients become exact Fractions. The variables are
     those of an AlgIdeal, which checked them against the ring, so the terms
-    are not validated again."""
-    nt = ring.nt
+    are not validated again; the variables are put in sort_key order once."""
+    t0 = (0,) * ring.nt
+    slots = sorted(range(len(variables)), key=lambda i: variables[i].sort_key)
     terms = {}
     for e, c in p.items():
         if scale != 1:
             c = c * scale
         if isinstance(c, (int, Fraction)):
-            c = Scalar.from_fraction(nt, c)
+            c = Scalar._poly(TPoly._raw(ring.nt, {t0: Fraction(c) if type(c) is int else c}))
         elif not isinstance(c, Scalar):
             raise RuntimeError(f"inexact coefficient {c!r} in the Groebner backend")
-        terms[mono_from((variables[i], k) for i, k in enumerate(e) if k)] = c
+        terms[tuple((variables[i], e[i]) for i in slots if e[i])] = c
     return DiffPoly._raw(ring, terms)
 
 
@@ -310,19 +316,22 @@ class AlgIdeal:
         for g in self.generators:
             to_algpoly(g, self.variables)  # validates variable coverage
 
+    @classmethod
+    def _raw(cls, ring, variables, generators, order, basis=None, frozen=None):
+        # unchecked: the generators are an AlgIdeal's, or thawed over its variables
+        out = cls.__new__(cls)
+        out.ring, out.variables, out.generators, out.order = ring, variables, generators, order
+        out.basis, out._frozen = basis, frozen
+        return out
+
 
 def buchberger(ideal):
     """Attach the reduced, self-checked basis; deterministic for fixed input."""
     gens, lift, _ = _freeze(ideal.generators, ideal.variables)
     codec, G = _packed(ideal.order, len(ideal.variables), gens, _checked_basis)
     basis = tuple(from_algpoly(codec.unpack(g), ideal.variables, ideal.ring) for g in G)
-    out = AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order, basis)
-    out._frozen = (basis, ideal.variables, codec, G, lift)
-    return out
-
-
-def _with_basis(ideal):
-    return ideal if ideal.basis is not None else buchberger(ideal)
+    return AlgIdeal._raw(ideal.ring, ideal.variables, ideal.generators, ideal.order, basis,
+                         (basis, ideal.variables, codec, G, lift))
 
 
 def _cached(ideal):
@@ -335,11 +344,26 @@ def _cached(ideal):
     return c[2:] if c[2].order == ideal.order else None
 
 
-@dataclass
 class MembershipCertificate:
-    member: bool
-    normal_form: DiffPoly
-    quotients: list
+    """member, normal_form and quotients; the quotients may be given as a function
+    returning their list, called on the first read and kept. == and repr read them."""
+
+    def __init__(self, member, normal_form, quotients):
+        self.member, self.normal_form, self._quotients = member, normal_form, quotients
+
+    @property
+    def quotients(self):
+        if callable(self._quotients):
+            self._quotients = self._quotients()
+        return self._quotients
+
+    def __eq__(self, other):
+        return isinstance(other, MembershipCertificate) and (self.member, self.normal_form,
+            self.quotients) == (other.member, other.normal_form, other.quotients)
+
+    def __repr__(self):
+        return (f"MembershipCertificate(member={self.member!r}, "
+                f"normal_form={self.normal_form!r}, quotients={self.quotients!r})")
 
     def __bool__(self):
         return self.member
@@ -347,7 +371,7 @@ class MembershipCertificate:
 
 def ideal_member(f, ideal):
     """Normal-form membership test; the division identity is re-verified."""
-    ideal = _with_basis(ideal)
+    ideal = ideal if ideal.basis is not None else buchberger(ideal)
     (p,), lift, (p_scale,) = _freeze((f,), ideal.variables)
     cached = _cached(ideal)
     if cached is not None and (lift is int) == (cached[2] is int):
@@ -372,12 +396,12 @@ def _member(ideal, codec, polys, scales):
         recomposed = add(recomposed, codec.product(q, b))
     if recomposed != (p if scale == 1 else {e: scale * c for e, c in p.items()}):
         raise RuntimeError("division certificate failed re-verification")
-    # scale*p_scale*f = rem + sum(q_i * b_scale_i * basis_i)
-    den = scale * p_scale
-    nf = from_algpoly(codec.unpack(rem), ideal.variables, ideal.ring, Fraction(1, den))
-    qs = [from_algpoly(codec.unpack(q), ideal.variables, ideal.ring, Fraction(bs) / den)
-          for q, bs in zip(quots, b_scales)]
-    return MembershipCertificate(not rem, nf, qs)
+    # scale*p_scale*f = rem + sum(q_i * b_scale_i * basis_i); the quotients thaw when read
+    den, variables, ring = scale * p_scale, ideal.variables, ideal.ring
+    nf = from_algpoly(codec.unpack(rem), variables, ring, Fraction(1, den))
+    return MembershipCertificate(not rem, nf, lambda: [
+        from_algpoly(codec.unpack(q), variables, ring, Fraction(bs) / den)
+        for q, bs in zip(quots, b_scales)])
 
 
 def _lex_eliminate(gens, n, k):
@@ -395,13 +419,13 @@ def eliminate(ideal, drop):
     if not drop <= set(ideal.variables):
         raise ValueError("dropped variables must belong to the ideal")
     if not drop:
-        return AlgIdeal(ideal.ring, ideal.variables, ideal.generators, ideal.order)
+        return AlgIdeal._raw(ideal.ring, ideal.variables, ideal.generators, ideal.order)
     first = tuple(v for v in ideal.variables if v in drop)
     rest = tuple(v for v in ideal.variables if v not in drop)
     gens = _freeze(ideal.generators, first + rest)[0]
     kept = _lex_eliminate(gens, len(ideal.variables), len(first))
-    return AlgIdeal(ideal.ring, rest, tuple(from_algpoly(g, rest, ideal.ring) for g in kept),
-                    GREVLEX)
+    return AlgIdeal._raw(ideal.ring, rest, tuple(from_algpoly(g, rest, ideal.ring) for g in kept),
+                         GREVLEX)
 
 
 def saturate(ideal, h):
@@ -411,7 +435,7 @@ def saturate(ideal, h):
     gens = [{(0,) + e: c for e, c in g.items()} for g in gens]
     gens.append(sub({(0,) * n: lift(1)}, {(1,) + e: c for e, c in hp.items()}))
     out = tuple(from_algpoly(g, ideal.variables, ideal.ring) for g in _lex_eliminate(gens, n, 1))
-    return AlgIdeal(ideal.ring, ideal.variables, out, ideal.order)
+    return AlgIdeal._raw(ideal.ring, ideal.variables, out, ideal.order)
 
 
 @dataclass
@@ -587,7 +611,7 @@ def _random_algpoly(rng, monos, lift):
 def primality_oracle(ideal, config=None):
     """Strategy cascade with an honest `unknown`; not_prime carries a verified witness."""
     config = config or PrimalityConfig()
-    ideal = _with_basis(ideal)
+    ideal = ideal if ideal.basis is not None else buchberger(ideal)
     basis = list(ideal.basis)
     ring = ideal.ring
     if not basis:

@@ -10,8 +10,8 @@ is 1 or one shared TPoly d, so that clearing needs no gcd: the operands are
 cleared at once to {monomial: {t-exponent: int}} dicts over d and one int
 (_over_z_by_mono), _sum_over_z multiplies them, one sparse.mul of int
 t-polynomials per pair of terms, and _from_z builds one Fraction per output
-t-term. Ritt reduction and its certificate check run on the same loop. Any
-other product multiplies Scalars term by term; both give the same terms.
+t-term. Ritt reduction and its certificate check run on the same loop. Else
+each side is cleared over the lcm of its t-denominators, one Scalar a monomial.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import sparse
-from .scalars import Scalar, TPoly
+from .scalars import Scalar, TPoly, clear_denominators
 
 # A monomial is a tuple of (DerivVar, exponent) pairs with positive exponents,
 # sorted by the canonical variable key.
@@ -246,16 +246,20 @@ class DiffPoly:
 
 
 def _sum_of_products(pairs):
-    """The sum of a*b over pairs of DiffPolys of one ring (callers check it): over Z[t]
-    when each t-denominator is 1 or one shared d, so clearing needs no gcd, every a over
-    one int and d**ea, every b over d**eb, e = 1 where some a (b) has d; else with Scalars."""
+    """The sum of a*b over pairs of DiffPolys of one ring (callers check it), over Z[t]:
+    when each t-denominator is 1 or one shared d, every a over one int and d**ea, every b
+    over d**eb (e = 1 where some a (b) has d), with no gcd; else each side over its lcm."""
     ring, ops = pairs[0][0].ring, [x for pair in pairs for x in pair]
     one = TPoly.one(ring.nt)
     dens = {id(c.den): c.den for x in ops for c in x.terms.values() if c.den is not one}
     den = next(iter(dens.values()), one)
     if any(d != den for d in dens.values()):
-        return sum((DiffPoly._raw(ring, sparse.mul(a.terms, b.terms, mono_mul))
-                    for a, b in pairs), DiffPoly.zero(ring))
+        sides = [clear_denominators(ring.nt, {(i, m): k for i, x in enumerate(ops) if i % 2 == j
+                                              for m, k in x.terms.items()}) for j in (0, 1)]
+        ints, c = _over_z_by_mono([{m: sides[i % 2][1][i, m] for m in x.terms}
+                                   for i, x in enumerate(ops)])
+        out = _sum_over_z(zip(ints[::2], ints[1::2]))
+        return DiffPoly._raw(ring, _from_z(out, c * c, sides[0][0] * sides[1][0]))
     es = [bool(dens) and any(c.den is not one for x in ops[i::2] for c in x.terms.values())
           for i in (0, 1)] * len(pairs)
     ints, c = _over_z_by_mono([{m: k.num * den if e and k.den is one else k.num

@@ -218,16 +218,18 @@ def _coprime_ints(terms):
 def clear_denominators(nvars, coeffs):
     """(den, nums) for a dict of Scalars: den is the monic lcm of their
     t-denominators, the shared TPoly.one when each is a polynomial, and
-    nums[k] is the TPoly coeffs[k] * den, formed by exact division. Each
-    distinct denominator is folded into the lcm once, with one gcd."""
+    nums[k] is the TPoly coeffs[k] * den, formed by exact division. Distinct
+    denominators are folded largest first, one gcd each unless one divides the lcm."""
     one = den = TPoly.one(nvars)
     nums = {}
-    folded = []  # the distinct denominators in den; few, so a list
+    dens = []  # the distinct denominators; few, so a list
     for k, c in coeffs.items():
         nums[k] = c.num
-        if c.den is not one and c.den not in folded:
-            folded.append(c.den)
-            den = c.den if den is one else den * c.den.exact_div(tpoly_gcd(den, c.den))
+        if c.den is not one and c.den not in dens:
+            dens.append(c.den)
+    for d in sorted(dens, key=lambda d: -max(map(sum, d.terms))):
+        if den is one or den.exact_div(d) is None:
+            den = d if den is one else den * d.exact_div(tpoly_gcd(den, d))
     if den is one:
         return one, nums
     lc = den.lead_coeff()

@@ -6,6 +6,7 @@ import pytest
 
 from diffalg import (
     AlgIdeal,
+    MembershipCertificate,
     PrimalityConfig,
     RingContext,
     buchberger,
@@ -50,8 +51,26 @@ class TestBuchberger:
         assert I.basis == ()
 
     def test_variable_outside_ideal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variable x3 outside the ideal's variables"):
             ideal("x3", variables=X[:2])
+        with pytest.raises(ValueError, match="variable x3 outside the ideal's variables"):
+            ideal("x1", "x2*x3 - 1", variables=X[:2])
+
+    def test_the_backend_checks_each_generator_once(self, monkeypatch):
+        """A user ideal is checked when built; buchberger, eliminate and
+        saturate freeze its generators and check their own results no more."""
+        from diffalg import algebra
+
+        I = ideal("x1^2 - x2", "x1*x2 - 1", "x2^2 - x1")
+        freeze, frozen = algebra.to_algpoly, []
+        monkeypatch.setattr(algebra, "to_algpoly",
+                            lambda f, *args: frozen.append(f) or freeze(f, *args))
+        assert buchberger(I).basis and frozen == list(I.generators)
+        frozen.clear()
+        assert eliminate(I, {X[0]}).variables == X[1:2] and frozen == list(I.generators)
+        frozen.clear()
+        saturate(I, P("x1"))
+        assert frozen == [P("x1"), *I.generators]
 
 
 class TestMembership:
@@ -226,6 +245,28 @@ class TestCoefficientDomain:
             # x1^2 - 1/2 -> 2*x1^2 - 1 and x1*x2 - 3/4 -> 4*x1*x2 - 3
             assert scales == [Fraction(2), Fraction(4)]
             assert [sorted(p.values()) for p in frozen] == [[-1, 2], [-3, 4]]
+
+    def test_a_constant_over_a_t_denominator_is_a_scalar(self):
+        from diffalg import DiffPoly, Scalar, TPoly, parse_tpoly
+        from diffalg.algebra import _freeze
+
+        ring = self.RINGS[1]
+        c = Scalar(TPoly.const(ring.nt, 3), parse_tpoly("t1 + 1", ring))
+        assert c.num.is_const() and not c.is_const()
+        x1, x2 = (xvar(ring, j) for j in (1, 2))
+        over_t = DiffPoly(ring, {((x1, 1),): c})
+        frozen, lift, scales = _freeze((over_t, parse_poly("x2 - 1", ring)), (x1, x2))
+        assert lift is not int and isinstance(lift(1), Scalar) and scales == [1, 1]
+        assert frozen[0] == {(1, 0): c}
+
+    def test_all_zero_input_is_over_ints(self):
+        from diffalg.algebra import _freeze
+
+        for ring in self.RINGS:
+            variables = tuple(xvar(ring, j) for j in (1, 2))
+            zero = parse_poly("0", ring)
+            assert _freeze((zero, zero), variables) == ([{}, {}], int, [1, 1])
+            assert _freeze((), variables) == ([], int, [])
 
     def test_bases_agree_across_rings(self):
         for texts in self.TEXTS:
@@ -724,3 +765,76 @@ def test_from_algpoly_is_the_validated_constructor(rng):
             })
             got = from_algpoly(p, variables, ring, scale)
             assert got == want and list(got.terms.items()) == list(want.terms.items())
+
+
+class TestLazyQuotients:
+    """ideal_member thaws its normal form at once and its quotients when they
+    are first read; the division identity is checked before it returns."""
+
+    @staticmethod
+    def _thaws(monkeypatch):
+        from diffalg import algebra
+
+        thaw, calls = algebra.from_algpoly, []
+        monkeypatch.setattr(algebra, "from_algpoly",
+                            lambda *args: calls.append(args) or thaw(*args))
+        return calls
+
+    def test_only_the_normal_form_thaws_until_the_quotients_are_read(self, monkeypatch):
+        for texts in (("x1^2 - 1/2*x2", "2/3*x1*x2 - 1"), ("x1 - x2",)):
+            I = buchberger(ideal(*texts))
+            calls = self._thaws(monkeypatch)
+            cert = ideal_member(P("x1^3*x2 - 1/2*x1*x2^2 + x1"), I)
+            assert len(calls) == 1
+            assert cert.member == (not cert.normal_form)
+            quotients = cert.quotients
+            assert len(quotients) == len(I.basis) and len(calls) == 1 + len(I.basis)
+            assert cert.quotients is quotients and len(calls) == 1 + len(I.basis)
+            monkeypatch.undo()
+
+    def test_read_quotients_equal_an_eager_thaw(self, rng, monkeypatch):
+        """Certificates whose quotients are read after later queries on the
+        same ideal equal those thawed at once, in print too, over ints and
+        over Scalars alike."""
+        from conftest import rand_poly
+
+        from diffalg import Scalar, algebra
+
+        lazy, eager = [], []
+        domains = set()
+        for ring, variables, gens in _random_ideals(rng, 12):
+            I = buchberger(AlgIdeal(ring, variables, tuple(gens)))
+            fs = [_combination(rng, ring, gens) + rand_poly(rng, ring, max_degree=2, max_terms=2)
+                  for _ in range(3)]
+            lazy.extend((f, I, ideal_member(f, I)) for f in fs)
+            domains.add(I._frozen[4] is int)
+            with monkeypatch.context() as m:
+                m.setattr(algebra, "MembershipCertificate", lambda member, nf, thaw:
+                          MembershipCertificate(member, nf, thaw() if callable(thaw) else thaw))
+                eager.extend(ideal_member(f, I) for f in fs)
+        assert domains == {True, False}
+        for (f, I, got), want in zip(lazy, eager):
+            assert isinstance(want._quotients, list) and callable(got._quotients)
+            assert got == want and repr(got) == repr(want)
+            assert [poly_text(q) for q in got.quotients] == [poly_text(q) for q in want.quotients]
+            assert all(isinstance(c, Scalar) for q in got.quotients for c in q.terms.values())
+            total = got.normal_form
+            for q, b in zip(got.quotients, I.basis):
+                total = total + q * b
+            assert total == f
+
+    def test_a_corrupted_division_raises_with_the_quotients_unread(self, monkeypatch):
+        from diffalg import algebra
+        from diffalg.sparse import add
+
+        nf = algebra._nf
+
+        def corrupted(p, basis, codec):
+            rem, quots, scale = nf(p, basis, codec)
+            quots[0] = add(quots[0], {codec.one: 1})
+            return rem, quots, scale
+
+        monkeypatch.setattr(algebra, "_nf", corrupted)
+        for I in (buchberger(ideal("x1^2 - 1/2*x2", "x1*x2 - 1")), ideal("x1 - x2", "x2^2")):
+            with pytest.raises(RuntimeError, match="division certificate"):
+                ideal_member(P("x1^3 + x2"), I)

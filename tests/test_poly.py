@@ -282,7 +282,7 @@ def _term_loop_sum(pairs):
 
 class TestSumOfProducts:
     """_sum_of_products gives the terms of the summed term-by-term products,
-    over Z[t] exactly when every t-denominator is 1 or one shared TPoly."""
+    and clears no lcm exactly when every t-denominator is 1 or one shared TPoly."""
 
     DENS = [P(t).scalar_value().num for t in ("t1 + 2*t3", "t2 - 3", "t1*t2 + 1")]
 
@@ -300,20 +300,21 @@ class TestSumOfProducts:
     def test_equals_the_term_loop(self, kind):
         rng = random.Random(kind)
         one = TPoly.one(RT.nt)
-        over_z = 0
+        shared = 0
         for _ in range(80):
             dens = {"polynomial": [None], "one-term": [None, self.DENS[0]],
                     "one shared den": [self.DENS[0]], "two dens": self.DENS[:2]}[kind]
             pairs = [(self._operand(rng, kind, rng.choice(dens)),
                       self._operand(rng, kind, rng.choice(dens)))
                      for _ in range(rng.randint(1, 4))]
-            with mock.patch.object(poly, "_sum_over_z", wraps=poly._sum_over_z) as z:
+            with mock.patch.object(poly, "clear_denominators",
+                                   wraps=poly.clear_denominators) as cleared:
                 got = poly._sum_of_products(pairs)
             assert got.terms == _term_loop_sum(pairs)
             seen = {c.den for a, b in pairs for f in (a, b) for c in f.terms.values()} - {one}
-            assert z.called == (len(seen) < 2)
-            over_z += z.called
-        assert over_z == 80 if kind != "two dens" else 0 < over_z < 40
+            assert cleared.called == (len(seen) >= 2)
+            shared += not cleared.called
+        assert shared == 80 if kind != "two dens" else 0 < shared < 40
 
     @pytest.mark.parametrize("den", [None, "t1 + 2*t3"])
     def test_a_sum_that_cancels_is_zero(self, den):

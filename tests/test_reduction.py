@@ -21,7 +21,7 @@ from diffalg import (
     partial_reduce,
     poly_text,
 )
-from diffalg import poly, reduction
+from diffalg import poly, reduction, scalars
 from diffalg.algebra import to_algpoly
 from diffalg.reduction import FULL, PARTIAL, ReductionCertificate, _violation
 from diffalg.ring import RATIONAL_T
@@ -378,25 +378,58 @@ class TestVerifyAgainstTheReference:
         """verify and _reference_verify agree on every certificate of the
         equivalence cases and on every corruption of it; the cases take all
         three ways verify has: Scalar products when each is a scale, one sum
-        over Z[t], and the term-by-term sum when t-denominators differ."""
+        over Z[t], and, when t-denominators differ, one sum over Z[t] with
+        each side cleared over the lcm of its denominators."""
         reduce_fn = full_reduce if mode == FULL else partial_reduce
-        ways = {"scale": 0, "over Z[t]": 0, "term by term": 0}
+        ways = {"scale": 0, "over Z[t]": 0, "over an lcm": 0}
         rejected = 0
         for s, f in TestReductionEquivalence()._cases(1505, 45):
             cert = reduce_fn(f, s)
             for i, c in enumerate([cert, *_corruptions(cert)]):
                 with mock.patch.object(reduction, "_sum_of_products",
                                        wraps=reduction._sum_of_products) as total, \
-                        mock.patch.object(poly, "_sum_over_z", wraps=poly._sum_over_z) as z:
+                        mock.patch.object(poly, "clear_denominators",
+                                          wraps=poly.clear_denominators) as lcm:
                     got = c.verify(s)
                 assert got == _reference_verify(c, s)
                 assert got == (i == 0)
                 rejected += i > 0
                 if i == 0 and cert.cofactors:
                     ways["scale" if not total.called else
-                         "over Z[t]" if z.called else "term by term"] += 1
+                         "over an lcm" if lcm.called else "over Z[t]"] += 1
         assert all(n >= 5 for n in ways.values()), ways
         assert rejected > 300
+
+
+def test_a_failing_check_over_different_denominators_is_quick():
+    """Case 106 of the equivalence cases has cofactors over t-denominators of
+    degree 9-12, no two alike. With every cofactor coefficient plus 1 the sum
+    of products is cleared over each side's lcm, and verify fails after one
+    gcd per denominator folded, per derivative coefficient and per monomial
+    of the sum: 34 here. Adding Scalars one at a time passed 40 gcds within
+    0.1 s and then ran for minutes, so the count is capped at 40."""
+    s, f = list(TestReductionEquivalence()._cases(1505, 45))[106]
+    cert = full_reduce(f, s)
+    one = Scalar.one(RT.nt)
+    bad = dataclasses.replace(cert, cofactors={key: DiffPoly(q.ring, {
+        m: c + one for m, c in q.terms.items()}) for key, q in cert.cofactors.items()})
+    gcd, outer, depth = scalars.tpoly_gcd, [], []
+
+    def counted(a, b):
+        """tpoly_gcd, counting the calls it does not make itself."""
+        if not depth:
+            outer.append((a, b))
+            assert len(outer) <= 40, "one gcd per Scalar addition"
+        depth.append(1)
+        try:
+            return gcd(a, b)
+        finally:
+            depth.pop()
+
+    assert cert.verify(s)
+    with mock.patch.object(scalars, "tpoly_gcd", counted):
+        assert not bad.verify(s)
+    assert 0 < len(outer) <= 40
 
 
 class TestVerifyInputs:
