@@ -1,6 +1,6 @@
 """Delta-closed sets from finite generator data and the axiom-scheme checks.
 
-Covers saturation-ideal membership through full reduction, the
+Covers saturation-ideal membership through reduction, the
 characteristic-set certification pipeline (autoreduced, coherent, algebraic
 primality), the naive-versus-prolonged variety comparison, the open-set
 equality replay, and validation plus witness search for axiom instances.
@@ -41,6 +41,7 @@ from .algebra import (
     eliminate,
     ideal_member,
     primality_oracle,
+    saturate,
 )
 from .model import (
     ModelPoint,
@@ -62,6 +63,7 @@ from .reduction import (
     autoreduced_check,
     coherence_check,
     full_reduce,
+    partial_reduce,
 )
 
 CERTIFIED = "certified"
@@ -137,11 +139,20 @@ def _certify_system(system, primality_config):
 
 
 def sat_ideal_member(f, cert):
-    """Membership in the saturation ideal, certified by full reduction."""
+    """(f in [L]:H^inf, f's full-reduction certificate) for the certified, so
+    coherent, system L. A zero full remainder proves membership. Otherwise, by
+    Rosenfeld's lemma, f is a member exactly when its partial remainder r is
+    in (L):H^inf, which ideal_member decides over the variables of L, H and r."""
     if cert.status == REJECTED or cert.system is None:
         raise ValueError("certificate is rejected; membership test refused")
-    c = full_reduce(f, cert.system)
-    return c.remainder.is_zero(), c
+    system = cert.system
+    c = full_reduce(f, system)
+    if c.remainder.is_zero():
+        return True, c
+    r = partial_reduce(f, system).remainder
+    variables = _frozen_variables((*system.elements, system.h, r), system.ranking)
+    ideal = AlgIdeal(system.ring, variables, system.elements, GREVLEX)
+    return ideal_member(r, saturate(ideal, system.h)).member, c
 
 
 def saturation_members(cert, count):
@@ -414,7 +425,7 @@ class ProjectionVerdict:
 def projection_closure_check(inst, validation):
     """Prolong W's generators up to the order bound (each w with every
     delta^theta w of order at most the bound), eliminate the y-family and
-    reduce every eliminant."""
+    test every eliminant for membership in [L]:H^inf (sat_ideal_member)."""
     if validation.status != "valid":
         raise ValueError("instance must validate before the projection check")
     ring = inst.system.ring
@@ -428,14 +439,10 @@ def projection_closure_check(inst, validation):
     ideal = AlgIdeal(ring, variables, gens, GREVLEX)
     drop = {v for v in variables if v.family == "y"}
     projected = eliminate(ideal, drop)
-    residuals = []
-    ok = True
-    for g in projected.generators:
-        rem = full_reduce(g, inst.system).remainder
-        residuals.append((g, rem))
-        if not rem.is_zero():
-            ok = False
-    return ProjectionVerdict(ok, inst.order_bound, list(projected.generators), residuals)
+    eliminants = list(projected.generators)
+    verdicts = [sat_ideal_member(g, validation.certificate) for g in eliminants]
+    residuals = [(g, c.remainder) for g, (_, c) in zip(eliminants, verdicts)]
+    return ProjectionVerdict(all(ok for ok, _ in verdicts), inst.order_bound, eliminants, residuals)
 
 
 @dataclass

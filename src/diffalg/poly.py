@@ -5,13 +5,12 @@ nonzero scalars. Values are immutable after construction and every operation
 returns a fresh canonical value, so sharing is always safe.
 
 A sum of products (_sum_of_products; a product of two operands of two or
-more terms is the sum of one pair) runs over Z[t] when every t-denominator
-is 1 or one shared TPoly d, so that clearing needs no gcd: the operands are
-cleared at once to {monomial: {t-exponent: int}} dicts over d and one int
-(_over_z_by_mono), _sum_over_z multiplies them, one sparse.mul of int
-t-polynomials per pair of terms, and _from_z builds one Fraction per output
-t-term. Ritt reduction and its certificate check run on the same loop. Else
-each side is cleared over the lcm of its t-denominators, one Scalar a monomial.
+more terms is the sum of one pair) runs over Z[t]. _into_z clears each side,
+the a's and the b's, over one int and the monic lcm of its t-denominators
+(scalars.clear_denominators) to {monomial: {t-exponent: int}} dicts,
+_sum_over_z multiplies them, one sparse.mul of int t-polynomials per pair of
+terms, and _from_z builds one Fraction per output t-term. Ritt reduction and
+its certificate check run on the same loop.
 """
 
 from __future__ import annotations
@@ -247,25 +246,13 @@ class DiffPoly:
 
 def _sum_of_products(pairs):
     """The sum of a*b over pairs of DiffPolys of one ring (callers check it), over Z[t]:
-    when each t-denominator is 1 or one shared d, every a over one int and d**ea, every b
-    over d**eb (e = 1 where some a (b) has d), with no gcd; else each side over its lcm."""
-    ring, ops = pairs[0][0].ring, [x for pair in pairs for x in pair]
+    the a's over the lcm of their t-denominators, the b's over theirs."""
+    ring = pairs[0][0].ring
+    da, ca, a = _into_z(ring.nt, [x.terms for x, _ in pairs])
+    db, cb, b = _into_z(ring.nt, [y.terms for _, y in pairs])
     one = TPoly.one(ring.nt)
-    dens = {id(c.den): c.den for x in ops for c in x.terms.values() if c.den is not one}
-    den = next(iter(dens.values()), one)
-    if any(d != den for d in dens.values()):
-        sides = [clear_denominators(ring.nt, {(i, m): k for i, x in enumerate(ops) if i % 2 == j
-                                              for m, k in x.terms.items()}) for j in (0, 1)]
-        ints, c = _over_z_by_mono([{m: sides[i % 2][1][i, m] for m in x.terms}
-                                   for i, x in enumerate(ops)])
-        out = _sum_over_z(zip(ints[::2], ints[1::2]))
-        return DiffPoly._raw(ring, _from_z(out, c * c, sides[0][0] * sides[1][0]))
-    es = [bool(dens) and any(c.den is not one for x in ops[i::2] for c in x.terms.values())
-          for i in (0, 1)] * len(pairs)
-    ints, c = _over_z_by_mono([{m: k.num * den if e and k.den is one else k.num
-                                for m, k in x.terms.items()} for x, e in zip(ops, es)])
-    out = _sum_over_z(zip(ints[::2], ints[1::2]))
-    return DiffPoly._raw(ring, _from_z(out, c * c, sparse.power(den, es[0] + es[1], one)))
+    den = db if da is one else da if db is one else da * db
+    return DiffPoly._raw(ring, _from_z(_sum_over_z(zip(a, b)), ca * cb, den))
 
 
 def _sum_over_z(pairs):
@@ -288,11 +275,15 @@ def _sum_over_z(pairs):
     return out
 
 
-def _over_z_by_mono(nums):
-    """(ints, c): each dict of TPolys in nums as {m: {t-exponent: int}} over one int c."""
-    c = lcm(*(k.denominator for n in nums for t in n.values() for k in t.terms.values()))
-    return [{m: {e: k.numerator * (c // k.denominator) for e, k in t.terms.items()}
-             for m, t in n.items()} for n in nums], c
+def _into_z(nt, polys):
+    """(den, c, ints): each dict of Scalars in polys as {m: {t-exponent: int}}
+    over one int c and den, the monic lcm of their t-denominators."""
+    coeffs = polys[0] if len(polys) == 1 else dict(enumerate(k for p in polys for k in p.values()))
+    den, nums = clear_denominators(nt, coeffs)
+    c = lcm(*(q.denominator for t in nums.values() for q in t.terms.values()))
+    ints = iter([{e: q.numerator * (c // q.denominator) for e, q in t.terms.items()}
+                 for t in nums.values()])
+    return den, c, [dict(zip(p, ints)) for p in polys]  # zip stops at the end of p
 
 
 def _from_z(ints, c, den, bases=()):

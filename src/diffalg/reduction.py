@@ -13,36 +13,37 @@ variables ranked at or below the one being removed, so the highest offender
 descends strictly and the loop terminates.
 
 No arithmetic is repeated, and none of it divides. _reduce works over Z[t]:
-p, every cofactor and the premultiplier are {monomial: {t-exponent: int}}
-dicts, multiplied by poly._sum_over_z, the int loop of DiffPoly's Z[t]
-product (DiffPoly._raw views serve degree_in, split and _violation, which
-read only monomials). Each theta(g) is derived once per system
-(RankedSystem._theta) and cleared once to (lead*v^dmin + tail)/(c*d), c an
-int and d a monic TPoly (RankedSystem._divisor); neither cache is part of
-the system's value. A step is Ritt's pseudo-division step on the reductums:
-with p = mult*v^dmin + rest, p := lead*rest - mult*tail, never forming the
-term lead*mult*v^dmin that would cancel. That is c*d times ini*p -
-mult*theta(g) only when lead/(c*d) is the cached initial or separant ini,
-which _divisor checks, raising RuntimeError. The r steps that remove one
-offender build its cofactor by Horner's rule, and multiply the others and
-the premultiplier by lead**r once. So p is S times the Scalar loop's p, the
-premultiplier S/S0 times and the cofactor of theta(g) S/(c*d) times, with
-S0 f's clearing and S the product of S0 and every step's c*d: an int and a
-TPoly, the unit unless f or a divisor has t-denominators. poly._from_z
-divides S out once, trial-dividing by its known factors first, so the
-certificate is exactly the Scalar loop's. An f with nothing to reduce is
-returned as it is.
+poly._into_z, the one way in, clears f, and p, every cofactor and the
+premultiplier are {monomial: {t-exponent: int}} dicts, multiplied by
+poly._sum_over_z (DiffPoly._raw views serve degree_in, split and _violation,
+which read only monomials). Each theta(g) is derived once per system
+(RankedSystem._theta) and cleared once by _into_z to
+(lead*v^dmin + tail)/(c*d), c an int and d a monic TPoly
+(RankedSystem._divisor); neither cache is part of the system's value. A step
+is Ritt's pseudo-division step on the reductums: with p = mult*v^dmin +
+rest, p := lead*rest - mult*tail, never forming the term lead*mult*v^dmin
+that would cancel. That is c*d times ini*p - mult*theta(g) only when
+lead/(c*d) is the cached initial or separant ini, which _divisor checks,
+raising RuntimeError. The r steps that remove one offender build its
+cofactor by Horner's rule, and multiply the others and the premultiplier by
+lead**r once. So p is S times the Scalar loop's p, the premultiplier S/S0
+times and the cofactor of theta(g) S/(c*d) times, with S0 f's clearing and S
+the product of S0 and every step's c*d: an int and a TPoly, the unit unless
+f or a divisor has t-denominators. poly._from_z divides S out once,
+trial-dividing by its known factors first, so the certificate is exactly the
+Scalar loop's. An f with nothing to reduce is returned as it is.
 verify derives every theta(g) afresh in a table of its own, reads neither cache
-nor _reduce's int forms, and re-expands its identity as one poly._sum_of_products.
+nor _reduce's int forms, and re-expands its identity as one
+poly._sum_of_products, or, when every product is a scale, compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import EMPTY_MONO, DiffPoly, _from_z, _over_z_by_mono, _sum_of_products, _sum_over_z
+from .poly import EMPTY_MONO, DiffPoly, _from_z, _into_z, _sum_of_products, _sum_over_z
 from .ranking import Ranking, leader_initial_separant
-from .scalars import TPoly, clear_denominators
+from .scalars import TPoly
 from .sparse import divides, ediv, elcm, power
 
 PARTIAL = "partial"
@@ -116,8 +117,7 @@ class RankedSystem:
                 kind = "separant" if proper else "initial"
                 raise RuntimeError(f"the cached {kind} of element {gi + 1} is not the "
                                    f"coefficient of {v.text()}^{dmin} in its divisor")
-            d, nums = clear_denominators(divisor.ring.nt, divisor.terms)
-            (ints,), c = _over_z_by_mono((nums,))
+            d, c, (ints,) = _into_z(divisor.ring.nt, (divisor.terms,))
             lead, tail = DiffPoly._raw(divisor.ring, ints).split(v, dmin)
             tail = {m: {e: -k for e, k in t.items()} for m, t in tail.terms.items()}
             out = self._divisors[key] = (dmin, lead.terms, tail, c, d)
@@ -228,8 +228,7 @@ def _reduce(f, system, mode):
     unit = {EMPTY_MONO: {(0,) * ring.nt: 1}}
     # S = c*d; scales[key] is the c*d of key's divisor; bases are factors of d
     # that _from_z tries first, once a divisor's t-denominators make d large
-    den0, p = clear_denominators(ring.nt, f.terms)
-    (p,), c0 = _over_z_by_mono((p,))
+    den0, c0, (p,) = _into_z(ring.nt, (f.terms,))
     c, d = c0, den0
     premult, cof, scales, bases, steps = unit, {}, {}, {}, 0
     while viol is not None:

@@ -23,10 +23,11 @@ Which Fractions are stored, and so every printed byte, is unchanged; only
 the Fraction arithmetic per pair of terms is saved. A float coefficient is
 refused (_exact): its binary value is not the decimal it was written as.
 
-clear_denominators is the one place t-denominators are cleared: Ritt
-reduction, printing, model-point evaluation and the Groebner normal form put
-a dict of Scalars over one monic denominator there, and each numerator is
-formed by exact division, with no gcd per coefficient.
+clear_denominators is the one place t-denominators are cleared: Z[t]
+products and Ritt reduction (poly._into_z), printing, model-point evaluation
+and the Groebner normal form put a dict of Scalars over one monic denominator
+there. A numerator is formed by exact division, with no gcd, unless its
+coefficient is over that denominator already.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _exact(q):
 
 def _over_z(terms):
     """(int terms, d) with terms == {key: c/d}: d is the lcm of the Fraction
-    coefficients' denominators (poly._over_z_by_mono does the same per monomial)."""
+    coefficients' denominators (poly._into_z does the same per monomial)."""
     d = lcm(*(c.denominator for c in terms.values()))
     return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
@@ -218,8 +219,9 @@ def _coprime_ints(terms):
 def clear_denominators(nvars, coeffs):
     """(den, nums) for a dict of Scalars: den is the monic lcm of their
     t-denominators, the shared TPoly.one when each is a polynomial, and
-    nums[k] is the TPoly coeffs[k] * den, formed by exact division. Distinct
-    denominators are folded largest first, one gcd each unless one divides the lcm."""
+    nums[k] is the TPoly coeffs[k] * den, formed by exact division unless
+    coeffs[k] is over den already. Distinct denominators are folded largest
+    first, one gcd each unless one divides the lcm."""
     one = den = TPoly.one(nvars)
     nums = {}
     dens = []  # the distinct denominators; few, so a list
@@ -227,16 +229,17 @@ def clear_denominators(nvars, coeffs):
         nums[k] = c.num
         if c.den is not one and c.den not in dens:
             dens.append(c.den)
+    if not dens:
+        return one, nums
     for d in sorted(dens, key=lambda d: -max(map(sum, d.terms))):
         if den is one or den.exact_div(d) is None:
             den = d if den is one else den * d.exact_div(tpoly_gcd(den, d))
-    if den is one:
-        return one, nums
     lc = den.lead_coeff()
     if lc != 1:
         den = den.scale(1 / lc)
     for k, c in coeffs.items():
-        nums[k] = c.num * (den if c.den is one else den.exact_div(c.den))
+        if c.den != den:
+            nums[k] = c.num * (den if c.den is one else den.exact_div(c.den))
     return den, nums
 
 

@@ -69,6 +69,18 @@ class TestSatIdealMember:
         ok, _ = sat_ideal_member(P("x1^2", R11), cert)
         assert ok
 
+    def test_a_member_beyond_reduction(self):
+        """x1 - 1 is a zero divisor modulo x1^2 - 1, so this Lambda is no
+        regular chain: x1 + 1 is in (Lambda) but reduces to itself. The
+        saturation (Lambda):H^inf is (x1 + 1, x2 - 1)."""
+        ring = RingContext(m=1, n=2, field_mode=RATIONAL_T)
+        cert = cert_for("x1^2 - 1", "(x1 - 1)*x2 + 2", ring=ring)
+        assert cert.status == "conditional"
+        for text, member in (("x1 + 1", True), ("x2 - 1", True), ("x1", False), ("x2", False)):
+            ok, rc = sat_ideal_member(P(text, ring), cert)
+            assert ok == member
+            assert not rc.remainder.is_zero() and rc.verify(cert.system)
+
     def test_rejected_certificate_refused(self):
         cert = cert_for("x1^2", ring=R11)
         assert cert.status == "rejected"

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from diffalg import axioms
 from diffalg.cli import main
 from diffalg.instances import (
     InstanceFormatError,
@@ -231,12 +233,41 @@ class TestReports:
         path.write_text("[ring] m=1 n=1 field=rational_t\n[lambda]\nd1x1\n"
                         "[W]\nd1x1\nd1y1\ny1 - t1*x1\n"
                         "[bounds] order=2 degree=1 height=1\n", encoding="utf-8")
-        code, out = run(capsys, "axiom", "project", str(path))
+        with mock.patch.object(axioms, "saturate", wraps=axioms.saturate) as saturate:
+            code, out = run(capsys, "axiom", "project", str(path))
         assert code == 2
         lines = out.splitlines()
         assert "eliminant x1: remainder x1" in lines
         assert "projection misses the open set" in lines
         assert "status: rejected" in lines
+        assert saturate.called  # x1 is outside (d1x1):H^inf, not only unreduced
+
+    def test_axiom_project_decides_membership_beyond_reduction(self, tmp_path, capsys):
+        """Lambda is no regular chain: x1 - 1 is a zero divisor modulo x1^2 - 1.
+        x1 + 1 is in (Lambda), so in [Lambda]:H^inf, though it reduces to itself."""
+        path = tmp_path / "non-regular.axiom"
+        path.write_text("[ring] m=1 n=2\n[lambda]\nx1^2 - 1\n(x1 - 1)*x2 + 2\n"
+                        "[W]\nx1 + 1\nx2 - 1\ny1\ny2\n"
+                        "[bounds] order=1 degree=1 height=1\n", encoding="utf-8")
+        code, out = run(capsys, "axiom", "project", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1:3] == ["eliminant x1 + 1: remainder x1 + 1",
+                              "eliminant x2 - 1: remainder -x1 - 1"]
+        assert "projection covers the open set" in lines
+
+    @pytest.mark.parametrize("argv", [
+        ["axiom", "project", "basic.axiom"],
+        ["axiom", "project", "exhaustion.axiom"],
+        ["demo", "naive-vs-tau", "square-naive.demo"],
+    ], ids=lambda argv: argv[-1])
+    def test_the_fixtures_reduce_every_member_to_zero(self, capsys, argv):
+        """Every membership the fixtures ask is proved by a zero full
+        remainder, so none of them computes a saturation."""
+        with mock.patch.object(axioms, "saturate", wraps=axioms.saturate) as saturate:
+            code, _ = run(capsys, *argv[:-1], FIX[argv[-1]])
+        assert code == 0
+        assert not saturate.called
 
 
 class TestFlagSurface:

@@ -12,6 +12,7 @@ from diffalg import (
     Ranking,
     RingContext,
     Scalar,
+    TPoly,
     autoreduced_check,
     coherence_check,
     full_reduce,
@@ -21,7 +22,7 @@ from diffalg import (
     partial_reduce,
     poly_text,
 )
-from diffalg import poly, reduction, scalars
+from diffalg import reduction, scalars
 from diffalg.algebra import to_algpoly
 from diffalg.reduction import FULL, PARTIAL, ReductionCertificate, _violation
 from diffalg.ring import RATIONAL_T
@@ -376,28 +377,33 @@ class TestVerifyAgainstTheReference:
     @pytest.mark.parametrize("mode", [FULL, PARTIAL])
     def test_same_verdict_as_the_reference_check(self, mode):
         """verify and _reference_verify agree on every certificate of the
-        equivalence cases and on every corruption of it; the cases take all
-        three ways verify has: Scalar products when each is a scale, one sum
-        over Z[t], and, when t-denominators differ, one sum over Z[t] with
-        each side cleared over the lcm of its denominators."""
+        equivalence cases and on every corruption of it. The certificates
+        fall in every input class at least 5 times: each product a scale
+        (verify compares and sums no products), and otherwise by the distinct
+        t-denominators other than 1 of the operands of its sum of products."""
         reduce_fn = full_reduce if mode == FULL else partial_reduce
-        ways = {"scale": 0, "over Z[t]": 0, "over an lcm": 0}
+        census = {"one-term": 0, "polynomial": 0, "one shared den": 0, "two dens": 0}
         rejected = 0
         for s, f in TestReductionEquivalence()._cases(1505, 45):
             cert = reduce_fn(f, s)
             for i, c in enumerate([cert, *_corruptions(cert)]):
                 with mock.patch.object(reduction, "_sum_of_products",
-                                       wraps=reduction._sum_of_products) as total, \
-                        mock.patch.object(poly, "clear_denominators",
-                                          wraps=poly.clear_denominators) as lcm:
+                                       wraps=reduction._sum_of_products) as total:
                     got = c.verify(s)
                 assert got == _reference_verify(c, s)
                 assert got == (i == 0)
                 rejected += i > 0
                 if i == 0 and cert.cofactors:
-                    ways["scale" if not total.called else
-                         "over an lcm" if lcm.called else "over Z[t]"] += 1
-        assert all(n >= 5 for n in ways.values()), ways
+                    factors = [cert.premultiplier, *cert.cofactors.values()]
+                    one_term = all(len(q.terms) < 2 for q in factors)
+                    assert total.called != one_term
+                    dens = {k.den for g in (cert.input, cert.remainder, *factors,
+                                            *(s.elements[gi].derive_theta(theta)
+                                              for gi, theta in cert.cofactors))
+                            for k in g.terms.values()} - {TPoly.one(f.ring.nt)}
+                    census["one-term" if one_term else "polynomial" if not dens else
+                           "one shared den" if len(dens) == 1 else "two dens"] += 1
+        assert all(n >= 5 for n in census.values()), census
         assert rejected > 300
 
 

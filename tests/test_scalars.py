@@ -385,6 +385,24 @@ def test_clear_denominators_folds_each_distinct_denominator_once():
         assert got == _clear_per_coefficient(3, coeffs)
 
 
+def test_clear_denominators_over_one_shared_denominator_divides_nothing():
+    """Coefficients over one t-denominator d (equal TPolys, not one object)
+    or over 1 clear to d with no gcd and no exact division: a coefficient
+    over d keeps its numerator, and a polynomial one is multiplied by d."""
+    rng = random.Random(26)
+    coeffs = {k: Scalar(rand_tpoly(rng, 3, degree=2, max_terms=3) + TPoly.one(3),
+                        _t("t1*t3 + 2") if k % 3 else TPoly.one(3))
+              for k in range(12)}
+    with mock.patch.object(scalars, "tpoly_gcd", wraps=scalars.tpoly_gcd) as gcd, \
+            mock.patch.object(TPoly, "exact_div", autospec=True,
+                              side_effect=TPoly.exact_div) as div:
+        den, nums = clear_denominators(3, coeffs)
+    assert (gcd.call_count, div.call_count) == (0, 0)
+    assert den == _t("t1*t3 + 2")
+    assert nums == {k: c.num if k % 3 else c.num * den for k, c in coeffs.items()}
+    assert (den, nums) == _clear_per_coefficient(3, coeffs)
+
+
 @pytest.mark.parametrize("value", [
     TPoly.zero(3),
     _t("t1^2 - 1/2*t2 + 3"),
