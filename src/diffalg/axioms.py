@@ -63,7 +63,6 @@ from .reduction import (
     autoreduced_check,
     coherence_check,
     full_reduce,
-    partial_reduce,
 )
 
 CERTIFIED = "certified"
@@ -140,16 +139,18 @@ def _certify_system(system, primality_config):
 
 def sat_ideal_member(f, cert):
     """(f in [L]:H^inf, f's full-reduction certificate) for the certified, so
-    coherent, system L. A zero full remainder proves membership. Otherwise, by
-    Rosenfeld's lemma, f is a member exactly when its partial remainder r is
-    in (L):H^inf, which ideal_member decides over the variables of L, H and r."""
+    coherent, system L. f is a member exactly when its full remainder r is,
+    since premultiplier*f - r is in [L] and the premultiplier is a product of
+    initials and separants. A zero r is a member; otherwise r is partially
+    reduced, so by Rosenfeld's lemma it is a member exactly when it is in
+    (L):H^inf, which ideal_member decides over the variables of L, H and r."""
     if cert.status == REJECTED or cert.system is None:
         raise ValueError("certificate is rejected; membership test refused")
     system = cert.system
     c = full_reduce(f, system)
-    if c.remainder.is_zero():
+    r = c.remainder
+    if r.is_zero():
         return True, c
-    r = partial_reduce(f, system).remainder
     variables = _frozen_variables((*system.elements, system.h, r), system.ranking)
     ideal = AlgIdeal(system.ring, variables, system.elements, GREVLEX)
     return ideal_member(r, saturate(ideal, system.h)).member, c
@@ -163,10 +164,10 @@ def saturation_members(cert, count):
     def push(g):
         if g.is_zero() or g in seen:
             return
-        ok, _ = sat_ideal_member(g, cert)
-        if ok:
-            seen.add(g)
-            out.append(g)
+        if not sat_ideal_member(g, cert)[0]:
+            raise RuntimeError(f"member {poly_text(g)} of [L] failed re-verification")
+        seen.add(g)
+        out.append(g)
 
     m = len(system.leaders[0].theta)
     for theta in t_monomials(m, _MEMBER_ORDER):

@@ -207,10 +207,6 @@ class DiffPoly:
     def degree_in(self, v):
         return max((dict(m).get(v, 0) for m in self.terms), default=0)
 
-    def coeff_power(self, v, k):
-        """Coefficient of v^k, as a polynomial with v struck out."""
-        return self.split(v, k)[0]
-
     def split(self, v, k):
         """(coefficient of v^k with v struck out, every other term), in one
         pass: coeff * v^k + rest == self, and no term of rest has degree k

@@ -77,6 +77,6 @@ def leader_initial_separant(f, ranking):
     """Leader, initial (coefficient of its top power) and separant of f."""
     u = leader(f, ranking)
     d = f.degree_in(u)
-    initial = f.coeff_power(u, d)
+    initial = f.split(u, d)[0]
     separant = f.formal_partial(u)
     return u, initial, separant

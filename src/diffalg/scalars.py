@@ -145,13 +145,10 @@ class TPoly:
                 sparse.acc(t, e[: i - 1] + (k - 1,) + e[i:], c * k)
         return TPoly._raw(self.nvars, t)
 
-    def lead_term(self):
+    def lead_coeff(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return sparse.lead(self.terms)
-
-    def lead_coeff(self):
-        return self.lead_term()[1]
+        return sparse.lead(self.terms)[1]
 
     def degree_in(self, i):
         return max((e[i - 1] for e in self.terms), default=-1)
@@ -417,12 +414,7 @@ class Scalar:
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
-        den = self.den
-        if den is other.den and den is _ONES.get(den.nvars):
-            return Scalar._poly(self.num - other.num)
-        if den == other.den:
-            return Scalar(self.num - other.num, den)
-        return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -other
 
     def __neg__(self):
         s = Scalar.__new__(Scalar)

@@ -69,17 +69,58 @@ class TestSatIdealMember:
         ok, _ = sat_ideal_member(P("x1^2", R11), cert)
         assert ok
 
+    ITEM14 = RingContext(m=1, n=2, field_mode=RATIONAL_T)
+    # f, its full remainder, and f's membership in (x1 + 1, x2 - 1) = (Lambda):H^inf
+    NON_REGULAR = (
+        ("x1 + 1", "x1 + 1", True),
+        ("x2 - 1", "-x1 - 1", True),
+        ("x1", "x1", False),
+        ("x2", "-2", False),
+        ("x1*x2 + x2", "-2*x1 - 2", True),
+        ("x2^2 - 1", "2*x1 + 2", True),
+        ("x1^3 + x2", "-x1 - 1", True),
+        ("d1x2 + x1 + 1", "0", True),
+    )
+
+    @staticmethod
+    def _partial_route(f, cert):
+        """The reference route, by the partial remainder: partial_reduce,
+        then saturate, then ideal_member."""
+        from diffalg.algebra import GREVLEX, AlgIdeal, ideal_member, saturate
+        from diffalg.reduction import partial_reduce
+
+        system = cert.system
+        r = partial_reduce(f, system).remainder
+        if r.is_zero():
+            return True
+        variables = axioms._frozen_variables((*system.elements, system.h, r), system.ranking)
+        ideal = AlgIdeal(system.ring, variables, system.elements, GREVLEX)
+        return ideal_member(r, saturate(ideal, system.h)).member
+
     def test_a_member_beyond_reduction(self):
         """x1 - 1 is a zero divisor modulo x1^2 - 1, so this Lambda is no
         regular chain: x1 + 1 is in (Lambda) but reduces to itself. The
-        saturation (Lambda):H^inf is (x1 + 1, x2 - 1)."""
-        ring = RingContext(m=1, n=2, field_mode=RATIONAL_T)
-        cert = cert_for("x1^2 - 1", "(x1 - 1)*x2 + 2", ring=ring)
+        saturation (Lambda):H^inf is (x1 + 1, x2 - 1). Each verdict is the
+        partial-remainder route's."""
+        cert = cert_for("x1^2 - 1", "(x1 - 1)*x2 + 2", ring=self.ITEM14)
         assert cert.status == "conditional"
-        for text, member in (("x1 + 1", True), ("x2 - 1", True), ("x1", False), ("x2", False)):
-            ok, rc = sat_ideal_member(P(text, ring), cert)
-            assert ok == member
-            assert not rc.remainder.is_zero() and rc.verify(cert.system)
+        for text, remainder, member in self.NON_REGULAR:
+            f = P(text, self.ITEM14)
+            ok, rc = sat_ideal_member(f, cert)
+            assert ok == member == self._partial_route(f, cert), text
+            assert poly_text(rc.remainder) == remainder and rc.verify(cert.system)
+
+    def test_one_full_reduction_and_no_partial_one(self):
+        from diffalg import reduction
+
+        cert = cert_for("x1^2 - 1", "(x1 - 1)*x2 + 2", ring=self.ITEM14)
+        assert not hasattr(axioms, "partial_reduce")
+        for text, member in (("x2 - 1", True), ("x2", False)):
+            with mock.patch.object(axioms, "full_reduce", wraps=axioms.full_reduce) as full, \
+                    mock.patch.object(reduction, "partial_reduce",
+                                      wraps=reduction.partial_reduce) as partial:
+                assert sat_ideal_member(P(text, self.ITEM14), cert)[0] == member
+            assert full.call_count == 1 and not partial.called
 
     def test_rejected_certificate_refused(self):
         cert = cert_for("x1^2", ring=R11)
@@ -97,6 +138,23 @@ class TestSatIdealMember:
                 f = rand_poly(rng, R11, max_order=1, max_degree=2, max_terms=2)
                 ok, _ = sat_ideal_member(g * f, cert)
                 assert ok
+
+    def test_a_failed_re_verification_is_an_internal_error(self):
+        """Every candidate lies in [Lambda] by construction, so a rejected
+        one means reduction or saturation is at fault."""
+        cert = cert_for("d1 x1 - 1", ring=R11)
+        real = axioms.sat_ideal_member
+        calls = []
+
+        def reject_the_second(g, c):
+            calls.append(g)
+            ok, rc = real(g, c)
+            return (ok and len(calls) != 2), rc
+
+        with mock.patch.object(axioms, "sat_ideal_member", side_effect=reject_the_second):
+            with pytest.raises(RuntimeError, match="failed re-verification"):
+                saturation_members(cert, 4)
+        assert len(calls) == 2
 
 
 class TestCertify:

@@ -82,6 +82,23 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: reduction certificate failed re-verification\n"
 
+    def test_a_rejected_member_candidate_is_three(self, capsys, monkeypatch):
+        real = axioms.sat_ideal_member
+        calls = []
+
+        def reject_the_third(g, cert):
+            calls.append(g)
+            ok, rc = real(g, cert)
+            return (ok and len(calls) != 3), rc
+
+        monkeypatch.setattr(axioms, "sat_ideal_member", reject_the_third)
+        code = main(["demo", "naive-vs-tau", FIX["square-naive.demo"]])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: member ") and err.endswith(
+            " of [L] failed re-verification\n")
+
     def test_failed_saturation_self_check_is_three(self, capsys, monkeypatch):
         from diffalg import algebra
 

@@ -182,7 +182,7 @@ def _reference_reduce(f, system, mode):
             e = p.degree_in(v)
             if e < dmin:
                 break
-            c = p.coeff_power(v, e)
+            c = p.split(v, e)[0]
             mult = c * DiffPoly.var(ring, v, e - dmin)
             p = ini * p - mult * divisor
             premult = ini * premult

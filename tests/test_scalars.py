@@ -197,6 +197,35 @@ def test_equal_denominators_add_without_a_product():
     assert (t2 / (t2 + one)) + y == one
 
 
+def test_subtraction_is_addition_of_the_negation():
+    """a - b over every denominator class: both polynomial, one shared
+    non-unit denominator, two different ones."""
+    rng = random.Random(2727)
+    one = TPoly.one(2)
+    seen = {"polynomial": 0, "shared": 0, "different": 0}
+    while min(seen.values()) < 20:
+        dens = [one, rand_tpoly(rng, 2, degree=2, height=3, nonzero=True)]
+        da = rng.choice(dens)
+        db = da if rng.random() < 0.5 else rng.choice(dens)
+        a = Scalar(rand_tpoly(rng, 2, degree=2, height=4), da)
+        b = Scalar(rand_tpoly(rng, 2, degree=2, height=4), db)
+        if a.is_poly() and b.is_poly():
+            seen["polynomial"] += 1
+        elif a.den == b.den:
+            seen["shared"] += 1
+        else:
+            seen["different"] += 1
+        diff = a - b
+        assert diff == Scalar(a.num * b.den - b.num * a.den, a.den * b.den)
+        if diff.den == one:
+            assert diff.den is one
+
+
+def test_the_zero_tpoly_has_no_leading_coefficient():
+    with pytest.raises(ValueError, match="^zero polynomial has no leading term$"):
+        TPoly.zero(2).lead_coeff()
+
+
 def test_unit_denominator_is_shared():
     a, b = Scalar.t(3, 1), Scalar.from_fraction(3, 5)
     assert a.den is b.den is TPoly.one(3)
