@@ -100,12 +100,8 @@ def _packed(order, n, polys, run, degree=0):
     """The packing and run(packing, polys packed by it), at the width
     Packing.fit picks for the exponent-vector polys and degree, doubled while
     it overflows."""
-    codec = Packing.fit(order, n, polys, degree)
-    while True:
-        try:
-            return codec, run(codec, [codec.pack(p) for p in polys])
-        except Overflow:
-            codec = codec.wider()
+    return Packing.fit(order, n, polys, degree).widening(
+        lambda codec: (codec, run(codec, [codec.pack(p) for p in polys])))
 
 
 def from_algpoly(p, variables, ring, scale=1):

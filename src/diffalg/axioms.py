@@ -144,16 +144,23 @@ def sat_ideal_member(f, cert):
     initials and separants. A zero r is a member; otherwise r is partially
     reduced, so by Rosenfeld's lemma it is a member exactly when it is in
     (L):H^inf, which ideal_member decides over the variables of L, H and r."""
+    return _sat_ideal_members((f,), cert)[0]
+
+
+def _sat_ideal_members(fs, cert):
+    """sat_ideal_member of each of fs, with one saturation (L):H^inf over the
+    variables of L, H and every nonzero full remainder, computed only if one
+    is nonzero; a member over fewer variables stays one over more."""
     if cert.status == REJECTED or cert.system is None:
         raise ValueError("certificate is rejected; membership test refused")
     system = cert.system
-    c = full_reduce(f, system)
-    r = c.remainder
-    if r.is_zero():
-        return True, c
-    variables = _frozen_variables((*system.elements, system.h, r), system.ranking)
-    ideal = AlgIdeal(system.ring, variables, system.elements, GREVLEX)
-    return ideal_member(r, saturate(ideal, system.h)).member, c
+    certs = [full_reduce(f, system) for f in fs]
+    rems = [c.remainder for c in certs if not c.remainder.is_zero()]
+    sat = None
+    if rems:
+        variables = _frozen_variables((*system.elements, system.h, *rems), system.ranking)
+        sat = saturate(AlgIdeal(system.ring, variables, system.elements, GREVLEX), system.h)
+    return [(c.remainder.is_zero() or ideal_member(c.remainder, sat).member, c) for c in certs]
 
 
 def saturation_members(cert, count):
@@ -426,7 +433,8 @@ class ProjectionVerdict:
 def projection_closure_check(inst, validation):
     """Prolong W's generators up to the order bound (each w with every
     delta^theta w of order at most the bound), eliminate the y-family and
-    test every eliminant for membership in [L]:H^inf (sat_ideal_member)."""
+    test every eliminant for membership in [L]:H^inf (sat_ideal_member),
+    against one saturation."""
     if validation.status != "valid":
         raise ValueError("instance must validate before the projection check")
     ring = inst.system.ring
@@ -441,7 +449,7 @@ def projection_closure_check(inst, validation):
     drop = {v for v in variables if v.family == "y"}
     projected = eliminate(ideal, drop)
     eliminants = list(projected.generators)
-    verdicts = [sat_ideal_member(g, validation.certificate) for g in eliminants]
+    verdicts = _sat_ideal_members(eliminants, validation.certificate)
     residuals = [(g, c.remainder) for g, (_, c) in zip(eliminants, verdicts)]
     return ProjectionVerdict(all(ok for ok, _ in verdicts), inst.order_bound, eliminants, residuals)
 

@@ -7,14 +7,20 @@ returns a fresh canonical value, so sharing is always safe.
 A sum of products (_sum_of_products; a product of two operands of two or
 more terms is the sum of one pair) runs over Z[t]. _into_z clears each side,
 the a's and the b's, over one int and the monic lcm of its t-denominators
-(scalars.clear_denominators) to {monomial: {t-exponent: int}} dicts,
-_sum_over_z multiplies them, one sparse.mul of int t-polynomials per pair of
-terms, and _from_z builds one Fraction per output t-term. Ritt reduction and
-its certificate check run on the same loop.
+(scalars.clear_denominators) to {monomial: {packed t-exponent: int}} dicts:
+each t-monomial is one int of lex fields under guard bits (sparse.Packing,
+16-bit fields to start with), so _sum_over_z multiplies two t-monomials by
+adding their ints, in one inline loop over the pairs of t-terms. _from_z
+decodes each distinct t-exponent once, back to the tuples TPoly keeps, and
+builds one Fraction per output t-term. An exponent past a field's top, met
+when packing or in a product, raises sparse.Overflow, and the whole sum is
+computed again at double the width (Packing.widening), with the same result.
+Ritt reduction and its certificate check run on the same loop.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import lcm
 
@@ -240,21 +246,34 @@ class DiffPoly:
         return f"DiffPoly({poly_text(self)})"
 
 
+@functools.cache
+def _codec(nt):
+    """The lex packing of t-exponent vectors in nt variables that the Z[t]
+    working form starts at, 16-bit fields; built once per nt, struct and all."""
+    return sparse.Packing(sparse.LEX, nt, 16)
+
+
 def _sum_of_products(pairs):
     """The sum of a*b over pairs of DiffPolys of one ring (callers check it), over Z[t]:
     the a's over the lcm of their t-denominators, the b's over theirs."""
     ring = pairs[0][0].ring
-    da, ca, a = _into_z(ring.nt, [x.terms for x, _ in pairs])
-    db, cb, b = _into_z(ring.nt, [y.terms for _, y in pairs])
-    one = TPoly.one(ring.nt)
-    den = db if da is one else da if db is one else da * db
-    return DiffPoly._raw(ring, _from_z(_sum_over_z(zip(a, b)), ca * cb, den))
+
+    def run(codec):
+        da, ca, a = _into_z(codec, [x.terms for x, _ in pairs])
+        db, cb, b = _into_z(codec, [y.terms for _, y in pairs])
+        one = TPoly.one(ring.nt)
+        den = db if da is one else da if db is one else da * db
+        return _from_z(codec, _sum_over_z(zip(a, b), codec), ca * cb, den)
+
+    return DiffPoly._raw(ring, _codec(ring.nt).widening(run))
 
 
-def _sum_over_z(pairs):
-    """The sum of a*b over pairs of {monomial: {t-exponent: int}} dicts: the
-    int loop of every Z[t] product, one sparse.mul per pair of terms merged
-    with sparse.acc. It leaves its arguments alone and drops empty t-dicts."""
+def _sum_over_z(pairs, codec):
+    """The sum of a*b over pairs of {monomial: {packed t-exponent: int}} dicts:
+    the int loop of every Z[t] product, where a t-monomial product is e1 + e2.
+    It leaves its arguments alone and drops empty t-dicts. Inputs set no
+    guard bit, so every sum of two fields is exact; sparse.Overflow if a
+    key of the result sets one."""
     out = {}
     for p, q in pairs:
         for m1, a in p.items():
@@ -262,34 +281,66 @@ def _sum_over_z(pairs):
                 m = mono_mul(m1, m2)
                 t = out.get(m)
                 if t is None:
-                    out[m] = sparse.mul(a, b)
-                else:
-                    for e, c in sparse.mul(a, b).items():
-                        sparse.acc(t, e, c)
-                    if not t:
-                        del out[m]
+                    t = out[m] = {}
+                get = t.get
+                for e1, c1 in a.items():
+                    for e2, c2 in b.items():
+                        e = e1 + e2
+                        s = get(e)
+                        s = c1 * c2 if s is None else s + c1 * c2
+                        if s:
+                            t[e] = s
+                        else:
+                            del t[e]
+                if not t:
+                    del out[m]
+    keys = 0
+    for t in out.values():
+        for e in t:
+            keys |= e
+    if keys & codec.guard:
+        raise sparse.Overflow
     return out
 
 
-def _into_z(nt, polys):
-    """(den, c, ints): each dict of Scalars in polys as {m: {t-exponent: int}}
-    over one int c and den, the monic lcm of their t-denominators."""
+def _into_z(codec, polys):
+    """(den, c, ints): each dict of Scalars in polys as {m: {packed t-exponent: int}}
+    over one int c and den, the monic lcm of their t-denominators. Each
+    distinct t-exponent is packed once by codec, which raises sparse.Overflow
+    past its fields."""
     coeffs = polys[0] if len(polys) == 1 else dict(enumerate(k for p in polys for k in p.values()))
-    den, nums = clear_denominators(nt, coeffs)
+    den, nums = clear_denominators(codec.n, coeffs)
     c = lcm(*(q.denominator for t in nums.values() for q in t.terms.values()))
-    ints = iter([{e: q.numerator * (c // q.denominator) for e, q in t.terms.items()}
-                 for t in nums.values()])
+    encode, packed = codec.encode, {}  # each distinct t-exponent's key, for this call
+    ints = []
+    for t in nums.values():
+        out = {}
+        for e, q in t.terms.items():
+            x = packed.get(e)
+            if x is None:
+                x = packed[e] = encode(e)
+            out[x] = q.numerator * (c // q.denominator)
+        ints.append(out)
+    ints = iter(ints)
     return den, c, [dict(zip(p, ints)) for p in polys]  # zip stops at the end of p
 
 
-def _from_z(ints, c, den, bases=()):
-    """{m: the canonical Scalar ints[m] / (c*den)}, one Fraction per t-term.
-    Each of bases, nonconstant t-polynomials, is divided out of a numerator
-    and den while it divides both, and Scalar mostly proves the rest coprime."""
+def _from_z(codec, ints, c, den, bases=()):
+    """{m: the canonical Scalar ints[m] / (c*den)}, one Fraction per t-term;
+    codec decodes each distinct packed t-exponent once. Each of bases,
+    nonconstant t-polynomials, is divided out of a numerator and den while it
+    divides both, and Scalar mostly proves the rest coprime."""
     nt, unit = den.nvars, den is TPoly.one(den.nvars)
+    decode, exps = codec.decode, {}  # each distinct key's t-exponent, for this call
     out = {}
     for m, t in ints.items():
-        num, rest = TPoly._raw(nt, {e: Fraction(k, c) for e, k in t.items()}), den
+        terms = {}
+        for x, k in t.items():
+            e = exps.get(x)
+            if e is None:
+                e = exps[x] = decode(x)
+            terms[e] = Fraction(k, c)
+        num, rest = TPoly._raw(nt, terms), den
         for b in bases:
             while (q := num.exact_div(b)) is not None and (r := rest.exact_div(b)) is not None:
                 num, rest = q, r

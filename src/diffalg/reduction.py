@@ -14,11 +14,13 @@ descends strictly and the loop terminates.
 
 No arithmetic is repeated, and none of it divides. _reduce works over Z[t]:
 poly._into_z, the one way in, clears f, and p, every cofactor and the
-premultiplier are {monomial: {t-exponent: int}} dicts, multiplied by
+premultiplier are {monomial: {packed t-exponent: int}} dicts, multiplied by
 poly._sum_over_z (DiffPoly._raw views serve degree_in, split and _violation,
-which read only monomials). Each theta(g) is derived once per system
-(RankedSystem._theta) and cleared once by _into_z to
-(lead*v^dmin + tail)/(c*d), c an int and d a monic TPoly
+which read only monomials). The t-exponents are packed by poly's 16-bit
+codec; one that outgrows its field raises sparse.Overflow, and the whole
+reduction runs again at double the width (Packing.widening). Each theta(g)
+is derived once per system (RankedSystem._theta) and cleared once per field
+width by _into_z to (lead*v^dmin + tail)/(c*d), c an int and d a monic TPoly
 (RankedSystem._divisor); neither cache is part of the system's value. A step
 is Ritt's pseudo-division step on the reductums: with p = mult*v^dmin +
 rest, p := lead*rest - mult*tail, never forming the term lead*mult*v^dmin
@@ -29,9 +31,10 @@ cofactor by Horner's rule, and multiply the others and the premultiplier by
 lead**r once. So p is S times the Scalar loop's p, the premultiplier S/S0
 times and the cofactor of theta(g) S/(c*d) times, with S0 f's clearing and S
 the product of S0 and every step's c*d: an int and a TPoly, the unit unless
-f or a divisor has t-denominators. poly._from_z divides S out once,
-trial-dividing by its known factors first, so the certificate is exactly the
-Scalar loop's. An f with nothing to reduce is returned as it is.
+f or a divisor has t-denominators. poly._from_z decodes the t-exponents and
+divides S out once, trial-dividing by its known factors first, so the
+certificate is exactly the Scalar loop's. An f with nothing to reduce is
+returned as it is.
 verify derives every theta(g) afresh in a table of its own, reads neither cache
 nor _reduce's int forms, and re-expands its identity as one
 poly._sum_of_products, or, when every product is a scale, compares.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import EMPTY_MONO, DiffPoly, _from_z, _into_z, _sum_of_products, _sum_over_z
+from .poly import EMPTY_MONO, DiffPoly, _codec, _from_z, _into_z, _sum_of_products, _sum_over_z
 from .ranking import Ranking, leader_initial_separant
 from .scalars import TPoly
 from .sparse import divides, ediv, elcm, power
@@ -77,7 +80,8 @@ class RankedSystem:
     h: DiffPoly
     # theta(g) by (index of g, theta), filled on demand; not part of the value
     _thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the same theta(g) over Z[t], split for Ritt's step (_divisor); likewise
+    # the same theta(g) over Z[t] by (index, theta, field width), split for
+    # Ritt's step (_divisor); likewise
     _divisors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
@@ -102,12 +106,13 @@ class RankedSystem:
             table[key] = out
         return out
 
-    def _divisor(self, gi, theta, v):
-        """theta(g) for element gi over Z[t], split at v = theta(leader) once
-        per system: (dmin, lead, -tail, c, d), theta(g) = (lead*v^dmin + tail)/(c*d).
+    def _divisor(self, gi, theta, v, codec):
+        """theta(g) for element gi over Z[t], its t-exponents packed by codec,
+        split at v = theta(leader) once per system and field width:
+        (dmin, lead, -tail, c, d), theta(g) = (lead*v^dmin + tail)/(c*d).
         Ritt's step on the reductums needs lead/(c*d) to be the cached initial
         (theta = 0) or separant; a mismatch raises RuntimeError."""
-        key = (gi, theta)
+        key = (gi, theta, codec.width)
         out = self._divisors.get(key)
         if out is None:
             proper = any(theta)
@@ -117,7 +122,7 @@ class RankedSystem:
                 kind = "separant" if proper else "initial"
                 raise RuntimeError(f"the cached {kind} of element {gi + 1} is not the "
                                    f"coefficient of {v.text()}^{dmin} in its divisor")
-            d, c, (ints,) = _into_z(divisor.ring.nt, (divisor.terms,))
+            d, c, (ints,) = _into_z(codec, (divisor.terms,))
             lead, tail = DiffPoly._raw(divisor.ring, ints).split(v, dmin)
             tail = {m: {e: -k for e, k in t.items()} for m, t in tail.terms.items()}
             out = self._divisors[key] = (dmin, lead.terms, tail, c, d)
@@ -219,21 +224,27 @@ def _violation(p, ranking, leaders, degrees, mode):
 
 
 def _reduce(f, system, mode):
-    ranking, leaders, degrees = system.ranking, system.leaders, system.leader_degrees
-    viol = _violation(f, ranking, leaders, degrees, mode)
+    viol = _violation(f, system.ranking, system.leaders, system.leader_degrees, mode)
     if viol is None:
         return ReductionCertificate(mode, f, f, DiffPoly.one(f.ring), {}, 0)
+    return _codec(f.ring.nt).widening(lambda codec: _reduce_over_z(f, system, mode, viol, codec))
+
+
+def _reduce_over_z(f, system, mode, viol, codec):
+    """_reduce's certificate for an f with the violation viol, t-exponents
+    packed by codec; sparse.Overflow if one outgrows its fields."""
+    ranking, leaders, degrees = system.ranking, system.leaders, system.leader_degrees
     ring = f.ring
     one = TPoly.one(ring.nt)
-    unit = {EMPTY_MONO: {(0,) * ring.nt: 1}}
+    unit = {EMPTY_MONO: {codec.one: 1}}
     # S = c*d; scales[key] is the c*d of key's divisor; bases are factors of d
     # that _from_z tries first, once a divisor's t-denominators make d large
-    den0, c0, (p,) = _into_z(ring.nt, (f.terms,))
+    den0, c0, (p,) = _into_z(codec, (f.terms,))
     c, d = c0, den0
     premult, cof, scales, bases, steps = unit, {}, {}, {}, 0
     while viol is not None:
         v, gi, theta = viol
-        dmin, lead, tail, cg, dg = system._divisor(gi, theta, v)
+        dmin, lead, tail, cg, dg = system._divisor(gi, theta, v, codec)
         # r steps p := lead*rest - mult*tail; q = sum_j lead^(r-j) * mult_j, lead_r = lead^r
         q, r = None, 0
         while p:
@@ -243,16 +254,16 @@ def _reduce(f, system, mode):
                 break
             mult, rest = (x.terms for x in work.split(v, e))
             if e > dmin:
-                mult = _sum_over_z(((mult, {((v, e - dmin),): unit[EMPTY_MONO]}),))
-            p = _sum_over_z(((lead, rest), (mult, tail)))
-            q = mult if q is None else _sum_over_z(((lead, q), (mult, unit)))
-            lead_r = lead if r == 0 else _sum_over_z(((lead_r, lead),))
+                mult = _sum_over_z(((mult, {((v, e - dmin),): unit[EMPTY_MONO]}),), codec)
+            p = _sum_over_z(((lead, rest), (mult, tail)), codec)
+            q = mult if q is None else _sum_over_z(((lead, q), (mult, unit)), codec)
+            lead_r = lead if r == 0 else _sum_over_z(((lead_r, lead),), codec)
             r += 1
-        premult = _sum_over_z(((lead_r, premult),))
+        premult = _sum_over_z(((lead_r, premult),), codec)
         for k in cof:
-            cof[k] = _sum_over_z(((lead_r, cof[k]),))
+            cof[k] = _sum_over_z(((lead_r, cof[k]),), codec)
         key = (gi, theta)
-        cof[key] = _sum_over_z(((cof[key], unit), (q, unit))) if key in cof else q
+        cof[key] = _sum_over_z(((cof[key], unit), (q, unit)), codec) if key in cof else q
         scales[key] = (cg, dg)
         c *= cg ** r
         if dg is not one:
@@ -264,7 +275,7 @@ def _reduce(f, system, mode):
     def value(ints, k=1, dk=one):
         """The DiffPoly whose int form, c*d/(k*dk) times it, is ints."""
         den = d if dk is one else d.exact_div(dk)
-        return DiffPoly._raw(ring, _from_z(ints, c // k, den, bases))
+        return DiffPoly._raw(ring, _from_z(codec, ints, c // k, den, bases))
 
     cofactors = {key: value(q, *scales[key]) for key, q in cof.items()}
     return ReductionCertificate(mode, f, value(p), value(premult, c0, den0), cofactors, steps)

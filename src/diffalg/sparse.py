@@ -21,10 +21,13 @@ int (Packing): fixed-width fields whose int comparison is the monomial order
 subtraction and a mask. Packing alone knows the field layout: it gives the
 backend offsets (adding one to a packed key multiplies by a monomial),
 shifted copies and the division loop itself (Packing.divide), with the
-coefficient step passed in. The width is chosen per call from the input; a
-packed product that outgrows it sets a guard bit, and the caller catches
-Overflow and starts again at double the width; tests check Packing against
-the exponent-vector functions.
+coefficient step passed in. The Z[t] working form of DiffPoly products and
+Ritt reduction (poly.py) keys its t-monomials by the same lex packing; lex
+fields 8, 16, 32 or 64 bits wide encode and decode in one struct call. The
+width is chosen per call from the input (the Groebner backend) or starts at
+16 bits (Z[t]); a packed monomial that outgrows it sets a guard bit, and
+Packing.widening, the one retry, catches Overflow and runs the call again at
+double the width; tests check Packing against the exponent-vector functions.
 Functions that return a polynomial return a fresh dict and leave their
 arguments alone; acc updates the dict it is given. power works on any value
 with a *, so DiffPoly and Scalar share it. iterate is the
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import struct
 
 
 def deglex(e):
@@ -240,6 +244,9 @@ class Packing:
             self.one = sum(self.top << s for s in self.shifts)
             self.sign, self.dmask = -1, self.guard - (1 << (n * width + width - 1))
             self.low = (1 << (n * width)) - 1
+        # lex fields of a whole number of bytes: one struct call per encode or decode
+        code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width) if self.lex else None
+        self.struct = struct.Struct(">" + code * n) if code else None
 
     @classmethod
     def fit(cls, order, n, polys, degree=0):
@@ -253,12 +260,33 @@ class Packing:
     def wider(self):
         return Packing(self.order, self.n, 2 * self.width)
 
+    def widening(self, run):
+        """run(packing) for this packing, repeated for one of double the width
+        while it raises Overflow."""
+        codec = self
+        while True:
+            try:
+                return run(codec)
+            except Overflow:
+                codec = codec.wider()
+
     def encode(self, e):
+        if self.struct:
+            try:
+                x = int.from_bytes(self.struct.pack(*e), "big")
+            except struct.error:  # an exponent past the whole field
+                raise Overflow from None
+            if x & self.guard:
+                raise Overflow
+            return x
         if (max(e, default=0) if self.lex else sum(e)) > self.top:
             raise Overflow
         return self.one + sum(k * u for k, u in zip(e, self.units))
 
     def decode(self, x):
+        """The exponent vector of a packed monomial with no guard bit set."""
+        if self.struct:
+            return self.struct.unpack(x.to_bytes(self.struct.size, "big"))
         top = self.top
         if self.lex:
             return tuple((x >> s) & top for s in self.shifts)

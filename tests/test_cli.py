@@ -266,12 +266,18 @@ class TestReports:
         path.write_text("[ring] m=1 n=2\n[lambda]\nx1^2 - 1\n(x1 - 1)*x2 + 2\n"
                         "[W]\nx1 + 1\nx2 - 1\ny1\ny2\n"
                         "[bounds] order=1 degree=1 height=1\n", encoding="utf-8")
-        code, out = run(capsys, "axiom", "project", str(path))
+        with mock.patch.object(axioms, "saturate", wraps=axioms.saturate) as saturate:
+            code, out = run(capsys, "axiom", "project", str(path))
         assert code == 0
-        lines = out.splitlines()
-        assert lines[1:3] == ["eliminant x1 + 1: remainder x1 + 1",
-                              "eliminant x2 - 1: remainder -x1 - 1"]
-        assert "projection covers the open set" in lines
+        assert out == ("surrogate order bound: 1\n"
+                       "eliminant x1 + 1: remainder x1 + 1\n"
+                       "eliminant x2 - 1: remainder -x1 - 1\n"
+                       "eliminant d1x1: remainder 0\n"
+                       "eliminant d1x2: remainder 0\n"
+                       "projection covers the open set\n"
+                       "---\nstatus: ok\norder_bound: 1\nexit: 0\n")
+        # both nonzero remainders are decided against one saturation
+        assert saturate.call_count == 1
 
     @pytest.mark.parametrize("argv", [
         ["axiom", "project", "basic.axiom"],

@@ -191,8 +191,16 @@ class TestDenominatorPrinting:
 
 
 RC = RingContext(m=2, n=2, field_mode=CONSTANTS)
-_X1, _X2, _D1X1 = DerivVar("x", 1, (0, 0)), DerivVar("x", 2, (0, 0)), DerivVar("x", 1, (1, 0))
-_MONOS = [mono_from(m) for m in ((), [(_X1, 1)], [(_X1, 2)], [(_X1, 1), (_X2, 1)], [(_D1X1, 1)])]
+# rational_t rings with 2, 3 and 4 t-variables: the packed t-exponents' layout depends on nt
+R1, R3 = (RingContext(m=m, n=2, field_mode=RATIONAL_T) for m in (1, 3))
+
+
+def _monos(m):
+    x1, x2 = DerivVar("x", 1, (0,) * m), DerivVar("x", 2, (0,) * m)
+    d1x1 = x1.derived(1)
+    return [mono_from(k) for k in ((), [(x1, 1)], [(x1, 2)], [(x1, 1), (x2, 1)], [(d1x1, 1)])]
+
+
 # small and large t-exponents (up to 128), so that products reach t-degrees above 250
 _T_EXPONENTS = st.sampled_from([0, 0, 1, 2, 31, 32, 127, 128])
 _T_COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.sampled_from([1, 1, 2, 3, 35]))
@@ -203,7 +211,7 @@ def _diffpoly(draw, ring):
     nt = ring.nt
     exps = st.just((0,) * nt) if ring.field_mode == CONSTANTS else st.tuples(*[_T_EXPONENTS] * nt)
     coeffs = st.dictionaries(exps, _T_COEFFS, min_size=1, max_size=3)
-    terms = draw(st.dictionaries(st.sampled_from(_MONOS), coeffs, max_size=4))
+    terms = draw(st.dictionaries(st.sampled_from(_monos(ring.m)), coeffs, max_size=4))
     return DiffPoly(ring, {m: Scalar(TPoly(nt, t)) for m, t in terms.items()})
 
 
@@ -224,10 +232,10 @@ def _flip_t_term(f, rng):
 
 @st.composite
 def _diffpoly_pairs(draw):
-    """Two DiffPolys of one ring (rational_t or constants); some pairs are
-    (f, f with a term or a t-term negated), and some rational_t pairs carry
-    a coefficient with a t-denominator."""
-    ring = draw(st.sampled_from([RT, RT, RC]))
+    """Two DiffPolys of one ring (rational_t with m = 1, 2 or 3, or
+    constants); some pairs are (f, f with a term or a t-term negated), and
+    some rational_t pairs carry a coefficient with a t-denominator."""
+    ring = draw(st.sampled_from([RT, RT, R1, R3, RC]))
     a = draw(_diffpoly(ring))
     rng = random.Random(draw(st.integers(0, 2**16)))
     kind = draw(st.sampled_from(["free", "term", "t-term", "rational"]))
@@ -236,9 +244,10 @@ def _diffpoly_pairs(draw):
     if kind == "t-term" and a.terms:
         return a, _flip_t_term(a, rng)
     b = draw(_diffpoly(ring))
-    if kind == "rational" and ring is RT and b.terms:
+    if kind == "rational" and ring is not RC and b.terms:
         m = rng.choice(sorted(b.terms, key=str))
-        b = DiffPoly(ring, {**b.terms, m: b.terms[m] / P("t1 + 2*t3").scalar_value()})
+        den = parse_poly(f"t1 + 2*t{ring.nt}", ring).scalar_value()
+        b = DiffPoly(ring, {**b.terms, m: b.terms[m] / den})
     return a, b
 
 
@@ -271,6 +280,26 @@ class TestIntegerProductExamples:
         f, g = P("x1 + t1*x2"), P("t1^200*x1 + 1/3*t2^129*x2")
         assert (f * g).terms == sparse.mul(f.terms, g.terms, mono_mul)
         assert (g * f).terms == sparse.mul(g.terms, f.terms, mono_mul)
+
+    @pytest.mark.parametrize("f, g, runs, products", [
+        # operands that fit 16-bit fields, a product past 2**15
+        ("t1^20000*x1 + t2*x2", "t1^20000*x1 - 1/3*t3^7*x2", [16, 32], [16, 32]),
+        # operands past 2**15 and 2**20
+        ("t1^32768*x1 + t2^1048576*x2", "t1^1048577*x1 - 1/3*t3^40000*x2", [16, 32], [32]),
+        # operands that fit 32-bit fields, a product past 2**31
+        ("t3^1500000000*x1 + x2", "t3^1500000000*x1 + 2*t1*x2", [16, 32, 64], [32, 64]),
+    ])
+    def test_t_exponents_past_the_fields_match_the_term_loop(self, f, g, runs, products):
+        """The Z[t] loop starts at 16-bit fields and reruns at double the
+        width while an exponent outgrows them: packing an operand raises, or
+        a product sets a guard bit."""
+        f, g = P(f), P(g)
+        with mock.patch.object(poly, "_into_z", wraps=poly._into_z) as into_z, \
+                mock.patch.object(poly, "_sum_over_z", wraps=poly._sum_over_z) as over_z:
+            got = poly._sum_of_products(((f, g), (g, f)))
+        assert list(dict.fromkeys(call.args[0].width for call in into_z.call_args_list)) == runs
+        assert [call.args[1].width for call in over_z.call_args_list] == products
+        assert got.terms == _term_loop_sum(((f, g), (g, f)))
 
 
 def _term_loop_sum(pairs):

@@ -281,14 +281,14 @@ class TestIntegerClearing:
         s = system("1/2*t1*d1x1^2 - 2/3*x1^3")
         cert = _same_as_reference(P("x1*d1d1x1^2 + t2*d1x1^3"), s)
         assert cert.steps > len(cert.cofactors)
-        clears = {key: c for key, (_, _, _, c, _) in s._divisors.items()}
+        clears = {(gi, theta): c for (gi, theta, _), (_, _, _, c, _) in s._divisors.items()}
         assert clears == {(0, (1, 0)): 2, (0, (0, 0)): 6}
 
     def test_a_t_denominator_squared_by_differentiation(self):
         s = autoreduced_check([P("d1x2^2") + P("x2").scale(OVER_T1_PLUS_1)], Ranking())
         cert = _same_as_reference(P("x2*d1d1x2^2 + d1x2^3"), s)
         assert cert.steps > len(cert.cofactors)
-        dens = {key: d for key, (_, _, _, _, d) in s._divisors.items()}
+        dens = {(gi, theta): d for (gi, theta, _), (_, _, _, _, d) in s._divisors.items()}
         assert dens == {(0, (1, 0)): parse_tpoly("t1^2 + 2*t1 + 1", RT),
                         (0, (0, 0)): parse_tpoly("t1 + 1", RT)}
 
@@ -300,6 +300,21 @@ class TestIntegerClearing:
                                                               parse_tpoly("3*t1 + t3", RT)))):
             cert = _same_as_reference(g, s)
             assert cert.steps > len(cert.cofactors) == 5
+
+    def test_t_exponents_past_the_fields_rerun_wider(self):
+        """t-exponents of 40000 outgrow the 16-bit fields the int form starts
+        at; the reduction reruns at double the width, with the reference's
+        certificate."""
+        s = system("t1^40000*d1x1^2 - x1", ring=R11)
+        f = P("t2^40000*d1d1x1 + x1", R11)
+        with mock.patch.object(reduction, "_reduce_over_z",
+                               wraps=reduction._reduce_over_z) as runs:
+            cert = full_reduce(f, s)
+        assert [call.args[-1].width for call in runs.call_args_list] == [16, 32]
+        ref = _reference_reduce(f, s, FULL)
+        assert (cert.remainder, cert.premultiplier, cert.steps, cert.cofactors) == (
+            ref.remainder, ref.premultiplier, ref.steps, ref.cofactors)
+        assert cert.steps == 2 and cert.verify(s)
 
 
 class TestZeroStepsAndIndependence:
@@ -320,7 +335,7 @@ class TestZeroStepsAndIndependence:
         f = P("d1d1x1*d2x2 + x1*d1x1^3")
         cert = full_reduce(f, s)
 
-        def boom(pairs):
+        def boom(pairs, codec):
             raise AssertionError("the int path ran")
 
         monkeypatch.setattr(reduction, "_sum_over_z", boom)

@@ -43,7 +43,7 @@ def _cases(draw):
     codec = Packing(
         draw(st.sampled_from((GREVLEX, LEX))),
         draw(st.integers(0, 4)),
-        draw(st.sampled_from((2, 3, 8, 40))),
+        draw(st.sampled_from((2, 3, 8, 16, 40, 64))),
     )
     return codec, [draw(_vector(codec)) for _ in range(4)]
 
@@ -131,6 +131,33 @@ def test_product_flags_an_outgrown_exponent():
         codec.product(p, p)
     q = {codec.encode((3, 0)): 1}
     assert codec.unpack(codec.product(p, q)) == {(7, 0): 1, (3, 1): 2}
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_lex_packing_is_the_sum_of_shifted_fields(width):
+    """Byte-wide lex fields pack through struct, others by shifts; both give
+    the sum of shifted exponents, and both raise Overflow past top, whether
+    the exponent sets only the guard bit or outgrows the whole field."""
+    codec = Packing(LEX, 3, width)
+    assert (codec.struct is not None) == (width <= 64)
+    top = codec.top
+    for e in [(0, 0, 0), (1, 2, 3), (top, 0, top), (top, top, top)]:
+        x = codec.encode(e)
+        assert x == sum(k << (width * (2 - i)) for i, k in enumerate(e))
+        assert codec.decode(x) == e
+    for e in [(top + 1, 0, 0), (0, 0, top + 1), (0, 2 * top + 1, 0), (0, 0, 1 << width)]:
+        with pytest.raises(Overflow):
+            codec.encode(e)
+
+
+def test_widening_reruns_at_double_the_width():
+    def run(codec):
+        if codec.top < 1000:
+            raise Overflow
+        return codec.width
+
+    assert Packing(LEX, 2, 8).widening(run) == 16
+    assert Packing(GREVLEX, 2, 16).widening(run) == 16
 
 
 def test_fit_takes_the_width_from_the_input():
