@@ -247,10 +247,11 @@ class DiffPoly:
 
 
 @functools.cache
-def _codec(nt):
-    """The lex packing of t-exponent vectors in nt variables that the Z[t]
-    working form starts at, 16-bit fields; built once per nt, struct and all."""
-    return sparse.Packing(sparse.LEX, nt, 16)
+def _codec(nt, width=16):
+    """The lex packing of t-exponent vectors in nt variables with fields of
+    width bits; the Z[t] working form starts at 16. Built once per (nt,
+    width), struct and all."""
+    return sparse.Packing(sparse.LEX, nt, width)
 
 
 def _sum_of_products(pairs):

@@ -18,9 +18,10 @@ premultiplier are {monomial: {packed t-exponent: int}} dicts, multiplied by
 poly._sum_over_z (DiffPoly._raw views serve degree_in, split and _violation,
 which read only monomials). The t-exponents are packed by poly's 16-bit
 codec; one that outgrows its field raises sparse.Overflow, and the whole
-reduction runs again at double the width (Packing.widening). Each theta(g)
-is derived once per system (RankedSystem._theta) and cleared once per field
-width by _into_z to (lead*v^dmin + tail)/(c*d), c an int and d a monic TPoly
+reduction runs again at double the width (Packing.widening). Later
+reductions by the same system start at the widest width it needed. Each
+theta(g) is derived once per system (RankedSystem._theta) and cleared once
+per field width by _into_z to (lead*v^dmin + tail)/(c*d), c an int and d a monic TPoly
 (RankedSystem._divisor); neither cache is part of the system's value. A step
 is Ritt's pseudo-division step on the reductums: with p = mult*v^dmin +
 rest, p := lead*rest - mult*tail, never forming the term lead*mult*v^dmin
@@ -80,8 +81,9 @@ class RankedSystem:
     h: DiffPoly
     # theta(g) by (index of g, theta), filled on demand; not part of the value
     _thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the same theta(g) over Z[t] by (index, theta, field width), split for
-    # Ritt's step (_divisor); likewise
+    # the same theta(g) over Z[t], split for Ritt's step (_divisor), by field
+    # width and then (index, theta); likewise. _reduce starts at the widest
+    # width here, so a system whose t-exponents outgrew a width once skips it
     _divisors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
@@ -112,8 +114,11 @@ class RankedSystem:
         (dmin, lead, -tail, c, d), theta(g) = (lead*v^dmin + tail)/(c*d).
         Ritt's step on the reductums needs lead/(c*d) to be the cached initial
         (theta = 0) or separant; a mismatch raises RuntimeError."""
-        key = (gi, theta, codec.width)
-        out = self._divisors.get(key)
+        table = self._divisors.get(codec.width)
+        if table is None:
+            table = self._divisors[codec.width] = {}
+        key = (gi, theta)
+        out = table.get(key)
         if out is None:
             proper = any(theta)
             dmin = 1 if proper else self.leader_degrees[gi]
@@ -125,7 +130,7 @@ class RankedSystem:
             d, c, (ints,) = _into_z(codec, (divisor.terms,))
             lead, tail = DiffPoly._raw(divisor.ring, ints).split(v, dmin)
             tail = {m: {e: -k for e, k in t.items()} for m, t in tail.terms.items()}
-            out = self._divisors[key] = (dmin, lead.terms, tail, c, d)
+            out = table[key] = (dmin, lead.terms, tail, c, d)
         return out
 
 
@@ -227,7 +232,9 @@ def _reduce(f, system, mode):
     viol = _violation(f, system.ranking, system.leaders, system.leader_degrees, mode)
     if viol is None:
         return ReductionCertificate(mode, f, f, DiffPoly.one(f.ring), {}, 0)
-    return _codec(f.ring.nt).widening(lambda codec: _reduce_over_z(f, system, mode, viol, codec))
+    widths = system._divisors  # the widest field width this system needed so far
+    start = _codec(f.ring.nt, max(widths)) if widths else _codec(f.ring.nt)
+    return start.widening(lambda codec: _reduce_over_z(f, system, mode, viol, codec))
 
 
 def _reduce_over_z(f, system, mode, viol, codec):

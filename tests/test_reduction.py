@@ -281,14 +281,14 @@ class TestIntegerClearing:
         s = system("1/2*t1*d1x1^2 - 2/3*x1^3")
         cert = _same_as_reference(P("x1*d1d1x1^2 + t2*d1x1^3"), s)
         assert cert.steps > len(cert.cofactors)
-        clears = {(gi, theta): c for (gi, theta, _), (_, _, _, c, _) in s._divisors.items()}
+        clears = {(gi, theta): c for (gi, theta), (_, _, _, c, _) in s._divisors[16].items()}
         assert clears == {(0, (1, 0)): 2, (0, (0, 0)): 6}
 
     def test_a_t_denominator_squared_by_differentiation(self):
         s = autoreduced_check([P("d1x2^2") + P("x2").scale(OVER_T1_PLUS_1)], Ranking())
         cert = _same_as_reference(P("x2*d1d1x2^2 + d1x2^3"), s)
         assert cert.steps > len(cert.cofactors)
-        dens = {(gi, theta): d for (gi, theta, _), (_, _, _, _, d) in s._divisors.items()}
+        dens = {(gi, theta): d for (gi, theta), (_, _, _, _, d) in s._divisors[16].items()}
         assert dens == {(0, (1, 0)): parse_tpoly("t1^2 + 2*t1 + 1", RT),
                         (0, (0, 0)): parse_tpoly("t1 + 1", RT)}
 
@@ -315,6 +315,18 @@ class TestIntegerClearing:
         assert (cert.remainder, cert.premultiplier, cert.steps, cert.cofactors) == (
             ref.remainder, ref.premultiplier, ref.steps, ref.cofactors)
         assert cert.steps == 2 and cert.verify(s)
+
+    def test_a_system_remembers_the_width_it_needed(self):
+        """Once a system's reduction has widened, later reductions by it start
+        at that width: one run each, partial or full, with small f or large."""
+        s = system("t1^40000*d1x1^2 - x1", ring=R11)
+        full_reduce(P("t2^40000*d1d1x1 + x1", R11), s)
+        with mock.patch.object(reduction, "_reduce_over_z",
+                               wraps=reduction._reduce_over_z) as runs:
+            for f in (P("t2^40000*d1d1x1 + x1", R11), P("d1d1x1", R11)):
+                for reduce_fn, mode in ((full_reduce, FULL), (partial_reduce, PARTIAL)):
+                    assert reduce_fn(f, s) == _reference_reduce(f, s, mode)
+        assert [call.args[-1].width for call in runs.call_args_list] == [32] * 4
 
 
 class TestZeroStepsAndIndependence:
