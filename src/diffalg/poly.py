@@ -5,22 +5,28 @@ nonzero scalars. Values are immutable after construction and every operation
 returns a fresh canonical value, so sharing is always safe.
 
 A sum of products (_sum_of_products; a product of two operands of two or
-more terms is the sum of one pair) runs over Z[t]. _into_z clears each side,
-the a's and the b's, over one int and the monic lcm of its t-denominators
-(scalars.clear_denominators) to {monomial: {packed t-exponent: int}} dicts:
-each t-monomial is one int of lex fields under guard bits (sparse.Packing,
-16-bit fields to start with), so _sum_over_z multiplies two t-monomials by
-adding their ints, in one inline loop over the pairs of t-terms. _from_z
-decodes each distinct t-exponent once, back to the tuples TPoly keeps, and
-builds one Fraction per output t-term. An exponent past a field's top, met
-when packing or in a product, raises sparse.Overflow, and the whole sum is
-computed again at double the width (Packing.widening), with the same result.
-Ritt reduction and its certificate check run on the same loop.
+more terms is the sum of one pair) runs over Z[t], where a term is one int:
+the t-exponents in lex fields under guard bits (sparse.Packing, 16-bit
+fields to start with) and, above them, one field of the same width per
+variable (_Fields), so a polynomial is one flat {packed monomial: int} dict
+and _sum_over_z multiplies two terms by adding their keys, in one inline
+loop over the pairs of terms. _into_z clears each side, the a's and the
+b's, over one int and the monic lcm of its t-denominators
+(scalars.clear_denominators), giving a variable a field the first time it
+meets it: per call in a product, in the order met, and per system in a Ritt
+reduction, whose fields are only ever appended. _from_z groups the terms by
+monomial, decodes each distinct monomial and t-exponent once, back to the
+sorted tuples DiffPoly and TPoly keep, and builds one Fraction per term. An
+exponent past a field's top, met when packing or in a product, raises
+sparse.Overflow, and the whole sum is computed again at double the width
+(Packing.widening), with the same result. Ritt reduction and its
+certificate check run on the same loop.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -246,6 +252,9 @@ class DiffPoly:
         return f"DiffPoly({poly_text(self)})"
 
 
+_SORT_KEY = operator.attrgetter("sort_key")
+
+
 @functools.cache
 def _codec(nt, width=16):
     """The lex packing of t-exponent vectors in nt variables with fields of
@@ -254,96 +263,168 @@ def _codec(nt, width=16):
     return sparse.Packing(sparse.LEX, nt, width)
 
 
+class _Fields:
+    """The field layout of the Z[t] working form, where a term is one int:
+    codec's lex t-fields at the bottom and, above them, one field of the same
+    width per variable, appended by _into_z the first time it meets the
+    variable, so keys packed before stay valid. Every field has codec's guard
+    bit, so a sum of two keys is the key of their product, and it sets a
+    guard bit exactly when an exponent outgrows its field."""
+
+    __slots__ = ("codec", "width", "top", "tmask", "shifts", "guard", "next", "_order")
+
+    def __init__(self, codec):
+        self.codec, self.width, self.top = codec, codec.width, codec.top
+        self.next = codec.n * codec.width  # the shift of the next field
+        self.tmask = (1 << self.next) - 1  # the t-fields
+        self.shifts = {}  # each variable's field, as the bit it starts at
+        self.guard = codec.guard
+        self._order = None
+
+    def add(self, v):
+        """The shift of a new field for v."""
+        s = self.shifts[v] = self.next
+        self.next += self.width
+        self.guard |= 1 << (self.next - 1)
+        self._order = None
+        return s
+
+    def order(self):
+        """The variables, in the canonical order of a monomial's, with their
+        shifts; sorted again only after a field is added."""
+        if self._order is None:
+            self._order = [(v, self.shifts[v]) for v in sorted(self.shifts, key=_SORT_KEY)]
+        return self._order
+
+    def variables(self, p):
+        """The variables of the int form p: those whose field some key sets."""
+        used, top = functools.reduce(operator.or_, p, 0), self.top
+        return [v for v, s in self.shifts.items() if (used >> s) & top]
+
+    def degree(self, p, v):
+        s, top = self.shifts[v], self.top
+        return max(((x >> s) & top for x in p), default=0)
+
+    def split(self, p, v, k, j):
+        """(the terms of p of degree k in v, divided by v^j; the other terms)."""
+        s, top = self.shifts[v], self.top
+        drop = j << s
+        inside, rest = {}, {}
+        for x, c in p.items():
+            if (x >> s) & top == k:
+                inside[x - drop] = c
+            else:
+                rest[x] = c
+        return inside, rest
+
+
 def _sum_of_products(pairs):
     """The sum of a*b over pairs of DiffPolys of one ring (callers check it), over Z[t]:
     the a's over the lcm of their t-denominators, the b's over theirs."""
     ring = pairs[0][0].ring
 
     def run(codec):
-        da, ca, a = _into_z(codec, [x.terms for x, _ in pairs])
-        db, cb, b = _into_z(codec, [y.terms for _, y in pairs])
+        fields = _Fields(codec)
+        da, ca, a = _into_z(fields, [x.terms for x, _ in pairs])
+        db, cb, b = _into_z(fields, [y.terms for _, y in pairs])
         one = TPoly.one(ring.nt)
         den = db if da is one else da if db is one else da * db
-        return _from_z(codec, _sum_over_z(zip(a, b), codec), ca * cb, den)
+        return _from_z(fields, _sum_over_z(zip(a, b), fields), ca * cb, den)
 
     return DiffPoly._raw(ring, _codec(ring.nt).widening(run))
 
 
-def _sum_over_z(pairs, codec):
-    """The sum of a*b over pairs of {monomial: {packed t-exponent: int}} dicts:
-    the int loop of every Z[t] product, where a t-monomial product is e1 + e2.
-    It leaves its arguments alone and drops empty t-dicts. Inputs set no
-    guard bit, so every sum of two fields is exact; sparse.Overflow if a
-    key of the result sets one."""
+def _sum_over_z(pairs, fields):
+    """The sum of a*b over pairs of {packed monomial: int} dicts laid out by
+    fields: the int loop of every Z[t] product, where a monomial product is
+    x1 + x2. It leaves its arguments alone. Inputs set no guard bit, so every
+    sum of two fields is exact; sparse.Overflow if a key of the result sets
+    one."""
     out = {}
+    get = out.get
     for p, q in pairs:
-        for m1, a in p.items():
-            for m2, b in q.items():
-                m = mono_mul(m1, m2)
-                t = out.get(m)
-                if t is None:
-                    t = out[m] = {}
-                get = t.get
-                for e1, c1 in a.items():
-                    for e2, c2 in b.items():
-                        e = e1 + e2
-                        s = get(e)
-                        s = c1 * c2 if s is None else s + c1 * c2
-                        if s:
-                            t[e] = s
-                        else:
-                            del t[e]
-                if not t:
-                    del out[m]
-    keys = 0
-    for t in out.values():
-        for e in t:
-            keys |= e
-    if keys & codec.guard:
+        for x1, c1 in p.items():
+            for x2, c2 in q.items():
+                x = x1 + x2
+                s = get(x)
+                s = c1 * c2 if s is None else s + c1 * c2
+                if s:
+                    out[x] = s
+                else:
+                    del out[x]
+    if functools.reduce(operator.or_, out, 0) & fields.guard:
         raise sparse.Overflow
     return out
 
 
-def _into_z(codec, polys):
-    """(den, c, ints): each dict of Scalars in polys as {m: {packed t-exponent: int}}
-    over one int c and den, the monic lcm of their t-denominators. Each
-    distinct t-exponent is packed once by codec, which raises sparse.Overflow
-    past its fields."""
+def _into_z(fields, polys):
+    """(den, c, ints): each dict of Scalars in polys as a {packed monomial:
+    int} dict over one int c and den, the monic lcm of their t-denominators.
+    fields gives a field to each variable it has not met, and its codec packs
+    each distinct t-exponent once; sparse.Overflow past a field."""
     coeffs = polys[0] if len(polys) == 1 else dict(enumerate(k for p in polys for k in p.values()))
-    den, nums = clear_denominators(codec.n, coeffs)
-    c = lcm(*(q.denominator for t in nums.values() for q in t.terms.values()))
-    encode, packed = codec.encode, {}  # each distinct t-exponent's key, for this call
-    ints = []
-    for t in nums.values():
+    den, nums = clear_denominators(fields.codec.n, coeffs)
+    shifts, top, add, encode = fields.shifts, fields.top, fields.add, fields.codec.encode
+    packed = {}  # each distinct t-exponent's key, for this call
+    fracs = []  # (dict, key, d) of each numerator over an int d > 1, cleared below
+    ints, nums = [], iter(nums.values())
+    for p in polys:
         out = {}
-        for e, q in t.terms.items():
-            x = packed.get(e)
-            if x is None:
-                x = packed[e] = encode(e)
-            out[x] = q.numerator * (c // q.denominator)
+        for m, t in zip(p, nums):  # zip stops at the end of p
+            x = 0
+            for v, k in m:
+                if k > top:
+                    raise sparse.Overflow
+                s = shifts.get(v)
+                x += k << (add(v) if s is None else s)
+            for e, q in t.terms.items():
+                y = packed.get(e)
+                if y is None:
+                    y = packed[e] = encode(e)
+                n, d = q.as_integer_ratio()
+                out[x + y] = n
+                if d != 1:
+                    fracs.append((out, x + y, d))
         ints.append(out)
-    ints = iter(ints)
-    return den, c, [dict(zip(p, ints)) for p in polys]  # zip stops at the end of p
+    c = lcm(*(d for _, _, d in fracs))
+    if c != 1:
+        for out in ints:
+            for key in out:
+                out[key] *= c
+        for out, key, d in fracs:
+            out[key] //= d
+    return den, c, ints
 
 
-def _from_z(codec, ints, c, den, bases=()):
-    """{m: the canonical Scalar ints[m] / (c*den)}, one Fraction per t-term;
-    codec decodes each distinct packed t-exponent once. Each of bases,
-    nonconstant t-polynomials, is divided out of a numerator and den while it
-    divides both, and Scalar mostly proves the rest coprime."""
+def _from_z(fields, ints, c, den, bases=()):
+    """{m: the canonical Scalar of m's terms in ints, over c*den}, one
+    Fraction per term; each distinct packed t-exponent, and each distinct
+    monomial, is decoded once. Each of bases, nonconstant t-polynomials, is
+    divided out of a numerator and den while it divides both, and Scalar
+    mostly proves the rest coprime."""
     nt, unit = den.nvars, den is TPoly.one(den.nvars)
-    decode, exps = codec.decode, {}  # each distinct key's t-exponent, for this call
+    tmask, decode = fields.tmask, fields.codec.decode
+    exps, monos = {}, {}  # each distinct t-key's exponent; each monomial's t-terms
+    for key, k in ints.items():
+        t = key & tmask
+        e = exps.get(t)
+        if e is None:
+            e = exps[t] = decode(t)
+        terms = monos.get(key ^ t)
+        if terms is None:
+            terms = monos[key ^ t] = {}
+        terms[e] = Fraction(k) if c == 1 else Fraction(k, c)
+    order, top = fields.order(), fields.top
     out = {}
-    for m, t in ints.items():
-        terms = {}
-        for x, k in t.items():
-            e = exps.get(x)
-            if e is None:
-                e = exps[x] = decode(x)
-            terms[e] = Fraction(k, c)
+    for x, terms in monos.items():
         num, rest = TPoly._raw(nt, terms), den
         for b in bases:
             while (q := num.exact_div(b)) is not None and (r := rest.exact_div(b)) is not None:
                 num, rest = q, r
-        out[m] = Scalar._poly(num) if unit else Scalar(num, rest)
+        m = []
+        for v, s in order:
+            n = (x >> s) & top
+            if n:
+                m.append((v, n))
+        out[tuple(m)] = Scalar._poly(num) if unit else Scalar(num, rest)
     return out

@@ -14,11 +14,15 @@ descends strictly and the loop terminates.
 
 No arithmetic is repeated, and none of it divides. _reduce works over Z[t]:
 poly._into_z, the one way in, clears f, and p, every cofactor and the
-premultiplier are {monomial: {packed t-exponent: int}} dicts, multiplied by
-poly._sum_over_z (DiffPoly._raw views serve degree_in, split and _violation,
-which read only monomials). The t-exponents are packed by poly's 16-bit
-codec; one that outgrows its field raises sparse.Overflow, and the whole
-reduction runs again at double the width (Packing.widening). Later
+premultiplier are flat {packed monomial: int} dicts, one int per term,
+multiplied by poly._sum_over_z. The int packs the t-exponents in poly's
+16-bit codec and each variable's exponent in a field above them (poly._Fields):
+the system keeps one such layout per field width (RankedSystem._fields),
+appends a field the first time f or a divisor brings in a variable, and
+never moves one, so the keys of its cached divisors stay valid. degree_in,
+split and _violation's variable set read the fields with a shift and a
+mask. An exponent that outgrows its field raises sparse.Overflow, and the
+whole reduction runs again at double the width (Packing.widening). Later
 reductions by the same system start at the widest width it needed. Each
 theta(g) is derived once per system (RankedSystem._theta) and cleared once
 per field width by _into_z to (lead*v^dmin + tail)/(c*d), c an int and d a monic TPoly
@@ -32,20 +36,22 @@ cofactor by Horner's rule, and multiply the others and the premultiplier by
 lead**r once. So p is S times the Scalar loop's p, the premultiplier S/S0
 times and the cofactor of theta(g) S/(c*d) times, with S0 f's clearing and S
 the product of S0 and every step's c*d: an int and a TPoly, the unit unless
-f or a divisor has t-denominators. poly._from_z decodes the t-exponents and
-divides S out once, trial-dividing by its known factors first, so the
-certificate is exactly the Scalar loop's. An f with nothing to reduce is
-returned as it is.
-verify derives every theta(g) afresh in a table of its own, reads neither cache
-nor _reduce's int forms, and re-expands its identity as one
-poly._sum_of_products, or, when every product is a scale, compares.
+f or a divisor has t-denominators. poly._from_z decodes each distinct
+monomial and t-exponent once and divides S out once, trial-dividing by its
+known factors first, so the certificate is exactly the Scalar loop's. An f
+with nothing to reduce is returned as it is.
+verify derives every theta(g) afresh in a table of its own, reads no cache
+of the system's (neither divisors nor fields) nor _reduce's int forms, and
+re-expands its identity as one poly._sum_of_products, or, when every product
+is a scale, compares.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .poly import EMPTY_MONO, DiffPoly, _codec, _from_z, _into_z, _sum_of_products, _sum_over_z
+from .poly import DiffPoly, _codec, _Fields, _from_z, _into_z, _sum_of_products, _sum_over_z
 from .ranking import Ranking, leader_initial_separant
 from .scalars import TPoly
 from .sparse import divides, ediv, elcm, power
@@ -82,9 +88,12 @@ class RankedSystem:
     # theta(g) by (index of g, theta), filled on demand; not part of the value
     _thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the same theta(g) over Z[t], split for Ritt's step (_divisor), by field
-    # width and then (index, theta); likewise. _reduce starts at the widest
-    # width here, so a system whose t-exponents outgrew a width once skips it
+    # width and then (index, theta); likewise
     _divisors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the x-fields (poly._Fields) the int forms of _divisors and of each
+    # reduction share, by field width; likewise. _reduce starts at the widest
+    # width here, so a system whose exponents outgrew a width once skips it
+    _fields: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -108,15 +117,15 @@ class RankedSystem:
             table[key] = out
         return out
 
-    def _divisor(self, gi, theta, v, codec):
-        """theta(g) for element gi over Z[t], its t-exponents packed by codec,
+    def _divisor(self, gi, theta, v, fields):
+        """theta(g) for element gi over Z[t], packed by the system's fields,
         split at v = theta(leader) once per system and field width:
         (dmin, lead, -tail, c, d), theta(g) = (lead*v^dmin + tail)/(c*d).
         Ritt's step on the reductums needs lead/(c*d) to be the cached initial
         (theta = 0) or separant; a mismatch raises RuntimeError."""
-        table = self._divisors.get(codec.width)
+        table = self._divisors.get(fields.width)
         if table is None:
-            table = self._divisors[codec.width] = {}
+            table = self._divisors[fields.width] = {}
         key = (gi, theta)
         out = table.get(key)
         if out is None:
@@ -127,10 +136,9 @@ class RankedSystem:
                 kind = "separant" if proper else "initial"
                 raise RuntimeError(f"the cached {kind} of element {gi + 1} is not the "
                                    f"coefficient of {v.text()}^{dmin} in its divisor")
-            d, c, (ints,) = _into_z(codec, (divisor.terms,))
-            lead, tail = DiffPoly._raw(divisor.ring, ints).split(v, dmin)
-            tail = {m: {e: -k for e, k in t.items()} for m, t in tail.terms.items()}
-            out = table[key] = (dmin, lead.terms, tail, c, d)
+            d, c, (ints,) = _into_z(fields, (divisor.terms,))
+            lead, tail = fields.split(ints, v, dmin, dmin)
+            out = table[key] = (dmin, lead, {x: -k for x, k in tail.items()}, c, d)
         return out
 
 
@@ -153,7 +161,7 @@ def autoreduced_check(polys, ranking):
         for j, f in enumerate(polys):
             if i == j:
                 continue
-            viol = _violation(f, ranking, (u,), (d,), FULL)
+            viol = _violation(f.variables(), f.degree_in, ranking, (u,), (d,), FULL)
             if viol is not None:
                 v, _, theta = viol
                 why = (f"contains the proper derivative {v.text()} of {u.text()}" if any(theta)
@@ -204,18 +212,19 @@ class ReductionCertificate:
         return _sum_of_products(pairs).is_zero()
 
 
-def _violation(p, ranking, leaders, degrees, mode):
-    """Highest-ranked variable of p violating reducedness with respect to the
-    leaders (of the given degrees), with its reducer's index and operator."""
+def _violation(variables, degree, ranking, leaders, degrees, mode):
+    """Highest-ranked of a polynomial's variables violating reducedness with
+    respect to the leaders (of the given degrees), with its reducer's index
+    and operator; degree(v) is the polynomial's degree in v."""
     rk = ranking.key
     best = None
-    for v in p.variables():
+    for v in variables:
         choice = None
         for gi, lg in enumerate(leaders):
             if lg.family != v.family or lg.index != v.index:
                 continue
             if v.theta == lg.theta:
-                if mode == FULL and p.degree_in(v) >= degrees[gi]:
+                if mode == FULL and degree(v) >= degrees[gi]:
                     choice = (gi, ediv(v.theta, lg.theta))
                     break
             elif divides(lg.theta, v.theta):
@@ -229,60 +238,64 @@ def _violation(p, ranking, leaders, degrees, mode):
 
 
 def _reduce(f, system, mode):
-    viol = _violation(f, system.ranking, system.leaders, system.leader_degrees, mode)
+    viol = _violation(f.variables(), f.degree_in, system.ranking, system.leaders,
+                      system.leader_degrees, mode)
     if viol is None:
         return ReductionCertificate(mode, f, f, DiffPoly.one(f.ring), {}, 0)
-    widths = system._divisors  # the widest field width this system needed so far
+    widths = system._fields  # the widest field width this system needed so far
     start = _codec(f.ring.nt, max(widths)) if widths else _codec(f.ring.nt)
     return start.widening(lambda codec: _reduce_over_z(f, system, mode, viol, codec))
 
 
 def _reduce_over_z(f, system, mode, viol, codec):
-    """_reduce's certificate for an f with the violation viol, t-exponents
-    packed by codec; sparse.Overflow if one outgrows its fields."""
+    """_reduce's certificate for an f with the violation viol, in the
+    system's fields of codec's width; sparse.Overflow if an exponent outgrows
+    them."""
     ranking, leaders, degrees = system.ranking, system.leaders, system.leader_degrees
     ring = f.ring
     one = TPoly.one(ring.nt)
-    unit = {EMPTY_MONO: {codec.one: 1}}
+    fields = system._fields.get(codec.width)
+    if fields is None:
+        fields = system._fields[codec.width] = _Fields(codec)
+    unit = {0: 1}
     # S = c*d; scales[key] is the c*d of key's divisor; bases are factors of d
     # that _from_z tries first, once a divisor's t-denominators make d large
-    den0, c0, (p,) = _into_z(codec, (f.terms,))
+    den0, c0, (p,) = _into_z(fields, (f.terms,))
     c, d = c0, den0
     premult, cof, scales, bases, steps = unit, {}, {}, {}, 0
     while viol is not None:
         v, gi, theta = viol
-        dmin, lead, tail, cg, dg = system._divisor(gi, theta, v, codec)
-        # r steps p := lead*rest - mult*tail; q = sum_j lead^(r-j) * mult_j, lead_r = lead^r
+        dmin, lead, tail, cg, dg = system._divisor(gi, theta, v, fields)
+        # r steps p := lead*rest - mult*tail with mult = (p's coefficient of
+        # v^e) * v^(e-dmin); q = sum_j lead^(r-j) * mult_j, lead_r = lead^r
         q, r = None, 0
         while p:
-            work = DiffPoly._raw(ring, p)
-            e = work.degree_in(v)
+            e = fields.degree(p, v)
             if e < dmin:
                 break
-            mult, rest = (x.terms for x in work.split(v, e))
-            if e > dmin:
-                mult = _sum_over_z(((mult, {((v, e - dmin),): unit[EMPTY_MONO]}),), codec)
-            p = _sum_over_z(((lead, rest), (mult, tail)), codec)
-            q = mult if q is None else _sum_over_z(((lead, q), (mult, unit)), codec)
-            lead_r = lead if r == 0 else _sum_over_z(((lead_r, lead),), codec)
+            mult, rest = fields.split(p, v, e, dmin)
+            p = _sum_over_z(((lead, rest), (mult, tail)), fields)
+            q = mult if q is None else _sum_over_z(((lead, q), (mult, unit)), fields)
+            lead_r = lead if r == 0 else _sum_over_z(((lead_r, lead),), fields)
             r += 1
-        premult = _sum_over_z(((lead_r, premult),), codec)
+        premult = _sum_over_z(((lead_r, premult),), fields)
         for k in cof:
-            cof[k] = _sum_over_z(((lead_r, cof[k]),), codec)
+            cof[k] = _sum_over_z(((lead_r, cof[k]),), fields)
         key = (gi, theta)
-        cof[key] = _sum_over_z(((cof[key], unit), (q, unit)), codec) if key in cof else q
+        cof[key] = _sum_over_z(((cof[key], unit), (q, unit)), fields) if key in cof else q
         scales[key] = (cg, dg)
         c *= cg ** r
         if dg is not one:
             d = power(dg, r, d)  # d * dg**r
             bases.update((b, None) for b in (den0, dg) if b is not one)
         steps += r
-        viol = _violation(DiffPoly._raw(ring, p), ranking, leaders, degrees, mode)
+        viol = _violation(fields.variables(p), functools.partial(fields.degree, p),
+                          ranking, leaders, degrees, mode)
 
     def value(ints, k=1, dk=one):
         """The DiffPoly whose int form, c*d/(k*dk) times it, is ints."""
         den = d if dk is one else d.exact_div(dk)
-        return DiffPoly._raw(ring, _from_z(codec, ints, c // k, den, bases))
+        return DiffPoly._raw(ring, _from_z(fields, ints, c // k, den, bases))
 
     cofactors = {key: value(q, *scales[key]) for key, q in cof.items()}
     return ReductionCertificate(mode, f, value(p), value(premult, c0, den0), cofactors, steps)
@@ -299,8 +312,8 @@ def full_reduce(f, system):
 
 
 def is_reduced(f, system, mode=FULL):
-    return f.is_zero() or _violation(
-        f, system.ranking, system.leaders, system.leader_degrees, mode) is None
+    return f.is_zero() or _violation(f.variables(), f.degree_in, system.ranking,
+                                     system.leaders, system.leader_degrees, mode) is None
 
 
 @dataclass

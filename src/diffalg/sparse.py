@@ -22,10 +22,12 @@ subtraction and a mask. Packing alone knows the field layout: it gives the
 backend offsets (adding one to a packed key multiplies by a monomial),
 shifted copies and the division loop itself (Packing.divide), with the
 coefficient step passed in. The Z[t] working form of DiffPoly products and
-Ritt reduction (poly.py) keys its t-monomials by the same lex packing; lex
-fields 8, 16, 32 or 64 bits wide encode and decode in one struct call. The
-width is chosen per call from the input (the Groebner backend) or starts at
-16 bits (Z[t]); a packed monomial that outgrows it sets a guard bit, and
+Ritt reduction (poly.py) packs the t-exponents of a term by the same lex
+packing and puts a field of the same width per variable above them
+(poly._Fields), so a whole term is one int; lex fields 8, 16, 32 or 64 bits
+wide encode and decode in one struct call. The width is chosen per call
+from the input (the Groebner backend) or starts at 16 bits (Z[t]); a packed
+monomial that outgrows it sets a guard bit, and
 Packing.widening, the one retry, catches Overflow and runs the call again at
 double the width; tests check Packing against the exponent-vector functions.
 Functions that return a polynomial return a fresh dict and leave their

@@ -288,11 +288,16 @@ class TestIntegerProductExamples:
         ("t1^32768*x1 + t2^1048576*x2", "t1^1048577*x1 - 1/3*t3^40000*x2", [16, 32], [32]),
         # operands that fit 32-bit fields, a product past 2**31
         ("t3^1500000000*x1 + x2", "t3^1500000000*x1 + 2*t1*x2", [16, 32, 64], [32, 64]),
+        # x-exponents: operands past 2**15
+        ("x1^40000 + t1*x2", "x1^40000 - 1/3*x2", [16, 32], [32]),
+        # operands that fit 16-bit fields, a product past 2**15
+        ("x1^20000*x2 + t2*d1x2", "x1^20000 - x2", [16, 32], [16, 32]),
     ])
     def test_t_exponents_past_the_fields_match_the_term_loop(self, f, g, runs, products):
         """The Z[t] loop starts at 16-bit fields and reruns at double the
         width while an exponent outgrows them: packing an operand raises, or
-        a product sets a guard bit."""
+        a product sets a guard bit. x-exponents have fields of the same
+        width and rerun the same way."""
         f, g = P(f), P(g)
         with mock.patch.object(poly, "_into_z", wraps=poly._into_z) as into_z, \
                 mock.patch.object(poly, "_sum_over_z", wraps=poly._sum_over_z) as over_z:

@@ -25,6 +25,7 @@ from diffalg import (
 from diffalg import reduction, scalars
 from diffalg.algebra import to_algpoly
 from diffalg.reduction import FULL, PARTIAL, ReductionCertificate, _violation
+from diffalg.ranking import ELIMINATION
 from diffalg.ring import RATIONAL_T
 from diffalg.sparse import exact_div
 
@@ -166,7 +167,8 @@ def _reference_reduce(f, system, mode):
     cof = {}
     steps = 0
     while not p.is_zero():
-        viol = _violation(p, system.ranking, system.leaders, system.leader_degrees, mode)
+        viol = _violation(p.variables(), p.degree_in, system.ranking, system.leaders,
+                          system.leader_degrees, mode)
         if viol is None:
             break
         v, gi, theta = viol
@@ -301,12 +303,20 @@ class TestIntegerClearing:
             cert = _same_as_reference(g, s)
             assert cert.steps > len(cert.cofactors) == 5
 
-    def test_t_exponents_past_the_fields_rerun_wider(self):
+    @pytest.mark.parametrize("g, f, steps", [
+        ("t1^40000*d1x1^2 - x1", "t2^40000*d1d1x1 + x1", 2),
+        # an x-exponent of f past 2**15
+        ("d1x1 - x1", "x1^40000*d1d1x1", 2),
+        # f fits 16-bit fields; its step makes x1^40000
+        ("d1x1 - x1^20000", "x1^20000*d1x1^2", 2),
+    ])
+    def test_t_exponents_past_the_fields_rerun_wider(self, g, f, steps):
         """t-exponents of 40000 outgrow the 16-bit fields the int form starts
-        at; the reduction reruns at double the width, with the reference's
+        at, and so do x-exponents, whose fields have the same width; the
+        reduction reruns at double the width, with the reference's
         certificate."""
-        s = system("t1^40000*d1x1^2 - x1", ring=R11)
-        f = P("t2^40000*d1d1x1 + x1", R11)
+        s = system(g, ring=R11)
+        f = P(f, R11)
         with mock.patch.object(reduction, "_reduce_over_z",
                                wraps=reduction._reduce_over_z) as runs:
             cert = full_reduce(f, s)
@@ -314,7 +324,7 @@ class TestIntegerClearing:
         ref = _reference_reduce(f, s, FULL)
         assert (cert.remainder, cert.premultiplier, cert.steps, cert.cofactors) == (
             ref.remainder, ref.premultiplier, ref.steps, ref.cofactors)
-        assert cert.steps == 2 and cert.verify(s)
+        assert cert.steps == steps and cert.verify(s)
 
     def test_a_system_remembers_the_width_it_needed(self):
         """Once a system's reduction has widened, later reductions by it start
@@ -327,6 +337,57 @@ class TestIntegerClearing:
                 for reduce_fn, mode in ((full_reduce, FULL), (partial_reduce, PARTIAL)):
                     assert reduce_fn(f, s) == _reference_reduce(f, s, mode)
         assert [call.args[-1].width for call in runs.call_args_list] == [32] * 4
+
+
+class TestFields:
+    """A reduction gives each variable a field of the system's int form the
+    first time it meets it, after the fields there are, so keys packed
+    before stay valid when a divisor theta(g) brings in a variable f lacks."""
+
+    @staticmethod
+    def _grows(s, f):
+        """Reduce f in both modes against the reference; f's variables hold
+        the first fields, theta(g)'s new ones the next, one width apart."""
+        _same_as_reference(f, s)
+        fields = s._fields[16]
+        names = list(fields.shifts)
+        assert set(names[:len(f.variables())]) == f.variables() and len(names) > len(f.variables())
+        assert list(fields.shifts.values()) == [16 * (fields.codec.n + i) for i in range(len(names))]
+        return names
+
+    def test_an_elimination_ranking_brings_in_higher_orders(self):
+        s = autoreduced_check([P("x2 - t1*x1*d1d1x1")], Ranking(ELIMINATION, (1, 2)))
+        f = P("d1x2^2 + x2*d2x2 + t2*d1d2x2")
+        names = self._grows(s, f)
+        assert max(v.order for v in names) > max(v.order for v in f.variables()) + 1
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_divisor_of_the_scaling_family_adds_a_variable(self, k):
+        names = self._grows(system("t1*d1x1^2 - x1^3 - t2"), P("d1" * k + "x1"))
+        assert len(names) == k + 1
+
+    def test_a_second_reduction_reuses_the_fields(self):
+        s = system("t1*d1x1^2 - x1^3 - t2")
+        full_reduce(P("d1d1d1x1"), s)
+        fields = s._fields[16]
+        before = list(fields.shifts.items())
+        for f in (P("d1d1d1x1"), P("x1*d1d1x1^2 + t2*d1d1d1x1")):
+            for reduce_fn, mode in ((full_reduce, FULL), (partial_reduce, PARTIAL)):
+                assert reduce_fn(f, s) == _reference_reduce(f, s, mode)
+        assert s._fields == {16: fields} and list(fields.shifts.items()) == before
+        f = P("x2*d1d1d1x1 + d2d1d1x1")
+        assert full_reduce(f, s) == _reference_reduce(f, s, FULL)
+        assert list(fields.shifts.items())[:len(before)] == before
+        assert len(fields.shifts) > len(before)
+
+
+class _Poisoned:
+    """Stands in for a cache: any use of it fails."""
+
+    def _fail(self, *args):
+        raise AssertionError("a cache was read")
+
+    __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = _fail
 
 
 class TestZeroStepsAndIndependence:
@@ -355,6 +416,24 @@ class TestZeroStepsAndIndependence:
             full_reduce(f, s)
         assert cert.verify(s)
         assert cert.verify(system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2"))
+
+    def test_verify_reads_neither_cache(self):
+        """With the system's divisor table and x-fields replaced by objects
+        that fail on any use, a reduction fails, but verify still accepts a
+        certificate computed before and rejects it with a cofactor changed."""
+        s = system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2")
+        f = P("d1d1x1*d2x2 + x1*d1x1^3")
+        cert = full_reduce(f, s)
+        for name in ("_divisors", "_fields"):
+            object.__setattr__(s, name, _Poisoned())
+        with pytest.raises(AssertionError, match="cache"):
+            full_reduce(f, s)
+        assert cert.verify(s)
+        key, q = next(iter(cert.cofactors.items()))
+        m = min(q.terms, key=str)
+        bad = dataclasses.replace(cert, cofactors={
+            **cert.cofactors, key: DiffPoly(q.ring, {**q.terms, m: q.terms[m] + Scalar.one(3)})})
+        assert not bad.verify(s)
 
     def test_a_cofactor_off_by_one_fails(self):
         s = system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2")
