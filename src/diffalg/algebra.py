@@ -108,9 +108,10 @@ def from_algpoly(p, variables, ring, scale=1):
     """Thaw a term dict, each coefficient times the rational scale, to a
     DiffPoly; int coefficients become exact Fractions. The variables are
     those of an AlgIdeal, which checked them against the ring, so the terms
-    are not validated again; the variables are put in sort_key order once."""
+    are not validated again; the variables are put in their canonical order
+    once."""
     t0 = (0,) * ring.nt
-    slots = sorted(range(len(variables)), key=lambda i: variables[i].sort_key)
+    slots = sorted(range(len(variables)), key=variables.__getitem__)
     terms = {}
     for e, c in p.items():
         if scale != 1:

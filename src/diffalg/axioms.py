@@ -182,8 +182,7 @@ def saturation_members(cert, count):
             push(f.derive_theta(theta))
             if len(out) >= count:
                 return out
-    pool = sorted({v for f in system.elements for v in f.variables()},
-                  key=lambda v: v.sort_key)
+    pool = sorted({v for f in system.elements for v in f.variables()})
     base = list(out)
     for g in base:
         for v in pool:

@@ -383,7 +383,8 @@ def _cmd_demo(args):
         raise _UsageError("demo file needs a [naive] section")
     cert = charset_certify(data.lam, data.ranking, _primality_config(args))
     if cert.status == "rejected":
-        return _emit([f"rejected: {cert.reason}"], {"status": "rejected"}, args, EXIT_REJECTED)
+        return _emit([f"rejected: {cert.reason}"], {"status": "rejected", "reason": cert.reason},
+                     args, EXIT_REJECTED)
     degree, height = _grid_bounds(args, data.bounds)
     report = naive_vs_tau_demo(
         data.naive, cert, degree=degree, height=height,

@@ -34,7 +34,7 @@ from . import sparse
 from .scalars import Scalar, TPoly, clear_denominators
 
 # A monomial is a tuple of (DerivVar, exponent) pairs with positive exponents,
-# sorted by the canonical variable key.
+# sorted by variable (a DerivVar is its own canonical order).
 EMPTY_MONO = ()
 
 
@@ -42,7 +42,7 @@ def mono_from(pairs):
     items = [(v, e) for v, e in pairs if e]
     if any(e < 0 for _, e in items):
         raise ValueError("negative exponent in monomial")
-    items.sort(key=lambda it: it[0].sort_key)
+    items.sort()
     return tuple(items)
 
 
@@ -54,7 +54,7 @@ def mono_mul(a, b):
     d = dict(a)
     for v, e in b:
         d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items(), key=lambda it: it[0].sort_key))
+    return tuple(sorted(d.items()))
 
 
 def mono_degree(m):
@@ -252,15 +252,12 @@ class DiffPoly:
         return f"DiffPoly({poly_text(self)})"
 
 
-_SORT_KEY = operator.attrgetter("sort_key")
-
-
 @functools.cache
-def _codec(nt, width=16):
-    """The lex packing of t-exponent vectors in nt variables with fields of
-    width bits; the Z[t] working form starts at 16. Built once per (nt,
-    width), struct and all."""
-    return sparse.Packing(sparse.LEX, nt, width)
+def _codec(nt):
+    """The lex packing of t-exponent vectors in nt variables with the 16-bit
+    fields the Z[t] working form starts at. Built once per nt, struct and
+    all."""
+    return sparse.Packing(sparse.LEX, nt, 16)
 
 
 class _Fields:
@@ -293,7 +290,7 @@ class _Fields:
         """The variables, in the canonical order of a monomial's, with their
         shifts; sorted again only after a field is added."""
         if self._order is None:
-            self._order = [(v, self.shifts[v]) for v in sorted(self.shifts, key=_SORT_KEY)]
+            self._order = [(v, self.shifts[v]) for v in sorted(self.shifts)]
         return self._order
 
     def variables(self, p):

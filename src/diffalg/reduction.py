@@ -17,15 +17,17 @@ poly._into_z, the one way in, clears f, and p, every cofactor and the
 premultiplier are flat {packed monomial: int} dicts, one int per term,
 multiplied by poly._sum_over_z. The int packs the t-exponents in poly's
 16-bit codec and each variable's exponent in a field above them (poly._Fields):
-the system keeps one such layout per field width (RankedSystem._fields),
-appends a field the first time f or a divisor brings in a variable, and
-never moves one, so the keys of its cached divisors stay valid. degree_in,
-split and _violation's variable set read the fields with a shift and a
-mask. An exponent that outgrows its field raises sparse.Overflow, and the
-whole reduction runs again at double the width (Packing.widening). Later
-reductions by the same system start at the widest width it needed. Each
-theta(g) is derived once per system (RankedSystem._theta) and cleared once
-per field width by _into_z to (lead*v^dmin + tail)/(c*d), c an int and d a monic TPoly
+the system keeps one such layout with the divisors packed by it
+(RankedSystem._z), appends a field the first time f or a divisor brings in
+a variable, and never moves one, so the keys of its cached divisors stay
+valid. degree_in, split and _violation's variable set read the fields with
+a shift and a mask. An exponent that outgrows its field raises
+sparse.Overflow, and the whole reduction runs again at double the width
+(Packing.widening), in a fresh layout and divisor table that replace the
+system's together, so later reductions by it start at the widest width it
+needed. Each theta(g) is derived once per system (RankedSystem._theta),
+split at v^dmin once, and its lead and tail cleared together by _into_z to
+(lead*v^dmin + tail)/(c*d), c an int and d a monic TPoly
 (RankedSystem._divisor); neither cache is part of the system's value. A step
 is Ritt's pseudo-division step on the reductums: with p = mult*v^dmin +
 rest, p := lead*rest - mult*tail, never forming the term lead*mult*v^dmin
@@ -87,13 +89,12 @@ class RankedSystem:
     h: DiffPoly
     # theta(g) by (index of g, theta), filled on demand; not part of the value
     _thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the same theta(g) over Z[t], split for Ritt's step (_divisor), by field
-    # width and then (index, theta); likewise
-    _divisors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the x-fields (poly._Fields) the int forms of _divisors and of each
-    # reduction share, by field width; likewise. _reduce starts at the widest
-    # width here, so a system whose exponents outgrew a width once skips it
-    _fields: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the Z[t] state, empty until a reduction: the x-fields (poly._Fields) the
+    # int forms of each reduction share, and the same theta(g) packed by them
+    # and split for Ritt's step (_divisor), by (index, theta); likewise. A
+    # reduction that widens replaces both, and _reduce starts at these
+    # fields' width, so a system whose exponents outgrew a width once skips it
+    _z: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -117,27 +118,24 @@ class RankedSystem:
             table[key] = out
         return out
 
-    def _divisor(self, gi, theta, v, fields):
+    def _divisor(self, gi, theta, v):
         """theta(g) for element gi over Z[t], packed by the system's fields,
-        split at v = theta(leader) once per system and field width:
+        split at v = theta(leader) once per Z[t] state:
         (dmin, lead, -tail, c, d), theta(g) = (lead*v^dmin + tail)/(c*d).
         Ritt's step on the reductums needs lead/(c*d) to be the cached initial
         (theta = 0) or separant; a mismatch raises RuntimeError."""
-        table = self._divisors.get(fields.width)
-        if table is None:
-            table = self._divisors[fields.width] = {}
+        fields, table = self._z
         key = (gi, theta)
         out = table.get(key)
         if out is None:
             proper = any(theta)
             dmin = 1 if proper else self.leader_degrees[gi]
-            divisor = self._theta(gi, theta, self._thetas)
-            if divisor.split(v, dmin)[0] != (self.separants if proper else self.initials)[gi]:
+            lead, tail = self._theta(gi, theta, self._thetas).split(v, dmin)
+            if lead != (self.separants if proper else self.initials)[gi]:
                 kind = "separant" if proper else "initial"
                 raise RuntimeError(f"the cached {kind} of element {gi + 1} is not the "
                                    f"coefficient of {v.text()}^{dmin} in its divisor")
-            d, c, (ints,) = _into_z(fields, (divisor.terms,))
-            lead, tail = fields.split(ints, v, dmin, dmin)
+            d, c, (lead, tail) = _into_z(fields, (lead.terms, tail.terms))
             out = table[key] = (dmin, lead, {x: -k for x, k in tail.items()}, c, d)
         return out
 
@@ -242,30 +240,30 @@ def _reduce(f, system, mode):
                       system.leader_degrees, mode)
     if viol is None:
         return ReductionCertificate(mode, f, f, DiffPoly.one(f.ring), {}, 0)
-    widths = system._fields  # the widest field width this system needed so far
-    start = _codec(f.ring.nt, max(widths)) if widths else _codec(f.ring.nt)
+    start = system._z[0].codec if system._z else _codec(f.ring.nt)
     return start.widening(lambda codec: _reduce_over_z(f, system, mode, viol, codec))
 
 
 def _reduce_over_z(f, system, mode, viol, codec):
     """_reduce's certificate for an f with the violation viol, in the
-    system's fields of codec's width; sparse.Overflow if an exponent outgrows
-    them."""
+    system's fields, which are of codec's width or replaced by a fresh state
+    that is; sparse.Overflow if an exponent outgrows them."""
     ranking, leaders, degrees = system.ranking, system.leaders, system.leader_degrees
     ring = f.ring
     one = TPoly.one(ring.nt)
-    fields = system._fields.get(codec.width)
-    if fields is None:
-        fields = system._fields[codec.width] = _Fields(codec)
+    if not system._z or system._z[0].codec is not codec:
+        system._z[:] = _Fields(codec), {}
+    fields, divisors = system._z
     unit = {0: 1}
-    # S = c*d; scales[key] is the c*d of key's divisor; bases are factors of d
-    # that _from_z tries first, once a divisor's t-denominators make d large
+    # S = c*d; divisors[key][3:] is the c*d of key's divisor; bases are
+    # factors of d that _from_z tries first, once a divisor's t-denominators
+    # make d large
     den0, c0, (p,) = _into_z(fields, (f.terms,))
     c, d = c0, den0
-    premult, cof, scales, bases, steps = unit, {}, {}, {}, 0
+    premult, cof, bases, steps = unit, {}, {}, 0
     while viol is not None:
         v, gi, theta = viol
-        dmin, lead, tail, cg, dg = system._divisor(gi, theta, v, fields)
+        dmin, lead, tail, cg, dg = system._divisor(gi, theta, v)
         # r steps p := lead*rest - mult*tail with mult = (p's coefficient of
         # v^e) * v^(e-dmin); q = sum_j lead^(r-j) * mult_j, lead_r = lead^r
         q, r = None, 0
@@ -283,7 +281,6 @@ def _reduce_over_z(f, system, mode, viol, codec):
             cof[k] = _sum_over_z(((lead_r, cof[k]),), fields)
         key = (gi, theta)
         cof[key] = _sum_over_z(((cof[key], unit), (q, unit)), fields) if key in cof else q
-        scales[key] = (cg, dg)
         c *= cg ** r
         if dg is not one:
             d = power(dg, r, d)  # d * dg**r
@@ -297,7 +294,7 @@ def _reduce_over_z(f, system, mode, viol, codec):
         den = d if dk is one else d.exact_div(dk)
         return DiffPoly._raw(ring, _from_z(fields, ints, c // k, den, bases))
 
-    cofactors = {key: value(q, *scales[key]) for key, q in cof.items()}
+    cofactors = {key: value(q, *divisors[key][3:]) for key, q in cof.items()}
     return ReductionCertificate(mode, f, value(p), value(premult, c0, den0), cofactors, steps)
 
 

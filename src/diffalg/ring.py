@@ -8,7 +8,8 @@ through model evaluation as the derivative in the last t-symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sparse import emul, unit
 
@@ -36,40 +37,36 @@ class RingContext:
         return self.m + 1
 
 
-@dataclass(frozen=True)
-class DerivVar:
-    """A derivative theta x_j (or theta y_j in prolongation output).
-
-    theta may be given as any sequence; it is stored as a tuple. The hash is
-    computed once, here, since every monomial product hashes its variables.
-    """
-
+class _Triple(NamedTuple):
     family: str
     index: int
     theta: tuple  # derivative-operator exponents (e1, ..., em)
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(self.theta))
-        object.__setattr__(self, "_hash", hash((self.family, self.index, self.theta)))
-        if self.family not in ("x", "y"):
-            raise ValueError(f"unknown variable family {self.family!r}")
-        if self.index < 1:
+
+class DerivVar(_Triple):
+    """A derivative theta x_j (or theta y_j in prolongation output).
+
+    It is the tuple (family, index, theta), so its hash, equality and order
+    are the tuple's; the order is the canonical one of a monomial's
+    variables, independent of any ranking. theta may be given as any
+    sequence; it is stored as a tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family, index, theta):
+        theta = tuple(theta)
+        if family not in ("x", "y"):
+            raise ValueError(f"unknown variable family {family!r}")
+        if index < 1:
             raise ValueError("variable index must be at least 1")
-        if any(k < 0 for k in self.theta):
+        if any(k < 0 for k in theta):
             raise ValueError("negative derivative exponent")
-
-    def __hash__(self):
-        return self._hash
+        return super().__new__(cls, family, index, theta)
 
     @property
     def order(self):
         return sum(self.theta)
-
-    @property
-    def sort_key(self):
-        # Canonical storage key; independent of any ranking.
-        return (self.family, self.index, self.theta)
 
     def derived(self, i):
         """The variable delta_i applied once more."""

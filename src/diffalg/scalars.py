@@ -91,11 +91,6 @@ class TPoly:
     def is_const(self):
         return all(not any(e) for e in self.terms)
 
-    def const_value(self):
-        if not self.is_const():
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def occurring(self):
         s = set()
         for e in self.terms:
@@ -341,7 +336,7 @@ def _reduce_pair(num, den):
         return num, one
     if not den.is_const():
         g = tpoly_gcd(num, den)
-        if not (g.is_const() and g.const_value() == 1):
+        if not g.is_const():
             num = num.exact_div(g)
             den = den.exact_div(g)
             assert num is not None and den is not None

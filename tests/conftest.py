@@ -84,7 +84,7 @@ def rand_poly(rng, ring, max_order=2, max_degree=3, max_terms=4, height=5,
             e = rng.randint(1, deg)
             mono[v] = mono.get(v, 0) + e
             deg -= e
-        key = tuple(sorted(mono.items(), key=lambda it: it[0].sort_key))
+        key = tuple(sorted(mono.items()))
         c = rand_scalar(rng, ring, height, allow_t)
         if not c.is_zero():
             terms[key] = c
@@ -158,7 +158,7 @@ def rand_autoreduced(rng, ring, ranking=None, size=2, max_order=2, max_lead_degr
         if pool and rng.random() < 0.5:
             w = rng.choice(pool)  # non-trivial initial
             lead_mono[w] = 1
-        lead_key = tuple(sorted(lead_mono.items(), key=lambda it: it[0].sort_key))
+        lead_key = tuple(sorted(lead_mono.items()))
         terms = {lead_key: rand_scalar(rng, ring, 3, nonzero=True)}
         for _ in range(rng.randint(0, 2)):
             deg = rng.randint(0, 2)
@@ -171,7 +171,7 @@ def rand_autoreduced(rng, ring, ranking=None, size=2, max_order=2, max_lead_degr
                 e = rng.randint(0, d - 1)
                 if e:
                     mono[v] = e
-            key = tuple(sorted(mono.items(), key=lambda it: it[0].sort_key))
+            key = tuple(sorted(mono.items()))
             if key == lead_key:
                 continue
             c = rand_scalar(rng, ring, 3)

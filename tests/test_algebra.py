@@ -182,6 +182,11 @@ class TestPrimality:
             v = primality_oracle(ideal("*".join(factors), variables=X[:1]))
             assert v.status != "prime", factors
 
+    def test_zero_ideal(self):
+        v = primality_oracle(ideal())
+        assert (v.status, v.method, v.note) == (
+            "prime", "linear", "zero ideal: the full ring is a domain")
+
     def test_unit_ideal(self):
         v = primality_oracle(ideal("x1", "x1 - 1", variables=X[:1]))
         assert v.status == "not_prime" and v.witness is None

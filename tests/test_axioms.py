@@ -156,6 +156,17 @@ class TestSatIdealMember:
                 saturation_members(cert, 4)
         assert len(calls) == 2
 
+    def test_pairwise_products_and_the_limit(self):
+        """With m = 0 no member comes from deriving, and x1^2 - 2 times its one
+        variable gives a single member more: the third is the pairwise
+        product, and a fourth cannot be assembled."""
+        R0 = RingContext(m=0, n=1)
+        cert = cert_for("x1^2 - 2", ring=R0)
+        assert saturation_members(cert, 3) == [
+            P("x1^2 - 2", R0), P("x1^3 - 2*x1", R0), P("x1^4 - 4*x1^2 + 4", R0)]
+        with pytest.raises(ValueError, match="could not assemble 4 distinct"):
+            saturation_members(cert, 4)
+
 
 class TestCertify:
     def test_certified_fixture(self):
@@ -311,6 +322,13 @@ class TestInstances:
         val = instance_validate(inst)
         assert val.status == "rejected"
         assert "not in the W ideal" in val.failed
+
+    def test_w_not_containing_a_prolonged_element_rejected(self):
+        system = autoreduced_check([P("d1 x1", R11)], Ranking())
+        inst = AxiomInstance(system, (), (P("d1 x1", R11), P("y1 - 1", R11)), 2)
+        val = instance_validate(inst)
+        assert (val.status, val.failed) == (
+            "rejected", "prolonged element d1y1 is not in the W ideal")
 
     def test_validate_certifies_the_built_system(self):
         """instance_validate certifies the system build_axiom_instance checked,

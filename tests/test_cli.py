@@ -135,6 +135,24 @@ class TestExitCodes:
         assert code == 2 and "not_found_at_bounds" in out
         assert "violations: 0" in out
 
+    @pytest.mark.parametrize("what", ["project", "witness"])
+    def test_axiom_on_an_invalid_instance_is_rejected(self, tmp_path, capsys, what):
+        path = tmp_path / "outside-w.axiom"
+        path.write_text("[ring] m=1 n=1 field=rational_t\n[lambda]\nd1 x1\n[W]\ny1 - 1\n",
+                        encoding="utf-8")
+        code, out = run(capsys, "axiom", what, str(path))
+        assert code == 2
+        assert out.splitlines()[0] == "rejected: system element d1x1 is not in the W ideal"
+
+    def test_demo_of_an_uncertified_system_gives_its_reason(self, tmp_path, capsys):
+        path = tmp_path / "reducible.demo"
+        path.write_text("[ring] m=1 n=1 field=rational_t\n[naive]\nx1^2\n"
+                        "[lambda]\nx1^2 - 1\n", encoding="utf-8")
+        code, out = run(capsys, "demo", "naive-vs-tau", str(path))
+        assert code == 2
+        assert out.splitlines() == ["rejected: factorization witness", "---", "status: rejected",
+                                    "reason: factorization witness", "exit: 2"]
+
 
 class TestReports:
     def test_reduce_report_with_check(self, capsys):
@@ -534,6 +552,12 @@ class TestPrime:
         assert "unrecognized arguments: --assert-prime" in capsys.readouterr().err
         code, out = run(capsys, *argv)
         assert code == 2 and out.splitlines()[0] == "status: unknown"
+
+    def test_zero_ideal_is_prime(self, capsys):
+        code, out = run(capsys, "prime", "0", "--vars", "x1", "--m", "0")
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "status: prime", "method: linear", "note: zero ideal: the full ring is a domain"]
 
 
 class TestExponentWidth:

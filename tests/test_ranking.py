@@ -101,7 +101,7 @@ def test_equal_variables_hash_equal_however_built():
         assert type(v.theta) is tuple
         assert v == d1x1 and hash(v) == hash(d1x1)
         assert repr(v) == "DerivVar(family='x', index=1, theta=(1, 0))"
-        assert v.sort_key == ("x", 1, (1, 0))
+        assert tuple(v) == ("x", 1, (1, 0))
         assert compare_vars(v, d1x1, Ranking()) == 0
     assert len(set(ways)) == 1
     assert DerivVar("x", 1, [0, 1]) != d1x1

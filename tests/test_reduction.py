@@ -283,14 +283,14 @@ class TestIntegerClearing:
         s = system("1/2*t1*d1x1^2 - 2/3*x1^3")
         cert = _same_as_reference(P("x1*d1d1x1^2 + t2*d1x1^3"), s)
         assert cert.steps > len(cert.cofactors)
-        clears = {(gi, theta): c for (gi, theta), (_, _, _, c, _) in s._divisors[16].items()}
+        clears = {(gi, theta): c for (gi, theta), (_, _, _, c, _) in s._z[1].items()}
         assert clears == {(0, (1, 0)): 2, (0, (0, 0)): 6}
 
     def test_a_t_denominator_squared_by_differentiation(self):
         s = autoreduced_check([P("d1x2^2") + P("x2").scale(OVER_T1_PLUS_1)], Ranking())
         cert = _same_as_reference(P("x2*d1d1x2^2 + d1x2^3"), s)
         assert cert.steps > len(cert.cofactors)
-        dens = {(gi, theta): d for (gi, theta), (_, _, _, _, d) in s._divisors[16].items()}
+        dens = {(gi, theta): d for (gi, theta), (_, _, _, _, d) in s._z[1].items()}
         assert dens == {(0, (1, 0)): parse_tpoly("t1^2 + 2*t1 + 1", RT),
                         (0, (0, 0)): parse_tpoly("t1 + 1", RT)}
 
@@ -356,7 +356,7 @@ class TestFields:
         """Reduce f in both modes against the reference; f's variables hold
         the first fields, theta(g)'s new ones the next, one width apart."""
         _same_as_reference(f, s)
-        fields = s._fields[16]
+        fields = s._z[0]
         names = list(fields.shifts)
         assert set(names[:len(f.variables())]) == f.variables() and len(names) > len(f.variables())
         assert list(fields.shifts.values()) == [16 * (fields.codec.n + i) for i in range(len(names))]
@@ -376,12 +376,12 @@ class TestFields:
     def test_a_second_reduction_reuses_the_fields(self):
         s = system("t1*d1x1^2 - x1^3 - t2")
         full_reduce(P("d1d1d1x1"), s)
-        fields = s._fields[16]
+        fields = s._z[0]
         before = list(fields.shifts.items())
         for f in (P("d1d1d1x1"), P("x1*d1d1x1^2 + t2*d1d1d1x1")):
             for reduce_fn, mode in ((full_reduce, FULL), (partial_reduce, PARTIAL)):
                 assert reduce_fn(f, s) == _reference_reduce(f, s, mode)
-        assert s._fields == {16: fields} and list(fields.shifts.items()) == before
+        assert s._z[0] is fields and list(fields.shifts.items()) == before
         f = P("x2*d1d1d1x1 + d2d1d1x1")
         assert full_reduce(f, s) == _reference_reduce(f, s, FULL)
         assert list(fields.shifts.items())[:len(before)] == before
@@ -425,14 +425,13 @@ class TestZeroStepsAndIndependence:
         assert cert.verify(system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2"))
 
     def test_verify_reads_neither_cache(self):
-        """With the system's divisor table and x-fields replaced by objects
-        that fail on any use, a reduction fails, but verify still accepts a
+        """With the system's Z[t] state, its x-fields and divisor table,
+        replaced by an object that fails on any use, a reduction fails, but verify still accepts a
         certificate computed before and rejects it with a cofactor changed."""
         s = system("t1*d1x1^2 - x1^3 - t2", "x2^2 - t2")
         f = P("d1d1x1*d2x2 + x1*d1x1^3")
         cert = full_reduce(f, s)
-        for name in ("_divisors", "_fields"):
-            object.__setattr__(s, name, _Poisoned())
+        object.__setattr__(s, "_z", _Poisoned())
         with pytest.raises(AssertionError, match="cache"):
             full_reduce(f, s)
         assert cert.verify(s)
